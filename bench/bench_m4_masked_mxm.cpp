@@ -1,7 +1,12 @@
-// Experiment M4 (ablation, DESIGN.md): masked dot-product mxm vs.
-// Gustavson-then-mask on the triangle-counting pattern C<L,struct>=L*L'.
-// The masked strategy's work is proportional to nnz(mask), so it wins as
-// the mask gets sparser relative to the full product.
+// Experiment M4 (ablation, DESIGN.md): the two masked mxm strategies for
+// a structural mask — masked dot products vs. the mask-driven saxpy
+// (Gustavson folding only products that land in the mask) — and the
+// auto cost model choosing between them, on three mask shapes: the
+// triangle-counting pattern C<L,struct> = L*L', the k-truss support
+// count C<B,struct,replace> = B*B' on a symmetric graph, and a
+// one-entry-per-row point-query mask.  Masked dot's work is the exact
+// sum over M of |A(i,:)| + |B'(j,:)|, so it wins as the mask gets
+// sparser relative to the full product.
 #include "bench/bench_util.hpp"
 
 #include "ops/mxm.hpp"
@@ -56,6 +61,51 @@ void BM_TcMxm_Auto(benchmark::State& state) {
 BENCHMARK(BM_TcMxm_Gustavson)->Arg(9)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TcMxm_MaskedDot)->Arg(9)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TcMxm_Auto)->Arg(9)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
+
+// k-truss support count: C<B,struct,replace> = B*B' with B the INT64
+// pattern of a symmetric R-MAT graph (no diagonal), exactly the multiply
+// each k-truss peeling round runs.  The mask is as dense as the graph,
+// so on skewed degrees the saxpy's sum of deg(k)^2 undercuts the dot's
+// two-sided sum over every edge.
+void run_ktruss_mxm(benchmark::State& state, grb::MxmStrategy strategy) {
+  StrategyGuard guard(strategy);
+  GrB_Matrix g = benchutil::rmat(static_cast<int>(state.range(0)), 8,
+                                 /*symmetrize=*/true);
+  GrB_Index n, nnz;
+  BENCH_TRY(GrB_Matrix_nrows(&n, g));
+  GrB_Matrix b = nullptr;
+  BENCH_TRY(GrB_Matrix_new(&b, GrB_INT64, n, n));
+  BENCH_TRY(GrB_select(b, GrB_NULL, GrB_NULL, GrB_OFFDIAG, g, int64_t{0},
+                       GrB_NULL));
+  BENCH_TRY(GrB_apply(b, GrB_NULL, GrB_NULL, GrB_ONEB_INT64, b, int64_t{1},
+                      GrB_NULL));
+  BENCH_TRY(GrB_wait(b, GrB_MATERIALIZE));
+  BENCH_TRY(GrB_Matrix_nvals(&nnz, b));
+  GrB_Matrix c = nullptr;
+  BENCH_TRY(GrB_Matrix_new(&c, GrB_INT64, n, n));
+  for (auto _ : state) {
+    BENCH_TRY(GrB_mxm(c, b, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_INT64, b, b,
+                      GrB_DESC_RST1));
+    BENCH_TRY(GrB_wait(c, GrB_COMPLETE));
+  }
+  state.SetItemsProcessed(state.iterations() * nnz);
+  GrB_free(&g);
+  GrB_free(&b);
+  GrB_free(&c);
+}
+
+void BM_KtrussMxm_Gustavson(benchmark::State& state) {
+  run_ktruss_mxm(state, grb::MxmStrategy::kGustavson);
+}
+void BM_KtrussMxm_MaskedDot(benchmark::State& state) {
+  run_ktruss_mxm(state, grb::MxmStrategy::kMaskedDot);
+}
+void BM_KtrussMxm_Auto(benchmark::State& state) {
+  run_ktruss_mxm(state, grb::MxmStrategy::kAuto);
+}
+BENCHMARK(BM_KtrussMxm_Gustavson)->Arg(10)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KtrussMxm_MaskedDot)->Arg(10)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KtrussMxm_Auto)->Arg(10)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
 
 // Sparse point-query mask: the extreme case masked-dot exists for.
 void run_point_mask(benchmark::State& state, grb::MxmStrategy strategy) {

@@ -145,6 +145,16 @@ std::shared_ptr<MatrixData> fastpath_mxm(Context* ctx, const MatrixData& a,
   });
 }
 
+std::shared_ptr<MatrixData> fastpath_masked_saxpy_mxm(
+    Context* ctx, const MatrixData& a, const MatrixData& b,
+    const MatrixData& mask, const Semiring* s, const SpgemmRowCosts& costs) {
+  if (!fastpath_enabled()) return nullptr;
+  return dispatch(s, a.type, b.type, [&](auto runner) {
+    return mxm_masked_saxpy_kernel(ctx, a, b, mask, s->mul()->ztype(), costs,
+                                   [runner] { return runner; });
+  });
+}
+
 std::shared_ptr<MatrixData> fastpath_masked_dot_mxm(Context* ctx,
                                                     const MatrixData& a,
                                                     const MatrixData& bt,

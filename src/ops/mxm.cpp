@@ -8,6 +8,34 @@
 #include "ops/mxm.hpp"
 
 namespace grb {
+namespace {
+
+// Exact masked-dot work: one merge of A(i,:) with B'(j,:) per mask
+// entry, |A(i,:)| + |B'(j,:)| steps each.  B's column counts are the
+// row lengths of `bt` (B') when the caller has it for free, else one
+// O(nnz(B)) counting pass; the caller has checked that O(ncols) fits
+// the budget.
+uint64_t masked_dot_cost(const MatrixData& a, const MatrixData& b,
+                         const MatrixData* bt, const MatrixData& mask) {
+  std::vector<Index> bcol;
+  if (bt == nullptr) {
+    bcol.assign(static_cast<size_t>(b.ncols) + 1, 0);
+    for (Index j : b.col) ++bcol[j + 1];
+    for (Index j = 0; j < b.ncols; ++j) bcol[j + 1] += bcol[j];
+  }
+  const Index* bptr = bt != nullptr ? bt->ptr.data() : bcol.data();
+  uint64_t cost = 0;
+  for (Index i = 0; i < mask.nrows; ++i) {
+    const uint64_t arow = a.ptr[i + 1] - a.ptr[i];
+    for (size_t km = mask.ptr[i]; km < mask.ptr[i + 1]; ++km) {
+      const Index j = mask.col[km];
+      cost += arow + (bptr[j + 1] - bptr[j]);
+    }
+  }
+  return cost;
+}
+
+}  // namespace
 
 Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
          const Semiring* s, const Matrix* a, const Matrix* b,
@@ -66,44 +94,51 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
           if (costs == nullptr) costs = spgemm_row_costs(av, bv);
           return *costs;
         };
-        // Masked dot-product strategy: correct whenever the mask is
-        // structural and not complemented (T is only ever read at
-        // mask-true positions by the write-back).  The heuristic picks
-        // it when the mask is sparse enough that per-position dots beat
-        // the full Gustavson expansion.
+        // Masked kernels: correct whenever the mask is structural and
+        // not complemented (T is only ever read at mask-true positions
+        // by the write-back), and both emit T inside M.  Masked dot
+        // merges A(i,:) with B'(j,:) per mask entry; masked saxpy runs
+        // Gustavson folding only the products that land in M.  The auto
+        // strategy compares their exact costs.
         obs::DecisionTicket dot_ticket;
+        bool t_in_mask = false;
         if (m_snap != nullptr && spec.mask_structure && !spec.mask_comp) {
-          MxmStrategy strat = mxm_strategy();
-          bool use_dot = strat == MxmStrategy::kMaskedDot;
+          const MxmStrategy strat = mxm_strategy();
           // Transposing B allocates O(ncols(B)) column pointers; the
           // dot strategy is off the table for hypersparse column
           // dimensions the budget cannot afford.
-          bool bt_ok = static_cast<uint64_t>(bv->ncols) * 2 *
-                           sizeof(Index) <=
-                       spgemm_dense_budget();
+          const bool bt_ok = static_cast<uint64_t>(bv->ncols) * 2 *
+                                 sizeof(Index) <=
+                             spgemm_dense_budget();
+          // The masked saxpy is a dense-flag accumulator of its own:
+          // the reference oracle and a pinned hash mode keep the
+          // unmasked engine, as does an over-budget column count.
+          const SpgemmMode mode = spgemm_mode();
+          const bool saxpy_ok =
+              mode != SpgemmMode::kReference && mode != SpgemmMode::kHash &&
+              static_cast<uint64_t>(bv->ncols) *
+                      (1 + s->mul()->ztype()->size()) <=
+                  spgemm_dense_budget();
+          // With GrB_DESC_T1, bv is the transpose of b_snap, so B' is
+          // b_snap itself: the dot strategy needs no second transpose.
+          const MatrixData* bt_free = t1 ? b_snap.get() : nullptr;
+          bool use_dot = strat == MxmStrategy::kMaskedDot && bt_ok;
           if (strat == MxmStrategy::kAuto && bt_ok) {
-            // Cost model: Gustavson expands every (i,k) of A into row k
-            // of B; masked dot merges A(i,:) with B'(j,:) per mask entry.
-            size_t avg_arow =
-                av->nrows ? av->nvals() / av->nrows + 1 : 1;
-            size_t avg_bcol =
-                bv->ncols ? bv->nvals() / bv->ncols + 1 : 1;
-            size_t flops_dot = m_snap->nvals() * (avg_arow + avg_bcol) +
-                               bv->nvals();  // + transpose of B
-            use_dot = flops_dot < row_costs().total;
+            const uint64_t dot_cost =
+                masked_dot_cost(*av, *bv, bt_free, *m_snap);
+            const uint64_t saxpy_cost = row_costs().total + m_snap->nvals();
+            use_dot = dot_cost < saxpy_cost;
             // Decision audit: the one genuinely adaptive branch here is
             // the auto heuristic — pinned strategies never had a choice.
             dot_ticket = obs::decision_record(
                 obs::DecisionSite::kMaskedDot, use_dot ? "dot" : "saxpy",
                 use_dot ? "saxpy" : "dot",
-                static_cast<double>(use_dot ? flops_dot
-                                            : row_costs().total),
-                static_cast<double>(use_dot ? row_costs().total
-                                            : flops_dot));
+                static_cast<double>(use_dot ? dot_cost : saxpy_cost),
+                static_cast<double>(use_dot ? saxpy_cost : dot_cost));
           }
-          if (use_dot && bt_ok) {
+          if (use_dot) {
             obs::ProfScope prof("dot");
-            auto bt = format_transpose_view(bv);
+            auto bt = t1 ? b_snap : format_transpose_view(bv);
             t = fastpath_masked_dot_mxm(ctx, *av, *bt, *m_snap, s);
             if (t == nullptr) {
               t = mxm_masked_dot_kernel(ctx, *av, *bt, *m_snap,
@@ -112,6 +147,17 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
                                               s, av->type, bt->type);
                                         });
             }
+            t_in_mask = true;
+          } else if (saxpy_ok) {
+            obs::ProfScope prof("saxpy");
+            t = fastpath_masked_saxpy_mxm(ctx, *av, *bv, *m_snap, s,
+                                          row_costs());
+            if (t == nullptr) {
+              t = mxm_masked_saxpy_kernel(
+                  ctx, *av, *bv, *m_snap, s->mul()->ztype(), row_costs(),
+                  [&] { return SemiringRunner(s, av->type, bv->type); });
+            }
+            t_in_mask = true;
           }
         }
         if (t == nullptr) t = fastpath_mxm(ctx, *av, *bv, s, row_costs());
@@ -132,13 +178,18 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         // already-paid symbolic pass is a free density signal.
         if (costs != nullptr) format_hint_flops(costs->total);
         auto c_old = c->current_canonical();
-        // Identity write-back: with no mask and no accumulator Z = T
-        // replaces C wholesale, so when no cast is needed T itself is
-        // published and the per-element merged rebuild is skipped.  The
+        // Identity write-back: with no accumulator and no cast, T itself
+        // is published and the per-element merged rebuild is skipped
+        // when the write-back would copy T unchanged — with no mask, or
+        // when T came from a masked kernel (so T lies inside M) and C
+        // keeps nothing outside M (replace, or C had no entries).  The
         // kernels emit sorted deduplicated rows, so T is already a
         // valid materialized matrix.
-        if (m_snap == nullptr && spec.accum == nullptr &&
-            t->type == c_old->type) {
+        const bool identity =
+            m_snap == nullptr
+                ? !spec.mask_comp
+                : t_in_mask && (spec.replace || c_old->nvals() == 0);
+        if (identity && spec.accum == nullptr && t->type == c_old->type) {
           if (obs::stats_enabled()) obs::add_scalars(t->nvals());
           c->publish(std::move(t));
         } else {

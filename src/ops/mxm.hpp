@@ -202,10 +202,14 @@ std::shared_ptr<VectorData> mxv_hyper_kernel(Context* ctx,
 }
 
 // Masked dot-product SpGEMM: computes T only at the structural-mask
-// positions, C(i,j) = A(i,:) . B(:,j), via sorted-intersection merges of
-// A's row i and B'(j,:).  This is the kernel masked multiplies like
-// triangle counting want: work is O(nnz(M) * avg-row) instead of the
-// full Gustavson expansion.  `bt` is B transposed (CSR of B').
+// positions, C(i,j) = A(i,:) . B(:,j), via one sorted-intersection merge
+// of A's row i and B'(j,:) per mask entry.  This is the kernel point-
+// query masks want: work is the exact dot cost sum over M of
+// |A(i,:)| + |B'(j,:)|, independent of the full product.  `bt` is B
+// transposed (CSR of B').  Rows run over blocks balanced by mask-row
+// length; each block stages up to nnz(M(i,:)) entries per row and keeps
+// the nonempty dots, so assembly is a copy.  Each C(i,j) folds in
+// ascending k, the order of the Gustavson kernels.
 template <class MakeRunner>
 std::shared_ptr<MatrixData> mxm_masked_dot_kernel(Context* ctx,
                                                   const MatrixData& a,
@@ -214,85 +218,168 @@ std::shared_ptr<MatrixData> mxm_masked_dot_kernel(Context* ctx,
                                                   const Type* ztype,
                                                   MakeRunner&& make_runner) {
   auto t = std::make_shared<MatrixData>(ztype, a.nrows, bt.nrows);
-  Index nrows = a.nrows;
-  size_t zsize = ztype->size();
-
-  // Pass 1: which mask positions have a nonempty intersection?
+  const Index nrows = a.nrows;
+  const size_t zsize = ztype->size();
+  if (nrows == 0 || mask.nvals() == 0) return t;
+  std::vector<uint64_t> weight(nrows);
+  for (Index i = 0; i < nrows; ++i) weight[i] = mask.ptr[i + 1] - mask.ptr[i];
+  const Index nblocks = spgemm_block_count(ctx, nrows, mask.nvals());
+  const std::vector<Index> bounds =
+      spgemm_partition(weight, mask.nvals(), nblocks);
   std::vector<Index> counts(nrows, 0);
-  auto intersects = [&](Index i, Index j) {
-    size_t ka = a.ptr[i], ea = a.ptr[i + 1];
-    size_t kb = bt.ptr[j], eb = bt.ptr[j + 1];
-    while (ka < ea && kb < eb) {
-      if (a.col[ka] == bt.col[kb]) return true;
-      if (a.col[ka] < bt.col[kb]) {
-        ++ka;
-      } else {
-        ++kb;
-      }
-    }
-    return false;
-  };
-  ctx->parallel_for(0, nrows, [&](Index lo, Index hi) {
-    for (Index i = lo; i < hi; ++i) {
-      Index n = 0;
-      if (i < mask.nrows) {
-        for (size_t km = mask.ptr[i]; km < mask.ptr[i + 1]; ++km) {
-          Index j = mask.col[km];
-          if (j < bt.nrows && intersects(i, j)) ++n;
-        }
-      }
-      counts[i] = n;
-    }
-  });
-  for (Index i = 0; i < nrows; ++i) t->ptr[i + 1] = t->ptr[i] + counts[i];
-  t->col.resize(t->ptr[nrows]);
-  t->vals.resize(t->ptr[nrows]);
+  std::vector<SpgemmStage> stage(nblocks);
 
-  // Pass 2: dot products straight into place.
-  ctx->parallel_for(0, nrows, [&](Index lo, Index hi) {
+  ctx->parallel_for(0, nblocks, 1, [&](Index blo, Index bhi) {
     auto runner = make_runner();
-    ValueBuf acc(zsize), prod(zsize);
-    for (Index i = lo; i < hi; ++i) {
-      if (i >= mask.nrows) continue;
-      size_t w = t->ptr[i];
-      for (size_t km = mask.ptr[i]; km < mask.ptr[i + 1]; ++km) {
-        Index j = mask.col[km];
-        if (j >= bt.nrows) continue;
-        size_t ka = a.ptr[i], ea = a.ptr[i + 1];
-        size_t kb = bt.ptr[j], eb = bt.ptr[j + 1];
-        bool first = true;
-        while (ka < ea && kb < eb) {
-          if (a.col[ka] == bt.col[kb]) {
-            if (first) {
-              runner.mul(acc.data(), a.vals.at(ka), bt.vals.at(kb));
-              first = false;
+    ValueBuf prod(zsize);
+    for (Index blk = blo; blk < bhi; ++blk) {
+      const Index rlo = bounds[blk], rhi = bounds[blk + 1];
+      SpgemmStage& out = stage[blk];
+      const size_t ub = mask.ptr[rhi] - mask.ptr[rlo];
+      out.col.reserve(ub);
+      out.vals.reserve(ub * zsize);
+      for (Index i = rlo; i < rhi; ++i) {
+        const size_t mlen = mask.ptr[i + 1] - mask.ptr[i];
+        if (mlen == 0) continue;
+        auto [cols, vals] = out.grow(mlen, zsize);
+        size_t n = 0;
+        for (size_t km = mask.ptr[i]; km < mask.ptr[i + 1]; ++km) {
+          const Index j = mask.col[km];
+          void* acc = vals + n * zsize;
+          size_t ka = a.ptr[i], ea = a.ptr[i + 1];
+          size_t kb = bt.ptr[j], eb = bt.ptr[j + 1];
+          bool first = true;
+          while (ka < ea && kb < eb) {
+            if (a.col[ka] == bt.col[kb]) {
+              if (first) {
+                runner.mul(acc, a.vals.at(ka), bt.vals.at(kb));
+                first = false;
+              } else {
+                runner.mul(prod.data(), a.vals.at(ka), bt.vals.at(kb));
+                runner.add(acc, prod.data());
+              }
+              ++ka;
+              ++kb;
+            } else if (a.col[ka] < bt.col[kb]) {
+              ++ka;
             } else {
-              runner.mul(prod.data(), a.vals.at(ka), bt.vals.at(kb));
-              runner.add(acc.data(), prod.data());
+              ++kb;
             }
-            ++ka;
-            ++kb;
-          } else if (a.col[ka] < bt.col[kb]) {
-            ++ka;
-          } else {
-            ++kb;
           }
+          if (!first) cols[n++] = j;
         }
-        if (!first) {
-          t->col[w] = j;
-          std::memcpy(t->vals.at(w), acc.data(), zsize);
-          ++w;
-        }
+        out.trim(mlen - n, zsize);
+        counts[i] = static_cast<Index>(n);
       }
     }
   });
+  spgemm_detail::assemble(ctx, *t, bounds, stage, counts);
   return t;
 }
 
+// Mask-driven Gustavson SpGEMM: T = (A*B)<M> for a structural,
+// non-complemented mask, computed in one pass.  Each row marks M(i,:) in
+// the thread's dense flag array, folds only the products of A(i,:)*B
+// that land on marked columns, then emits in mask-column order — no
+// symbolic count, no sort, at most nnz(M(i,:)) entries per row.  Each
+// C(i,j) folds in ascending k exactly like expand_row, so the result is
+// bitwise-identical to the unmasked engine followed by the mask.  Rows
+// run over the symbolic flop-balanced blocks.  Precondition: the
+// per-thread scratch, a flag byte and a value per column
+// (ncols * (1 + zsize) bytes), fits spgemm_dense_budget().
+template <class MakeRunner>
+std::shared_ptr<MatrixData> mxm_masked_saxpy_kernel(
+    Context* ctx, const MatrixData& a, const MatrixData& b,
+    const MatrixData& mask, const Type* ztype, const SpgemmRowCosts& costs,
+    MakeRunner&& make_runner) {
+  auto t = std::make_shared<MatrixData>(ztype, a.nrows, b.ncols);
+  const Index nrows = a.nrows;
+  const size_t zsize = ztype->size();
+  if (nrows == 0 || costs.total == 0 || mask.nvals() == 0) return t;
+  const Index nblocks = spgemm_block_count(ctx, nrows, costs.total);
+  const std::vector<Index> bounds =
+      spgemm_partition(costs.flops, costs.total, nblocks);
+  std::vector<Index> counts(nrows, 0);
+  std::vector<SpgemmStage> stage(nblocks);
+  std::atomic<uint64_t> rows_run{0};
+
+  ctx->parallel_for(0, nblocks, 1, [&](Index blo, Index bhi) {
+    auto runner = make_runner();
+    ScratchArena& arena = thread_arena();
+    // flag[j]: 0 = not in M(i,:), 1 = in M(i,:) with no product yet,
+    // 2 = in M(i,:) and acc[j] holds a partial fold.
+    auto* flag = reinterpret_cast<uint8_t*>(
+        arena.request_zeroed(ScratchArena::kDenseFlags, b.ncols));
+    std::byte* acc = arena.request(ScratchArena::kDenseVals,
+                                   static_cast<size_t>(b.ncols) * zsize);
+    ValueBuf prod(zsize);
+    uint64_t local_rows = 0;
+    for (Index blk = blo; blk < bhi; ++blk) {
+      const Index rlo = bounds[blk], rhi = bounds[blk + 1];
+      SpgemmStage& out = stage[blk];
+      size_t ub = 0;
+      for (Index i = rlo; i < rhi; ++i) {
+        if (costs.flops[i] != 0) ub += mask.ptr[i + 1] - mask.ptr[i];
+      }
+      out.col.reserve(ub);
+      out.vals.reserve(ub * zsize);
+      for (Index i = rlo; i < rhi; ++i) {
+        const size_t mlo = mask.ptr[i], mhi = mask.ptr[i + 1];
+        if (costs.flops[i] == 0 || mlo == mhi) continue;
+        for (size_t km = mlo; km < mhi; ++km) flag[mask.col[km]] = 1;
+        for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
+          const Index k = a.col[ka];
+          if (k >= b.nrows) continue;
+          const void* aval = a.vals.at(ka);
+          for (size_t kb = b.ptr[k]; kb < b.ptr[k + 1]; ++kb) {
+            const Index j = b.col[kb];
+            const uint8_t f = flag[j];
+            if (f == 0) continue;
+            void* slot = acc + static_cast<size_t>(j) * zsize;
+            if (f == 1) {
+              runner.mul(slot, aval, b.vals.at(kb));
+              flag[j] = 2;
+            } else {
+              runner.mul(prod.data(), aval, b.vals.at(kb));
+              runner.add(slot, prod.data());
+            }
+          }
+        }
+        const size_t mlen = mhi - mlo;
+        auto [cols, vals] = out.grow(mlen, zsize);
+        size_t n = 0;
+        for (size_t km = mlo; km < mhi; ++km) {
+          const Index j = mask.col[km];
+          if (flag[j] == 2) {
+            cols[n] = j;
+            std::memcpy(vals + n * zsize,
+                        acc + static_cast<size_t>(j) * zsize, zsize);
+            ++n;
+          }
+          flag[j] = 0;
+        }
+        out.trim(mlen - n, zsize);
+        counts[i] = static_cast<Index>(n);
+        ++local_rows;
+      }
+    }
+    arena.mark_zeroed(ScratchArena::kDenseFlags);
+    rows_run.fetch_add(local_rows, std::memory_order_relaxed);
+  });
+  spgemm_detail::assemble(ctx, *t, bounds, stage, counts);
+  if (obs::stats_enabled()) {
+    obs::spgemm_rows(0, rows_run.load(std::memory_order_relaxed));
+    obs::spgemm_flops_estimated(costs.total);
+  }
+  return t;
+}
+
+// Strategy for a structural, non-complemented mask (other masks always
+// run the unmasked engine and mask at write-back).
 enum class MxmStrategy {
-  kAuto = 0,       // heuristic: masked-dot for sparse structural masks
-  kGustavson = 1,  // always row-wise SPA
-  kMaskedDot = 2,  // always masked dot products (needs structural mask)
+  kAuto = 0,       // exact cost model: masked dot vs. masked saxpy
+  kGustavson = 1,  // always row-wise (masked saxpy when it fits)
+  kMaskedDot = 2,  // always masked dot products
 };
 
 // Global strategy override for the masked-mxm ablation bench.
@@ -313,6 +400,9 @@ std::shared_ptr<MatrixData> fastpath_mxm(Context* ctx, const MatrixData& a,
                                          const MatrixData& b,
                                          const Semiring* s,
                                          const SpgemmRowCosts& costs);
+std::shared_ptr<MatrixData> fastpath_masked_saxpy_mxm(
+    Context* ctx, const MatrixData& a, const MatrixData& b,
+    const MatrixData& mask, const Semiring* s, const SpgemmRowCosts& costs);
 std::shared_ptr<MatrixData> fastpath_masked_dot_mxm(Context* ctx,
                                                     const MatrixData& a,
                                                     const MatrixData& bt,

@@ -83,16 +83,17 @@ SpgemmPolicy spgemm_policy(Index ncols, size_t zsize) {
   return p;
 }
 
-std::vector<Index> spgemm_partition(const SpgemmRowCosts& costs, Index nrows,
-                                    Index nblocks) {
+std::vector<Index> spgemm_partition(const std::vector<uint64_t>& weight,
+                                    uint64_t total, Index nblocks) {
+  const Index nrows = static_cast<Index>(weight.size());
   std::vector<Index> bounds(static_cast<size_t>(nblocks) + 1, nrows);
   bounds[0] = 0;
   if (nblocks <= 1) return bounds;
-  const uint64_t total = costs.total + nrows;  // weights are flops + 1
+  total += nrows;  // weights are weight[i] + 1
   uint64_t seen = 0;
   Index b = 1;
   for (Index i = 0; i < nrows && b < nblocks; ++i) {
-    seen += costs.flops[i] + 1;
+    seen += weight[i] + 1;
     // Close block b once its share of the weight is consumed.
     while (b < nblocks &&
            seen * static_cast<uint64_t>(nblocks) >=

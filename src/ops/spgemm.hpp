@@ -41,6 +41,7 @@
 
 #include "containers/matrix.hpp"
 #include "containers/vector.hpp"
+#include "core/global.hpp"
 #include "exec/context.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/decision.hpp"
@@ -112,11 +113,28 @@ struct SpgemmPolicy {
 
 SpgemmPolicy spgemm_policy(Index ncols, size_t zsize);
 
-// Flop-balanced contiguous row blocks: boundaries[b]..boundaries[b+1] is
-// block b, chosen so each block carries ~total/nblocks of the weight
-// flops[i] + 1 (the +1 keeps empty rows from collapsing into one block).
-std::vector<Index> spgemm_partition(const SpgemmRowCosts& costs, Index nrows,
-                                    Index nblocks);
+// Weight-balanced contiguous row blocks: boundaries[b]..boundaries[b+1]
+// is block b, chosen so each block carries ~total/nblocks of the weight
+// weight[i] + 1 (the +1 keeps empty rows from collapsing into one block).
+// `total` is the sum of weight[]; the row count is weight.size().  The
+// engines pass the symbolic flops, masked-dot the mask row lengths.
+std::vector<Index> spgemm_partition(const std::vector<uint64_t>& weight,
+                                    uint64_t total, Index nblocks);
+
+// Number of row blocks a blocked kernel hands to the pool: several per
+// thread so the balance survives skew, one when running inline.  Each
+// block carries at least parallel_threshold() units of `work` (flops,
+// or mask entries for masked-dot): below that, waking a pool thread
+// costs more than the block.
+inline Index spgemm_block_count(Context* ctx, Index nrows, uint64_t work) {
+  const int nthreads = ctx->effective_nthreads();
+  if (nthreads <= 1) return 1;
+  const uint64_t by_work =
+      work / std::max<uint64_t>(1, parallel_threshold());
+  return static_cast<Index>(std::max<uint64_t>(
+      1, std::min<uint64_t>({nrows, static_cast<uint64_t>(nthreads) * 8,
+                             by_work})));
+}
 
 // --- accumulators ----------------------------------------------------------
 
@@ -133,6 +151,12 @@ struct SpgemmStage {
     size_t ov = vals.size();
     vals.resize(ov + n * zsize);
     return {col.data() + oc, vals.data() + ov};
+  }
+
+  // Drops the last n entries (the unused tail of an upper-bound grow).
+  void trim(size_t n, size_t zsize) {
+    col.resize(col.size() - n);
+    vals.resize(vals.size() - n * zsize);
   }
 };
 
@@ -290,6 +314,28 @@ Index expand_row(const MatrixData& a, const MatrixData& b, Index i,
   return static_cast<Index>(n);
 }
 
+// Sizes t's CSR arrays from the per-row counts and copies each block's
+// staged rows into place with one block-parallel memcpy per block.
+inline void assemble(Context* ctx, MatrixData& t,
+                     const std::vector<Index>& bounds,
+                     const std::vector<SpgemmStage>& stage,
+                     const std::vector<Index>& counts) {
+  const Index nrows = t.nrows;
+  for (Index i = 0; i < nrows; ++i) t.ptr[i + 1] = t.ptr[i] + counts[i];
+  t.col.resize(t.ptr[nrows]);
+  t.vals.resize(t.ptr[nrows]);
+  const Index nblocks = static_cast<Index>(stage.size());
+  ctx->parallel_for(0, nblocks, 1, [&](Index blo, Index bhi) {
+    for (Index blk = blo; blk < bhi; ++blk) {
+      const SpgemmStage& s = stage[blk];
+      if (s.col.empty()) continue;
+      const size_t off = t.ptr[bounds[blk]];
+      std::copy(s.col.begin(), s.col.end(), t.col.begin() + off);
+      std::memcpy(t.vals.at(off), s.vals.data(), s.vals.size());
+    }
+  });
+}
+
 }  // namespace spgemm_detail
 
 // The seed two-pass kernel, kept verbatim as the ablation baseline and
@@ -386,11 +432,9 @@ std::shared_ptr<MatrixData> spgemm_mxm(Context* ctx, const MatrixData& a,
   const size_t zsize = ztype->size();
   const SpgemmPolicy policy = spgemm_policy(b.ncols, zsize);
 
-  const int nthreads = ctx->effective_nthreads();
-  const Index nblocks =
-      nthreads > 1 ? std::min<Index>(nrows, static_cast<Index>(nthreads) * 8)
-                   : 1;
-  const std::vector<Index> bounds = spgemm_partition(costs, nrows, nblocks);
+  const Index nblocks = spgemm_block_count(ctx, nrows, costs.total);
+  const std::vector<Index> bounds =
+      spgemm_partition(costs.flops, costs.total, nblocks);
 
   std::vector<Index> counts(nrows, 0);
   std::vector<SpgemmStage> stage(nblocks);
@@ -467,18 +511,7 @@ std::shared_ptr<MatrixData> spgemm_mxm(Context* ctx, const MatrixData& a,
     }
   });
 
-  for (Index i = 0; i < nrows; ++i) t->ptr[i + 1] = t->ptr[i] + counts[i];
-  t->col.resize(t->ptr[nrows]);
-  t->vals.resize(t->ptr[nrows]);
-  ctx->parallel_for(0, nblocks, 1, [&](Index blo, Index bhi) {
-    for (Index blk = blo; blk < bhi; ++blk) {
-      const SpgemmStage& s = stage[blk];
-      if (s.col.empty()) continue;
-      const size_t off = t->ptr[bounds[blk]];
-      std::copy(s.col.begin(), s.col.end(), t->col.begin() + off);
-      std::memcpy(t->vals.at(off), s.vals.data(), s.vals.size());
-    }
-  });
+  spgemm_detail::assemble(ctx, *t, bounds, stage, counts);
   if (stats) {
     obs::spgemm_rows(rows_hash.load(std::memory_order_relaxed),
                      rows_dense.load(std::memory_order_relaxed));

@@ -1,6 +1,10 @@
-// The masked dot-product mxm strategy must be indistinguishable from the
-// Gustavson path for every structural-mask multiply.
+// The masked mxm strategies (dot product and mask-driven saxpy) must be
+// indistinguishable from the unmasked Gustavson path for every
+// structural-mask multiply, and must fan out over a parallel context.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
 
 #include "ops/mxm.hpp"
 #include "tests/grb_test_util.hpp"
@@ -159,6 +163,141 @@ TEST(MaskedMxmTest, ValueMaskNeverUsesDotPath) {
   GrB_free(&b);
   GrB_free(&c);
   GrB_free(&m);
+}
+
+// The write-back bypass publishes a masked kernel's T directly only when
+// C keeps nothing outside M.  Each case here runs C<M,struct> = A*B on a
+// C that starts with entries inside and outside M (or empty), with and
+// without replace, under both masked strategies.
+TEST(MaskedMxmTest, WritebackBypassOnlyWhenCKeepsNothingOutsideMask) {
+  ref::Mat ra = testutil::random_mat(16, 16, 0.3, 71);
+  ref::Mat rb = testutil::random_mat(16, 16, 0.3, 72);
+  ref::Mat rm = testutil::random_mat(16, 16, 0.25, 73);
+  ref::Mat full = testutil::random_mat(16, 16, 0.4, 74);
+  ref::Mat empty(16, 16);
+  ref::Mat t = ref::mxm(ra, rb, testutil::fn_plus, testutil::fn_times);
+  for (grb::MxmStrategy strategy :
+       {grb::MxmStrategy::kGustavson, grb::MxmStrategy::kMaskedDot}) {
+    StrategyGuard guard(strategy);
+    for (const ref::Mat* c0 : {&full, &empty}) {
+      for (bool replace : {false, true}) {
+        GrB_Matrix a = testutil::make_matrix(ra);
+        GrB_Matrix b = testutil::make_matrix(rb);
+        GrB_Matrix m = testutil::make_matrix(rm);
+        GrB_Matrix c = testutil::make_matrix(*c0);
+        ASSERT_EQ(GrB_mxm(c, m, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a, b,
+                          replace ? GrB_DESC_RS : GrB_DESC_S),
+                  GrB_SUCCESS);
+        ref::Spec spec;
+        spec.have_mask = true;
+        spec.structure = true;
+        spec.replace = replace;
+        EXPECT_TRUE(testutil::mats_equal(ref::writeback(*c0, t, &rm, spec),
+                                         testutil::to_ref(c)))
+            << "strategy=" << static_cast<int>(strategy)
+            << " c0=" << (c0 == &full ? "full" : "empty")
+            << " replace=" << replace;
+        GrB_free(&a);
+        GrB_free(&b);
+        GrB_free(&m);
+        GrB_free(&c);
+      }
+    }
+  }
+}
+
+// With no mask, GrB_DESC_C complements the implicit all-true mask: the
+// product writes nothing, so C keeps its old entries (or, with replace,
+// is cleared).  The identity write-back must not publish T here.
+TEST(MaskedMxmTest, ComplementedMissingMaskWritesNothing) {
+  ref::Mat ra = testutil::random_mat(10, 10, 0.4, 81);
+  ref::Mat rc0 = testutil::random_mat(10, 10, 0.3, 82);
+  for (bool replace : {false, true}) {
+    GrB_Matrix a = testutil::make_matrix(ra);
+    GrB_Matrix c = testutil::make_matrix(rc0);
+    ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a,
+                      a, replace ? GrB_DESC_RC : GrB_DESC_C),
+              GrB_SUCCESS);
+    EXPECT_TRUE(testutil::mats_equal(replace ? ref::Mat(10, 10) : rc0,
+                                     testutil::to_ref(c)))
+        << "replace=" << replace;
+    GrB_free(&a);
+    GrB_free(&c);
+  }
+}
+
+// Sum of the "chunks" counters of every pool in the GxB_Stats_json report.
+uint64_t pool_chunks() {
+  std::vector<char> buf(1 << 20);
+  GrB_Index len = buf.size();
+  EXPECT_EQ(GxB_Stats_json(buf.data(), &len), GrB_SUCCESS);
+  const std::string json(buf.data());
+  const size_t begin = json.find("\"pools\":{");
+  const size_t end = json.find("\"contexts\":", begin);
+  EXPECT_NE(begin, std::string::npos);
+  uint64_t total = 0;
+  const std::string key = "\"chunks\":";
+  for (size_t at = json.find(key, begin); at < end;
+       at = json.find(key, at + 1)) {
+    total += std::stoull(json.substr(at + key.size()));
+  }
+  return total;
+}
+
+// Regression: the masked kernels once split rows by the context's
+// default 4096-row grain, so any mask under 4096 rows ran inline even
+// after the serial gate chose the parallel path.  A k-truss-shaped
+// multiply on a 1024-row graph in a 4-thread context must hand chunks
+// to the pool under both masked strategies, and each kernel's own row
+// loop must split: every chunk of it builds one runner, so an inline
+// loop builds exactly one.
+TEST(MaskedMxmTest, StructuralMaskFansOutToPool) {
+  GrB_ContextConfig cfg;
+  cfg.nthreads = 4;
+  GrB_Context ctx = nullptr;
+  ASSERT_EQ(GrB_Context_new(&ctx, GrB_BLOCKING, GrB_NULL, &cfg),
+            GrB_SUCCESS);
+  grb::RmatParams params;
+  params.symmetrize = true;
+  GrB_Matrix g = nullptr;
+  ASSERT_EQ(grb::rmat_matrix(&g, 10, 16, params, ctx), grb::Info::kSuccess);
+  GrB_Index n = 0;
+  ASSERT_EQ(GrB_Matrix_nrows(&n, g), GrB_SUCCESS);
+  ASSERT_EQ(n, 1024u);
+  GrB_Matrix c = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, n, n, ctx), GrB_SUCCESS);
+  for (grb::MxmStrategy strategy :
+       {grb::MxmStrategy::kGustavson, grb::MxmStrategy::kMaskedDot}) {
+    StrategyGuard guard(strategy);
+    ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
+    ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+    ASSERT_EQ(GrB_mxm(c, g, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, g, g,
+                      GrB_DESC_RST1),
+              GrB_SUCCESS);
+    ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
+    EXPECT_GT(pool_chunks(), 0u) << "strategy=" << static_cast<int>(strategy);
+    ASSERT_EQ(GxB_Stats_enable(0), GrB_SUCCESS);
+  }
+
+  // g is symmetric, so its snapshot is also B' for the dot kernel.
+  std::shared_ptr<const grb::MatrixData> sg;
+  ASSERT_EQ(g->snapshot(&sg), grb::Info::kSuccess);
+  const grb::Semiring* ring = GrB_PLUS_TIMES_SEMIRING_FP64;
+  const grb::Type* z = ring->mul()->ztype();
+  std::atomic<int> runners{0};
+  auto make_runner = [&] {
+    runners.fetch_add(1);
+    return grb::SemiringRunner(ring, sg->type, sg->type);
+  };
+  grb::mxm_masked_saxpy_kernel(ctx, *sg, *sg, *sg, z,
+                               *grb::spgemm_row_costs(sg, sg), make_runner);
+  EXPECT_GT(runners.load(), 1) << "masked saxpy ran inline";
+  runners = 0;
+  grb::mxm_masked_dot_kernel(ctx, *sg, *sg, *sg, z, make_runner);
+  EXPECT_GT(runners.load(), 1) << "masked dot ran inline";
+  GrB_free(&g);
+  GrB_free(&c);
+  GrB_free(&ctx);
 }
 
 }  // namespace

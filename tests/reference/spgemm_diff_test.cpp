@@ -10,6 +10,7 @@
 // the reference mode run serially.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,8 @@ struct Config {
   bool structural;
   bool accum;
   bool replace;
+  bool comp = false;
+  bool tran1 = false;  // B is passed transposed (GrB_DESC_*T1)
 };
 
 std::vector<Config> all_configs() {
@@ -105,17 +108,26 @@ std::vector<Config> all_configs() {
 }
 
 GrB_Descriptor desc_for(const Config& c) {
-  if (c.replace && c.structural) return GrB_DESC_RS;
-  if (c.replace) return GrB_DESC_R;
-  if (c.structural) return GrB_DESC_S;
-  return GrB_NULL;
+  // Indexed by replace | comp << 1 | structural << 2.
+  const GrB_Descriptor plain[] = {GrB_NULL,   GrB_DESC_R,  GrB_DESC_C,
+                                  GrB_DESC_RC, GrB_DESC_S, GrB_DESC_RS,
+                                  GrB_DESC_SC, GrB_DESC_RSC};
+  const GrB_Descriptor tran1[] = {GrB_DESC_T1,   GrB_DESC_RT1,
+                                  GrB_DESC_CT1,  GrB_DESC_RCT1,
+                                  GrB_DESC_ST1,  GrB_DESC_RST1,
+                                  GrB_DESC_SCT1, GrB_DESC_RSCT1};
+  const int k = (c.replace ? 1 : 0) | (c.comp ? 2 : 0) |
+                (c.structural ? 4 : 0);
+  return c.tran1 ? tran1[k] : plain[k];
 }
 
 std::string config_name(const Config& c) {
   std::string s;
   s += c.mask ? (c.structural ? "maskS" : "maskV") : "nomask";
+  s += c.comp ? "+comp" : "";
   s += c.accum ? "+accum" : "";
   s += c.replace ? "+replace" : "";
+  s += c.tran1 ? "+T1" : "";
   return s;
 }
 
@@ -292,6 +304,98 @@ TEST(SpgemmDiff, AutoMixesAccumulators) {
           << "mode=" << static_cast<int>(m) << " nthreads=" << nthreads;
     }
   }
+}
+
+// The mask-driven saxpy serves structural, non-complemented masks; every
+// other mask kind keeps the unmasked engine.  Across all mask kinds,
+// replace and merge, accum and none, B plain or transposed, each
+// strategy, 1 and 4 threads, and a dense budget below the saxpy's
+// ncols * (1 + zsize) scratch (which forces the fallback), the result
+// must equal the serial reference kernel bit for bit.  C starts with
+// entries inside and outside M, so the write-back bypass must not fire
+// on merge calls.
+TEST(SpgemmDiff, MaskedSaxpyAllMaskKinds) {
+  ThresholdGuard threshold;
+  ref::Mat rc0 = real_mat(kM, kN, 0.25, 4601);
+  ref::Mat ra = real_mat(kM, kK, 0.2, 4602);
+  ref::Mat rb = real_mat(kK, kN, 0.25, 4603);
+  ref::Mat rbt = real_mat(kN, kK, 0.25, 4603);
+  ref::Mat rm = mask_mat(kM, kN, 4604);
+  // Below the saxpy's 32 * (1 + 8) bytes of flags and values.
+  constexpr size_t kTinyBudget = 256;
+  for (int bits = 0; bits < 32; ++bits) {
+    Config cfg{true, (bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0,
+               (bits & 8) != 0, (bits & 16) != 0};
+    const ref::Mat& b = cfg.tran1 ? rbt : rb;
+    ref::Mat expect;
+    {
+      ModeGuard mode(grb::SpgemmMode::kReference);
+      StrategyGuard strat(grb::MxmStrategy::kGustavson);
+      expect = run_mxm(1, cfg, GrB_PLUS_TIMES_SEMIRING_FP64, rc0, ra, b, rm);
+    }
+    for (grb::MxmStrategy st :
+         {grb::MxmStrategy::kGustavson, grb::MxmStrategy::kAuto,
+          grb::MxmStrategy::kMaskedDot}) {
+      for (size_t budget : {grb::spgemm_dense_budget(), kTinyBudget}) {
+        StrategyGuard strat(st);
+        BudgetGuard guard(budget);
+        for (int nthreads : {1, 4}) {
+          ref::Mat got = run_mxm(nthreads, cfg, GrB_PLUS_TIMES_SEMIRING_FP64,
+                                 rc0, ra, b, rm);
+          EXPECT_TRUE(testutil::mats_equal(expect, got))
+              << config_name(cfg) << " strategy=" << static_cast<int>(st)
+              << " budget=" << budget << " nthreads=" << nthreads;
+        }
+      }
+    }
+  }
+}
+
+// The masked saxpy kernel itself, below the dispatcher: its T must be
+// the reference product restricted to M's pattern, bit for bit, with
+// rows emitted in ascending column order, for every block partition.
+TEST(SpgemmDiff, MaskedSaxpyKernelIsReferenceInsideMask) {
+  ThresholdGuard threshold;
+  ref::Mat ra = real_mat(kM, kK, 0.3, 4701);
+  ref::Mat rb = real_mat(kK, kN, 0.3, 4702);
+  ref::Mat rm = mask_mat(kM, kN, 4703);
+  GrB_Matrix a = testutil::make_matrix(ra);
+  GrB_Matrix b = testutil::make_matrix(rb);
+  GrB_Matrix m = testutil::make_matrix(rm);
+  std::shared_ptr<const grb::MatrixData> sa, sb, sm;
+  ASSERT_EQ(a->snapshot(&sa), grb::Info::kSuccess);
+  ASSERT_EQ(b->snapshot(&sb), grb::Info::kSuccess);
+  ASSERT_EQ(m->snapshot(&sm), grb::Info::kSuccess);
+  const grb::Semiring* ring = GrB_PLUS_TIMES_SEMIRING_FP64;
+  const grb::Type* z = ring->mul()->ztype();
+  auto runner = [&] { return grb::SemiringRunner(ring, sa->type, sb->type); };
+  auto full = grb::spgemm_reference_kernel(grb::serial_context(), *sa, *sb,
+                                           z, runner);
+  auto costs = grb::spgemm_row_costs(sa, sb);
+  for (int nthreads : {1, 4}) {
+    GrB_Context ctx = make_ctx(nthreads);
+    auto t = grb::mxm_masked_saxpy_kernel(ctx, *sa, *sb, *sm, z, *costs,
+                                          runner);
+    ASSERT_EQ(t->ptr.size(), kM + 1);
+    for (GrB_Index i = 0; i < kM; ++i) {
+      size_t k = t->ptr[i];
+      for (size_t kf = full->ptr[i]; kf < full->ptr[i + 1]; ++kf) {
+        const GrB_Index j = full->col[kf];
+        if (sm->find(i, j) == grb::MatrixData::npos) continue;
+        ASSERT_LT(k, t->ptr[i + 1]) << "row " << i << " nthreads=" << nthreads;
+        EXPECT_EQ(t->col[k], j);
+        EXPECT_EQ(std::memcmp(t->vals.at(k), full->vals.at(kf), sizeof(double)),
+                  0)
+            << "(" << i << "," << j << ") nthreads=" << nthreads;
+        ++k;
+      }
+      EXPECT_EQ(k, t->ptr[i + 1]) << "row " << i << " nthreads=" << nthreads;
+    }
+    GrB_free(&ctx);
+  }
+  GrB_free(&a);
+  GrB_free(&b);
+  GrB_free(&m);
 }
 
 }  // namespace
