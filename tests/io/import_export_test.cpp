@@ -12,6 +12,10 @@ struct FormatCase {
   GrB_Format format;
 };
 
+// Print the case by name: gtest otherwise dumps the raw bytes, pointers
+// included, into the listed test name, which then changes with every build.
+void PrintTo(const FormatCase& c, std::ostream* os) { *os << c.name; }
+
 class FormatSweep : public ::testing::TestWithParam<FormatCase> {};
 
 TEST_P(FormatSweep, MatrixRoundTrip) {

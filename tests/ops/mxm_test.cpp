@@ -19,6 +19,10 @@ struct SemiringCase {
   ref::BinFn mul;
 };
 
+// Print the case by name: gtest otherwise dumps the raw bytes, pointers
+// included, into the listed test name, which then changes with every build.
+void PrintTo(const SemiringCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<SemiringCase> semiring_cases() {
   return {
       {"PlusTimes", GrB_PLUS_TIMES_SEMIRING_FP64, testutil::fn_plus,
