@@ -9,7 +9,6 @@ namespace {
 void BM_MxmUnderContextThreads(benchmark::State& state) {
   GrB_ContextConfig cfg;
   cfg.nthreads = static_cast<int>(state.range(0));
-  cfg.chunk = 256;
   GrB_Context ctx = nullptr;
   BENCH_TRY(GrB_Context_new(&ctx, GrB_NONBLOCKING, GrB_NULL, &cfg));
   grb::RmatParams params;

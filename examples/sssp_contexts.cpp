@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   // Nested context with an explicit resource budget (Figure 2's `exec`).
   GrB_ContextConfig config;
   config.nthreads = nthreads;
-  config.chunk = 1024;
   GrB_Context ctx = nullptr;
   TRY(GrB_Context_new(&ctx, GrB_NONBLOCKING, GrB_NULL, &config));
 

@@ -1,5 +1,6 @@
 #include "exec/context.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -61,9 +62,24 @@ ThreadPool* Context::pool() {
   return pool_.get();
 }
 
+Index Context::block_count(Index n, uint64_t work) const {
+  const int nthreads = effective_nthreads();
+  if (nthreads <= 1) return 1;
+  const uint64_t by_work =
+      work / std::max<uint64_t>(1, parallel_threshold());
+  return static_cast<Index>(std::max<uint64_t>(
+      1, std::min<uint64_t>({n, static_cast<uint64_t>(nthreads) * 8,
+                             by_work})));
+}
+
+Index Context::block_size(Index n, uint64_t work) const {
+  const Index nb = block_count(n, work);
+  return std::max<Index>(1, (n + nb - 1) / nb);
+}
+
 void Context::parallel_for(Index begin, Index end,
                            const std::function<void(Index, Index)>& body) {
-  parallel_for(begin, end, cfg_.chunk, body);
+  parallel_for(begin, end, 1, body);
 }
 
 void Context::parallel_for(Index begin, Index end, Index grain,
@@ -200,7 +216,7 @@ Context* serial_context() {
   // obs id 0: serial-fallback work stays "unattributed" rather than
   // polluting a tenant's latency series with inline helper runs.
   static Context* serial =
-      new Context(Mode::kBlocking, nullptr, ContextConfig{1, 4096}, 0);
+      new Context(Mode::kBlocking, nullptr, ContextConfig{1}, 0);
   return serial;
 }
 

@@ -29,11 +29,10 @@ enum class Mode : int {
 // argument of GrB_Context_new (paper §IV / Figure 2).
 struct ContextConfig {
   // Number of threads the context may use for internal parallelism.
-  // 0 means "inherit from the parent context".
+  // 0 means "inherit from the parent context".  How a kernel splits its
+  // work across those threads is not configurable: exec_context() decides
+  // serial vs parallel, and Context::block_count() sizes the blocks.
   int nthreads = 0;
-  // Minimum number of loop iterations assigned to a thread before the
-  // context bothers with parallel execution.
-  Index chunk = 4096;
 };
 
 class Context {
@@ -60,8 +59,23 @@ class Context {
   // Created lazily on first use.
   ThreadPool* pool();
 
-  // Convenience: partitioned parallel loop on this context's resources,
-  // with chunks of at least config().chunk iterations.
+  // The one block-grain rule.  A kernel that splits `n` items (rows,
+  // entries, index ranges) carrying `work` units (stored entries, flops,
+  // mask entries) into explicit blocks asks for this many: one when the
+  // context runs inline, otherwise several per thread so the balance
+  // survives skew, but never so many that a block carries less than
+  // parallel_threshold() units -- below that, waking a pool thread costs
+  // more than the block.
+  Index block_count(Index n, uint64_t work) const;
+
+  // Items per block under block_count(): blocks of this size, the last
+  // one short, cover [0, n) in ceil(n / block_size) blocks.
+  Index block_size(Index n, uint64_t work) const;
+
+  // Partitioned parallel loop over rows or entries on this context's
+  // resources.  The caller's exec_context() gate has already judged the
+  // job worth the pool, so the range is split per thread (the pool deals
+  // a few chunks to each), not by a fixed row count.
   void parallel_for(Index begin, Index end,
                     const std::function<void(Index, Index)>& body);
 

@@ -1,6 +1,7 @@
 #include "io/import_export.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 namespace grb {
@@ -47,6 +48,15 @@ void sort_rows(MatrixData& m) {
   }
 }
 
+// A compressed pointer array over n rows (CSR) or columns (CSC) must
+// start at 0 and never decrease; then indptr[n] bounds every segment.
+Info check_indptr(const Index* indptr, Index n) {
+  if (indptr[0] != 0) return Info::kInvalidValue;
+  for (Index k = 0; k < n; ++k)
+    if (indptr[k] > indptr[k + 1]) return Info::kInvalidValue;
+  return Info::kSuccess;
+}
+
 Info build_from_coo(MatrixData& m, const Index* ri, const Index* ci,
                     const void* values, Index nvals) {
   size_t sz = m.type->size();
@@ -81,6 +91,9 @@ Info matrix_import(Matrix** a, const Type* type, Index nrows, Index ncols,
                    Index values_len, Format format, Context* ctx) {
   if (a == nullptr || type == nullptr) return Info::kNullPointer;
   if (!is_matrix_format(format)) return Info::kInvalidValue;
+  // The GrB_Matrix_new bound, checked before anything is sized from the
+  // dimensions; it also keeps nrows + 1 and ncols + 1 from wrapping.
+  if (nrows > kIndexMax || ncols > kIndexMax) return Info::kInvalidValue;
   size_t sz = type->size();
   auto data = std::make_shared<MatrixData>(type, nrows, ncols);
 
@@ -89,13 +102,12 @@ Info matrix_import(Matrix** a, const Type* type, Index nrows, Index ncols,
       if (indptr == nullptr || (values == nullptr && values_len > 0))
         return Info::kNullPointer;
       if (indptr_len != nrows + 1) return Info::kInvalidValue;
+      GRB_RETURN_IF_ERROR(check_indptr(indptr, nrows));
       Index nvals = indptr[nrows];
       if (nvals > 0 && (indices == nullptr || values == nullptr))
         return Info::kNullPointer;
       if (indices_len < nvals || values_len < nvals)
         return Info::kInvalidValue;
-      for (Index r = 0; r < nrows; ++r)
-        if (indptr[r] > indptr[r + 1]) return Info::kInvalidValue;
       for (Index k = 0; k < nvals; ++k)
         if (indices[k] >= ncols) return Info::kInvalidIndex;
       data->ptr.assign(indptr, indptr + nrows + 1);
@@ -108,6 +120,9 @@ Info matrix_import(Matrix** a, const Type* type, Index nrows, Index ncols,
     case Format::kCscMatrix: {
       if (indptr == nullptr) return Info::kNullPointer;
       if (indptr_len != ncols + 1) return Info::kInvalidValue;
+      // The whole of indptr is checked before the fill below writes
+      // through it: every column then lies inside [0, nvals).
+      GRB_RETURN_IF_ERROR(check_indptr(indptr, ncols));
       Index nvals = indptr[ncols];
       if (nvals > 0 && (indices == nullptr || values == nullptr))
         return Info::kNullPointer;
@@ -116,7 +131,6 @@ Info matrix_import(Matrix** a, const Type* type, Index nrows, Index ncols,
       // Expand CSC to COO (row = indices[k], col = containing column).
       std::vector<Index> ri(nvals), ci(nvals);
       for (Index c = 0; c < ncols; ++c) {
-        if (indptr[c] > indptr[c + 1]) return Info::kInvalidValue;
         for (Index k = indptr[c]; k < indptr[c + 1]; ++k) {
           ri[k] = indices[k];
           ci[k] = c;
@@ -140,11 +154,14 @@ Info matrix_import(Matrix** a, const Type* type, Index nrows, Index ncols,
     }
     case Format::kDenseRowMatrix:
     case Format::kDenseColMatrix: {
-      if (values == nullptr && nrows * ncols > 0) return Info::kNullPointer;
-      if (values_len < nrows * ncols) return Info::kInvalidValue;
+      if (ncols != 0 && nrows > std::numeric_limits<Index>::max() / ncols)
+        return Info::kInvalidValue;  // nrows * ncols overflows
+      const Index cells = nrows * ncols;
+      if (values == nullptr && cells > 0) return Info::kNullPointer;
+      if (values_len < cells) return Info::kInvalidValue;
       const auto* src = static_cast<const std::byte*>(values);
-      data->col.resize(nrows * ncols);
-      data->vals.resize(nrows * ncols);
+      data->col.resize(cells);
+      data->vals.resize(cells);
       size_t w = 0;
       for (Index r = 0; r < nrows; ++r) {
         for (Index c = 0; c < ncols; ++c, ++w) {

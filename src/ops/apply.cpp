@@ -154,9 +154,7 @@ Info defer_vec_map(Vector* w, const Vector* u, const Vector* mask,
             fn(z, x, i, 0);
           };
         });
-        auto c_old = w->current_canonical();
-        w->publish(
-            writeback_vector(w->context(), *c_old, *t, m_snap.get(), spec));
+        publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       },
       std::move(node));
@@ -203,9 +201,7 @@ Info defer_mat_map(Matrix* c, const Matrix* a, const Matrix* mask,
             t0 ? format_transpose_view(base) : base;
         auto t = map_matrix(exec_context(c->context(), av->nvals()), *av,
                             ztype, [&] { return factory(); });
-        auto c_old = c->current_canonical();
-        c->publish(
-            writeback_matrix(c->context(), *c_old, *t, m_snap.get(), spec));
+        publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       },
       std::move(node));

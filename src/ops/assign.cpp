@@ -6,13 +6,13 @@
 // an accumulator.  So the computation is
 //   Z = C;  Z(region) updated from the source (accum-aware; a source hole
 //           deletes the target entry unless accumulating);
-//   C<M, replace> = Z   over the FULL C domain (GrB_assign semantics).
+//   C<M, replace> = Z   over the FULL C domain (GrB_assign semantics),
+//           which is the shared write-back with no accumulator.
 // Duplicate indices in I/J are undefined per the spec; this
 // implementation applies updates in order with "last one wins".
 #include <algorithm>
 
 #include "ops/common.hpp"
-#include "ops/mask.hpp"
 #include "ops/op_apply.hpp"
 
 namespace grb {
@@ -129,95 +129,6 @@ class UpdateMerger {
   ValueBuf zb_, cb_;
 };
 
-// Final mask pass: C<M, replace> = Z over the full domain.
-std::shared_ptr<VectorData> mask_merge_vector(const VectorData& c,
-                                              const VectorData& z,
-                                              const VectorData* mask,
-                                              const WritebackSpec& spec) {
-  auto out = std::make_shared<VectorData>(c.type, c.n);
-  VectorMaskCursor mcur(mask, spec);
-  size_t ck = 0, zk = 0;
-  while (ck < c.ind.size() || zk < z.ind.size()) {
-    bool has_c = ck < c.ind.size();
-    bool has_z = zk < z.ind.size();
-    Index i;
-    if (has_c && has_z) {
-      i = std::min(c.ind[ck], z.ind[zk]);
-      has_c = c.ind[ck] == i;
-      has_z = z.ind[zk] == i;
-    } else {
-      i = has_c ? c.ind[ck] : z.ind[zk];
-    }
-    if (mcur.test(i)) {
-      if (has_z) {
-        out->ind.push_back(i);
-        out->vals.push_back(z.vals.at(zk));
-      }
-    } else if (!spec.replace && has_c) {
-      out->ind.push_back(i);
-      out->vals.push_back(c.vals.at(ck));
-    }
-    if (has_c) ++ck;
-    if (has_z) ++zk;
-  }
-  return out;
-}
-
-std::shared_ptr<MatrixData> mask_merge_matrix(Context* ctx,
-                                              const MatrixData& c,
-                                              const MatrixData& z,
-                                              const MatrixData* mask,
-                                              const WritebackSpec& spec) {
-  auto out = std::make_shared<MatrixData>(c.type, c.nrows, c.ncols);
-  std::vector<Index> counts(c.nrows, 0);
-  auto walk = [&](Index r, auto&& emit) {
-    MatrixRowMaskCursor mcur(mask, r, spec);
-    size_t ck = c.ptr[r], cend = c.ptr[r + 1];
-    size_t zk = z.ptr[r], zend = z.ptr[r + 1];
-    while (ck < cend || zk < zend) {
-      bool has_c = ck < cend;
-      bool has_z = zk < zend;
-      Index j;
-      if (has_c && has_z) {
-        j = std::min(c.col[ck], z.col[zk]);
-        has_c = c.col[ck] == j;
-        has_z = z.col[zk] == j;
-      } else {
-        j = has_c ? c.col[ck] : z.col[zk];
-      }
-      if (mcur.test(j)) {
-        if (has_z) emit(j, z.vals.at(zk));
-      } else if (!spec.replace && has_c) {
-        emit(j, c.vals.at(ck));
-      }
-      if (has_c) ++ck;
-      if (has_z) ++zk;
-    }
-  };
-  ctx->parallel_for(0, c.nrows, [&](Index lo, Index hi) {
-    for (Index r = lo; r < hi; ++r) {
-      Index n = 0;
-      walk(r, [&](Index, const void*) { ++n; });
-      counts[r] = n;
-    }
-  });
-  for (Index r = 0; r < c.nrows; ++r)
-    out->ptr[r + 1] = out->ptr[r] + counts[r];
-  out->col.resize(out->ptr[c.nrows]);
-  out->vals.resize(out->ptr[c.nrows]);
-  ctx->parallel_for(0, c.nrows, [&](Index lo, Index hi) {
-    for (Index r = lo; r < hi; ++r) {
-      size_t w = out->ptr[r];
-      walk(r, [&](Index j, const void* v) {
-        out->col[w] = j;
-        out->vals.set(w, v);
-        ++w;
-      });
-    }
-  });
-  return out;
-}
-
 // Shared implementation for all vector assigns: `updates` target w's
 // index space; src values live in src_vals (type src_type).
 Info run_vector_assign(Vector* w, const Vector* mask, const BinaryOp* accum,
@@ -225,7 +136,9 @@ Info run_vector_assign(Vector* w, const Vector* mask, const BinaryOp* accum,
                        const Type* src_type, const Descriptor& d,
                        std::shared_ptr<const VectorData> m_snap) {
   canonicalize(&updates);
-  WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
+  // Z already carries the accumulation, so the write-back of Z runs
+  // without one: mask-true positions take Z, the rest keep C.
+  WritebackSpec spec{nullptr, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
   return defer_or_run(w, [w, m_snap, accum, updates = std::move(updates),
                           src_vals = std::move(src_vals), src_type,
@@ -240,11 +153,7 @@ Info run_vector_assign(Vector* w, const Vector* mask, const BinaryOp* accum,
           z->ind.push_back(i);
           z->vals.push_back(v);
         });
-    if (!spec.have_mask && !spec.mask_comp) {
-      w->publish(std::move(z));
-    } else {
-      w->publish(mask_merge_vector(*c_old, *z, m_snap.get(), spec));
-    }
+    publish_result(w, w->context(), std::move(z), m_snap.get(), spec);
     return Info::kSuccess;
   }, FuseNode{});
 }
@@ -255,7 +164,9 @@ Info run_matrix_assign(Matrix* c, const Matrix* mask, const BinaryOp* accum,
                        ValueArray src_vals, const Type* src_type,
                        const Descriptor& d,
                        std::shared_ptr<const MatrixData> m_snap) {
-  WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
+  // Z already carries the accumulation, so the write-back of Z runs
+  // without one: mask-true positions take Z, the rest keep C.
+  WritebackSpec spec{nullptr, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
   return defer_or_run(c, [c, m_snap, accum, updates = std::move(updates),
                           src_vals = std::move(src_vals), src_type,
@@ -296,12 +207,7 @@ Info run_matrix_assign(Matrix* c, const Matrix* mask, const BinaryOp* accum,
       }
       z->ptr[r + 1] = z->col.size();
     }
-    if (!spec.have_mask && !spec.mask_comp) {
-      c->publish(std::move(z));
-    } else {
-      c->publish(
-          mask_merge_matrix(c->context(), *c_old, *z, m_snap.get(), spec));
-    }
+    publish_result(c, c->context(), std::move(z), m_snap.get(), spec);
     return Info::kSuccess;
   }, FuseNode{});
 }

@@ -67,6 +67,36 @@ std::shared_ptr<MatrixData> writeback_matrix(
     Context* ctx, const MatrixData& c_old, const MatrixData& t,
     const MatrixData* mask, const WritebackSpec& spec);
 
+// The write-back bypass rule.  Z = T and C<M,r> = Z leave exactly T in C
+// -- so T itself can be published and the merge skipped -- when there is
+// no accumulator and no cast, and either
+//   * there is no mask and no complement (an all-true mask), or
+//   * T lies inside a structural, non-complemented mask (`t_in_mask`, as
+//     the masked SpGEMM kernels guarantee) and C keeps nothing outside
+//     it: replace is set, or C is empty.
+inline bool writeback_is_identity(const WritebackSpec& spec,
+                                  const Type* ctype, const Type* ttype,
+                                  bool t_in_mask, bool c_empty) {
+  if (spec.accum != nullptr || ttype != ctype) return false;
+  if (!spec.have_mask) return !spec.mask_comp;
+  return t_in_mask && spec.mask_structure && !spec.mask_comp &&
+         (spec.replace || c_empty);
+}
+
+// Publishes the result of an operation computing T into its output: T
+// itself when writeback_is_identity() holds, else the merged
+// writeback_vector/writeback_matrix result.  Every masked/accumulated
+// operation ends here, from inside its deferred closure.  T must be a
+// valid materialized block (sorted, no duplicates).
+void publish_result(Vector* w, Context* ctx,
+                    std::shared_ptr<const VectorData> t,
+                    const VectorData* mask, const WritebackSpec& spec,
+                    bool t_in_mask = false);
+void publish_result(Matrix* c, Context* ctx,
+                    std::shared_ptr<const MatrixData> t,
+                    const MatrixData* mask, const WritebackSpec& spec,
+                    bool t_in_mask = false);
+
 // ---- operation entry points ----------------------------------------------
 // All follow the C API argument order.  `desc` may be nullptr.
 

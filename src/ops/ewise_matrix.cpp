@@ -154,13 +154,15 @@ Info ewise_m(Matrix* c, const Matrix* mask, const BinaryOp* accum,
       [c, a_snap, b_snap, m_snap, op, spec, t0, t1]() -> Info {
         Context* ectx = exec_context(
             c->context(), a_snap->nvals() + b_snap->nvals());
-        // Dense×dense with an identity write-back (unmasked,
-        // unaccumulated, no cast): publish the flat-loop result directly.
+        // Dense×dense whose write-back publishes T unchanged: the
+        // flat-loop result needs no CSR merge.
         if (!t0 && !t1 && a_snap->format == MatFormat::kDense &&
-            b_snap->format == MatFormat::kDense && m_snap == nullptr &&
-            spec.accum == nullptr && !spec.mask_comp &&
-            op->ztype() == c->type()) {
-          c->publish(compute_ewise_dense(ectx, *a_snap, *b_snap, op));
+            b_snap->format == MatFormat::kDense &&
+            writeback_is_identity(spec, c->type(), op->ztype(),
+                                  /*t_in_mask=*/false, /*c_empty=*/false)) {
+          publish_result(c, c->context(),
+                         compute_ewise_dense(ectx, *a_snap, *b_snap, op),
+                         m_snap.get(), spec);
           return Info::kSuccess;
         }
         std::shared_ptr<const MatrixData> av =
@@ -168,9 +170,7 @@ Info ewise_m(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         std::shared_ptr<const MatrixData> bv =
             t1 ? format_transpose_view(b_snap) : format_csr_view(b_snap);
         auto t = compute_ewise_m<kUnion>(ectx, *av, *bv, op);
-        auto c_old = c->current_canonical();
-        c->publish(
-            writeback_matrix(c->context(), *c_old, *t, m_snap.get(), spec));
+        publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       },
       std::move(node));

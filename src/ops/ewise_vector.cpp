@@ -113,7 +113,7 @@ std::shared_ptr<VectorData> compute_ewise_blocked(Context* ctx,
                                                   const VectorData& v,
                                                   const BinaryOp* op) {
   auto t = std::make_shared<VectorData>(op->ztype(), u.n);
-  Index block = std::max<Index>(1, ctx->config().chunk);
+  Index block = ctx->block_size(u.n, u.nvals() + v.nvals());
   Index nb = (u.n + block - 1) / block;
   std::vector<size_t> ustart(nb), vstart(nb);
   std::vector<Index> counts(nb, 0);
@@ -224,9 +224,7 @@ Info ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
         auto t = ectx->effective_nthreads() > 1
                      ? compute_ewise_blocked<kUnion>(ectx, *uu, *vv, op)
                      : compute_ewise<kUnion>(*uu, *vv, op);
-        auto c_old = w->current_canonical();
-        w->publish(
-            writeback_vector(w->context(), *c_old, *t, m_snap.get(), spec));
+        publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       },
       std::move(node));

@@ -75,9 +75,7 @@ Info extract(Vector* w, const Vector* mask, const BinaryOp* accum,
             }
           }
         }
-        auto c_old = w->current_canonical();
-        w->publish(
-            writeback_vector(w->context(), *c_old, *t, m_snap.get(), spec));
+        publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       }, FuseNode{});
 }
@@ -145,9 +143,7 @@ Info extract(Matrix* c, const Matrix* mask, const BinaryOp* accum,
       }
       t->ptr[r + 1] = t->col.size();
     }
-    auto c_old = c->current_canonical();
-    c->publish(
-        writeback_matrix(c->context(), *c_old, *t, m_snap.get(), spec));
+    publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   }, FuseNode{});
 }
@@ -192,9 +188,7 @@ Info extract_col(Vector* w, const Vector* mask, const BinaryOp* accum,
         t->vals.push_back(av->vals.at(pos));
       }
     }
-    auto c_old = w->current_canonical();
-    w->publish(
-        writeback_vector(w->context(), *c_old, *t, m_snap.get(), spec));
+    publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   }, FuseNode{});
 }

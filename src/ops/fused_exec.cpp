@@ -220,7 +220,7 @@ std::shared_ptr<VectorData> fused_zip_blocked(Context* ctx,
   const VectorData& xs = nd.zip_out_is_x ? self : *nd.zip_other;
   const VectorData& ys = nd.zip_out_is_x ? *nd.zip_other : self;
   auto t = std::make_shared<VectorData>(wtype, self.n);
-  Index block = std::max<Index>(1, ctx->config().chunk);
+  Index block = ctx->block_size(self.n, xs.nvals() + ys.nvals());
   Index nb = (self.n + block - 1) / block;
   std::vector<size_t> xstart(nb), ystart(nb);
   std::vector<Index> counts(nb, 0);

@@ -55,7 +55,8 @@ Info kronecker(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         }
         t->col.resize(t->ptr[nrows]);
         t->vals.resize(t->ptr[nrows]);
-        c->context()->parallel_for(0, nrows, [&](Index lo, Index hi) {
+        Context* ectx = exec_context(c->context(), t->ptr[nrows]);
+        ectx->parallel_for(0, nrows, [&](Index lo, Index hi) {
           BinRunner run(op, av->type, bv->type);
           for (Index r = lo; r < hi; ++r) {
             Index ia = r / bv->nrows;
@@ -70,9 +71,7 @@ Info kronecker(Matrix* c, const Matrix* mask, const BinaryOp* accum,
             }
           }
         });
-        auto c_old = c->current_canonical();
-        c->publish(
-            writeback_matrix(c->context(), *c_old, *t, m_snap.get(), spec));
+        publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       }, FuseNode{});
 }

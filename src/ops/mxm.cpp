@@ -177,25 +177,9 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         // publish below re-evaluates c's storage format, and the
         // already-paid symbolic pass is a free density signal.
         if (costs != nullptr) format_hint_flops(costs->total);
-        auto c_old = c->current_canonical();
-        // Identity write-back: with no accumulator and no cast, T itself
-        // is published and the per-element merged rebuild is skipped
-        // when the write-back would copy T unchanged — with no mask, or
-        // when T came from a masked kernel (so T lies inside M) and C
-        // keeps nothing outside M (replace, or C had no entries).  The
-        // kernels emit sorted deduplicated rows, so T is already a
-        // valid materialized matrix.
-        const bool identity =
-            m_snap == nullptr
-                ? !spec.mask_comp
-                : t_in_mask && (spec.replace || c_old->nvals() == 0);
-        if (identity && spec.accum == nullptr && t->type == c_old->type) {
-          if (obs::stats_enabled()) obs::add_scalars(t->nvals());
-          c->publish(std::move(t));
-        } else {
-          c->publish(
-              writeback_matrix(ctx, *c_old, *t, m_snap.get(), spec));
-        }
+        // A masked kernel's T lies inside M, which lets the write-back
+        // publish it directly under replace or into an empty C.
+        publish_result(c, ctx, std::move(t), m_snap.get(), spec, t_in_mask);
         return Info::kSuccess;
       },
       std::move(node));

@@ -223,7 +223,7 @@ std::shared_ptr<MatrixData> mxm_masked_dot_kernel(Context* ctx,
   if (nrows == 0 || mask.nvals() == 0) return t;
   std::vector<uint64_t> weight(nrows);
   for (Index i = 0; i < nrows; ++i) weight[i] = mask.ptr[i + 1] - mask.ptr[i];
-  const Index nblocks = spgemm_block_count(ctx, nrows, mask.nvals());
+  const Index nblocks = ctx->block_count(nrows, mask.nvals());
   const std::vector<Index> bounds =
       spgemm_partition(weight, mask.nvals(), nblocks);
   std::vector<Index> counts(nrows, 0);
@@ -296,7 +296,7 @@ std::shared_ptr<MatrixData> mxm_masked_saxpy_kernel(
   const Index nrows = a.nrows;
   const size_t zsize = ztype->size();
   if (nrows == 0 || costs.total == 0 || mask.nvals() == 0) return t;
-  const Index nblocks = spgemm_block_count(ctx, nrows, costs.total);
+  const Index nblocks = ctx->block_count(nrows, costs.total);
   const std::vector<Index> bounds =
       spgemm_partition(costs.flops, costs.total, nblocks);
   std::vector<Index> counts(nrows, 0);

@@ -67,16 +67,7 @@ Info mxv(Vector* w, const Vector* mask, const BinaryOp* accum,
     // SpMV flop metric: one multiply-add per stored A entry (upper
     // bound; sparse u skips some).
     if (obs::stats_enabled()) obs::add_flops(av->nvals());
-    auto c_old = w->current_canonical();
-    // Identity write-back (see mxm.cpp): unmasked, unaccumulated, no
-    // cast — T replaces w wholesale.
-    if (m_snap == nullptr && spec.accum == nullptr &&
-        t->type == c_old->type) {
-      if (obs::stats_enabled()) obs::add_scalars(t->nvals());
-      w->publish(std::move(t));
-    } else {
-      w->publish(writeback_vector(ctx, *c_old, *t, m_snap.get(), spec));
-    }
+    publish_result(w, ctx, std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   }, std::move(node));
 }

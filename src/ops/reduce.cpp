@@ -226,9 +226,7 @@ Info reduce_to_vector(Vector* w, const Vector* mask, const BinaryOp* accum,
         }
       }
     });
-    auto c_old = w->current_canonical();
-    w->publish(
-        writeback_vector(w->context(), *c_old, *t, m_snap.get(), spec));
+    publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   }, FuseNode{});
 }

@@ -84,7 +84,7 @@ Info select(Vector* w, const Vector* mask, const BinaryOp* accum,
         keep_bits[k] = keeper.keep(u_snap->vals.at(k), indices, 1);
       }
     });
-    Index block = std::max<Index>(1, ectx->config().chunk);
+    Index block = ectx->block_size(nvals, nvals);
     Index nb = nvals == 0 ? 0 : (nvals + block - 1) / block;
     std::vector<size_t> offs(nb + 1, 0);
     for (Index b = 0; b < nb; ++b) {
@@ -109,9 +109,7 @@ Info select(Vector* w, const Vector* mask, const BinaryOp* accum,
         }
       }
     });
-    auto c_old = w->current_canonical();
-    w->publish(
-        writeback_vector(w->context(), *c_old, *t, m_snap.get(), spec));
+    publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   }, FuseNode{});
 }
@@ -183,9 +181,7 @@ Info select(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         }
       }
     });
-    auto c_old = c->current_canonical();
-    c->publish(
-        writeback_matrix(c->context(), *c_old, *t, m_snap.get(), spec));
+    publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   }, FuseNode{});
 }

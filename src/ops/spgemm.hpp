@@ -121,21 +121,6 @@ SpgemmPolicy spgemm_policy(Index ncols, size_t zsize);
 std::vector<Index> spgemm_partition(const std::vector<uint64_t>& weight,
                                     uint64_t total, Index nblocks);
 
-// Number of row blocks a blocked kernel hands to the pool: several per
-// thread so the balance survives skew, one when running inline.  Each
-// block carries at least parallel_threshold() units of `work` (flops,
-// or mask entries for masked-dot): below that, waking a pool thread
-// costs more than the block.
-inline Index spgemm_block_count(Context* ctx, Index nrows, uint64_t work) {
-  const int nthreads = ctx->effective_nthreads();
-  if (nthreads <= 1) return 1;
-  const uint64_t by_work =
-      work / std::max<uint64_t>(1, parallel_threshold());
-  return static_cast<Index>(std::max<uint64_t>(
-      1, std::min<uint64_t>({nrows, static_cast<uint64_t>(nthreads) * 8,
-                             by_work})));
-}
-
 // --- accumulators ----------------------------------------------------------
 
 // Block-local staged output: rows are appended in order, assembly copies
@@ -432,7 +417,7 @@ std::shared_ptr<MatrixData> spgemm_mxm(Context* ctx, const MatrixData& a,
   const size_t zsize = ztype->size();
   const SpgemmPolicy policy = spgemm_policy(b.ncols, zsize);
 
-  const Index nblocks = spgemm_block_count(ctx, nrows, costs.total);
+  const Index nblocks = ctx->block_count(nrows, costs.total);
   const std::vector<Index> bounds =
       spgemm_partition(costs.flops, costs.total, nblocks);
 

@@ -54,11 +54,7 @@ Info transpose(Matrix* c, const Matrix* mask, const BinaryOp* accum,
   auto op = [c, a_snap, m_snap, spec, tran]() -> Info {
     std::shared_ptr<const MatrixData> t =
         tran ? format_transpose_view(a_snap) : a_snap;
-    // c's queue is FIFO: predecessors have published by now.
-    std::shared_ptr<const MatrixData> c_old = c->current_canonical();
-    auto result = writeback_matrix(c->context(), *c_old, *t, m_snap.get(),
-                                   spec);
-    c->publish(std::move(result));
+    publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   };
   return defer_or_run(c, std::move(op), FuseNode{});

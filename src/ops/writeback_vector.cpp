@@ -65,9 +65,7 @@ std::shared_ptr<VectorData> writeback_vector(Context* ctx,
   auto out = std::make_shared<VectorData>(ctype, c_old.n);
   size_t work = c_old.ind.size() + t.ind.size();
   Context* ectx = exec_context(ctx, work);
-  Index block = ectx->effective_nthreads() > 1
-                    ? std::max<Index>(1, ectx->config().chunk)
-                    : std::max<Index>(1, c_old.n);
+  Index block = ectx->block_size(c_old.n, work);
   Index nb = c_old.n == 0 ? 0 : (c_old.n + block - 1) / block;
 
   // Phase 1: block start offsets and structural survivor counts.
@@ -144,6 +142,22 @@ std::shared_ptr<VectorData> writeback_vector(Context* ctx,
   });
   if (obs::stats_enabled()) obs::add_scalars(out->nvals());
   return out;
+}
+
+void publish_result(Vector* w, Context* ctx,
+                    std::shared_ptr<const VectorData> t,
+                    const VectorData* mask, const WritebackSpec& spec,
+                    bool t_in_mask) {
+  // See the matrix overload in writeback_matrix.cpp.
+  std::shared_ptr<const VectorData> c_old = w->current_data();
+  if (writeback_is_identity(spec, c_old->type, t->type, t_in_mask,
+                            c_old->nvals() == 0)) {
+    if (obs::stats_enabled()) obs::add_scalars(t->nvals());
+    w->publish(std::move(t));
+    return;
+  }
+  c_old = format_sparse_view(std::move(c_old));
+  w->publish(writeback_vector(ctx, *c_old, *t, mask, spec));
 }
 
 }  // namespace grb

@@ -112,16 +112,19 @@ TEST(ContextTest, NonblockingContextDefers) {
 TEST(ContextTest, ParallelForPartitionIsExact) {
   GrB_ContextConfig cfg;
   cfg.nthreads = 4;
-  cfg.chunk = 8;
   GrB_Context ctx = nullptr;
   ASSERT_EQ(GrB_Context_new(&ctx, GrB_NONBLOCKING, GrB_NULL, &cfg),
             GrB_SUCCESS);
   std::vector<std::atomic<int>> hits(1000);
+  std::atomic<int> pieces{0};
   ctx->parallel_for(0, 1000, [&](grb::Index lo, grb::Index hi) {
+    pieces.fetch_add(1, std::memory_order_relaxed);
     for (grb::Index i = lo; i < hi; ++i)
       hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // The grainless loop splits per thread, not by a fixed row count.
+  EXPECT_GT(pieces.load(), 1);
   GrB_free(&ctx);
 }
 

@@ -12,6 +12,7 @@
 
 #include "core/global.hpp"
 #include "exec/thread_pool.hpp"
+#include "ops/common.hpp"
 #include "tests/grb_test_util.hpp"
 #include "algorithms/algorithms.hpp"
 #include "util/generator.hpp"
@@ -40,7 +41,6 @@ void record_thread(std::thread::id id) {
 GrB_Context threaded_context(int nthreads) {
   GrB_ContextConfig cfg;
   cfg.nthreads = nthreads;
-  cfg.chunk = 4;  // tiny chunk so even small tests fan out
   GrB_Context ctx = nullptr;
   EXPECT_EQ(GrB_Context_new(&ctx, GrB_NONBLOCKING, GrB_NULL, &cfg),
             GrB_SUCCESS);
@@ -208,7 +208,6 @@ TEST(ParallelContextTest, NestedContextBudgetIsHierarchical) {
   // A child asking for less gets what it asked for...
   GrB_ContextConfig modest;
   modest.nthreads = 2;
-  modest.chunk = 4;
   GrB_Context child = nullptr;
   ASSERT_EQ(GrB_Context_new(&child, GrB_NONBLOCKING, parent, &modest),
             GrB_SUCCESS);
@@ -216,7 +215,6 @@ TEST(ParallelContextTest, NestedContextBudgetIsHierarchical) {
   // ...one asking for more is capped by the parent's budget...
   GrB_ContextConfig greedy;
   greedy.nthreads = 8;
-  greedy.chunk = 4;
   GrB_Context wide = nullptr;
   ASSERT_EQ(GrB_Context_new(&wide, GrB_NONBLOCKING, parent, &greedy),
             GrB_SUCCESS);
@@ -239,7 +237,6 @@ TEST(ParallelContextTest, NestedContextCapsWorkerThreads) {
   GrB_Context parent = threaded_context(4);
   GrB_ContextConfig ccfg;
   ccfg.nthreads = 2;
-  ccfg.chunk = 4;
   GrB_Context child = nullptr;
   ASSERT_EQ(GrB_Context_new(&child, GrB_NONBLOCKING, parent, &ccfg),
             GrB_SUCCESS);
@@ -296,6 +293,61 @@ TEST(ParallelContextTest, PoolWorkersParticipate) {
     }
   });
   EXPECT_GE(seen.size(), 2u);
+  GrB_free(&ctx);
+}
+
+// Regression: row loops once split by a fixed 4096-row grain, so every
+// kernel over a matrix under 4096 rows ran inline even after the serial
+// gate chose the parallel path.  On a 1024-row matrix with 16k+ entries
+// (above the default parallel threshold) in a 4-thread context, matrix
+// select, matrix apply and a masked, accumulated write-back merge must
+// each hand chunks to the pool.
+TEST(ParallelContextTest, SmallMatrixKernelsFanOut) {
+  GrB_Context ctx = threaded_context(4);
+  grb::RmatParams params;
+  params.symmetrize = true;
+  GrB_Matrix g = nullptr;
+  ASSERT_EQ(grb::rmat_matrix(&g, 10, 16, params, ctx), grb::Info::kSuccess);
+  GrB_Index n = 0, nvals = 0;
+  ASSERT_EQ(GrB_Matrix_nrows(&n, g), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_nvals(&nvals, g), GrB_SUCCESS);
+  ASSERT_EQ(n, 1024u);
+  ASSERT_GE(nvals, 16384u);
+  // FP64 like g, so select and apply publish their T directly.
+  GrB_Matrix c = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, n, n, ctx), GrB_SUCCESS);
+
+  auto chunks_of = [&](const char* what, auto&& run) {
+    ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
+    ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+    run();
+    EXPECT_GT(testutil::pool_chunks(), 0u) << what << " ran inline";
+    ASSERT_EQ(GxB_Stats_enable(0), GrB_SUCCESS);
+  };
+  chunks_of("select", [&] {
+    ASSERT_EQ(GrB_select(c, GrB_NULL, GrB_NULL, GrB_TRIL, g, int64_t{0},
+                         GrB_NULL),
+              GrB_SUCCESS);
+    ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
+  });
+  chunks_of("apply", [&] {
+    ASSERT_EQ(GrB_apply(c, GrB_NULL, GrB_NULL, GrB_AINV_FP64, g, GrB_NULL),
+              GrB_SUCCESS);
+    ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
+  });
+  // The merge alone, so the op's own kernel cannot supply the chunks:
+  // an accumulator rules out publishing T directly.
+  std::shared_ptr<const grb::MatrixData> sg;
+  ASSERT_EQ(g->snapshot(&sg), grb::Info::kSuccess);
+  grb::WritebackSpec spec{GrB_PLUS_FP64, /*have_mask=*/true,
+                          /*mask_structure=*/true, /*mask_comp=*/false,
+                          /*replace=*/false};
+  chunks_of("writeback_matrix", [&] {
+    auto merged = grb::writeback_matrix(ctx, *sg, *sg, sg.get(), spec);
+    EXPECT_EQ(merged->nvals(), nvals);
+  });
+  GrB_free(&c);
+  GrB_free(&g);
   GrB_free(&ctx);
 }
 

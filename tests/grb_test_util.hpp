@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "graphblas/GraphBLAS.h"
@@ -174,6 +175,27 @@ inline ref::Vec random_vec(GrB_Index n, double density, uint64_t seed) {
     if (rng.uniform() < density)
       c = static_cast<double>(1 + rng.below(9));
   return v;
+}
+
+// ---- telemetry ----------------------------------------------------------------
+
+// Sum of the "chunks" counters of every pool in the GxB_Stats_json
+// report: how many parallel_for chunks ran since the last stats reset.
+inline uint64_t pool_chunks() {
+  std::vector<char> buf(1 << 20);
+  GrB_Index len = buf.size();
+  EXPECT_EQ(GxB_Stats_json(buf.data(), &len), GrB_SUCCESS);
+  const std::string json(buf.data());
+  const size_t begin = json.find("\"pools\":{");
+  const size_t end = json.find("\"contexts\":", begin);
+  EXPECT_NE(begin, std::string::npos);
+  uint64_t total = 0;
+  const std::string key = "\"chunks\":";
+  for (size_t at = json.find(key, begin); at < end;
+       at = json.find(key, at + 1)) {
+    total += std::stoull(json.substr(at + key.size()));
+  }
+  return total;
 }
 
 // Common binary functions for the reference engine.

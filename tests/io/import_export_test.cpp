@@ -3,6 +3,8 @@
 // format-definition details Table III pins down.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tests/grb_test_util.hpp"
 
 namespace {
@@ -226,6 +228,65 @@ TEST(ImportExportTest, ImportCopiesTheArrays) {
   EXPECT_EQ(GrB_Matrix_extractElement(&out, a, 0, 0), GrB_SUCCESS);
   EXPECT_EQ(out, 42.0);
   GrB_free(&a);
+}
+
+// Hostile import input is rejected before any of it is used: each case
+// returns GrB_INVALID_VALUE and leaves the output handle untouched.
+TEST(ImportExportTest, CscPointerPastTheEndIsRejected) {
+  // Column 0 claims entries [0, 5) but indptr[ncols] says 2: the fill
+  // must not run before the whole pointer array is checked.
+  GrB_Index indptr[] = {0, 5, 1, 2};
+  GrB_Index indices[] = {0, 1};
+  double values[] = {1, 2};
+  GrB_Matrix a = nullptr;
+  EXPECT_EQ(GrB_Matrix_import(&a, GrB_FP64, 3, 3, indptr, indices, values,
+                              4, 2, 2, GrB_CSC_MATRIX),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(a, nullptr);
+}
+
+TEST(ImportExportTest, NonzeroFirstPointerIsRejected) {
+  GrB_Index indptr[] = {1, 1, 2};
+  GrB_Index indices[] = {0, 1};
+  double values[] = {1, 2};
+  for (GrB_Format format : {GrB_CSR_MATRIX, GrB_CSC_MATRIX}) {
+    GrB_Matrix a = nullptr;
+    EXPECT_EQ(GrB_Matrix_import(&a, GrB_FP64, 2, 2, indptr, indices, values,
+                                3, 2, 2, format),
+              GrB_INVALID_VALUE)
+        << "format " << static_cast<int>(format);
+    EXPECT_EQ(a, nullptr);
+  }
+}
+
+TEST(ImportExportTest, PointerLengthWrapIsRejected) {
+  // nrows + 1 (CSR) or ncols + 1 (CSC) wraps to 0 at UINT64_MAX, which
+  // would match an empty indptr.
+  const GrB_Index huge = std::numeric_limits<GrB_Index>::max();
+  GrB_Index indptr[] = {0};
+  GrB_Matrix a = nullptr;
+  EXPECT_EQ(GrB_Matrix_import(&a, GrB_FP64, huge, 2, indptr, nullptr,
+                              nullptr, 0, 0, 0, GrB_CSR_MATRIX),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Matrix_import(&a, GrB_FP64, 2, huge, indptr, nullptr,
+                              nullptr, 0, 0, 0, GrB_CSC_MATRIX),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(a, nullptr);
+}
+
+TEST(ImportExportTest, DenseCellCountOverflowIsRejected) {
+  // 32 * 2^60 cells wraps to 0 in 64 bits, so an empty value array would
+  // look large enough.
+  const GrB_Index ncols = GrB_INDEX_MAX;
+  double values[] = {1};
+  for (GrB_Format format : {GrB_DENSE_ROW_MATRIX, GrB_DENSE_COL_MATRIX}) {
+    GrB_Matrix a = nullptr;
+    EXPECT_EQ(GrB_Matrix_import(&a, GrB_FP64, 32, ncols, nullptr, nullptr,
+                                values, 0, 0, 1, format),
+              GrB_INVALID_VALUE)
+        << "format " << static_cast<int>(format);
+    EXPECT_EQ(a, nullptr);
+  }
 }
 
 }  // namespace

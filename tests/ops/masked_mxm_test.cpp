@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <string>
 
 #include "ops/mxm.hpp"
 #include "tests/grb_test_util.hpp"
@@ -226,24 +225,6 @@ TEST(MaskedMxmTest, ComplementedMissingMaskWritesNothing) {
   }
 }
 
-// Sum of the "chunks" counters of every pool in the GxB_Stats_json report.
-uint64_t pool_chunks() {
-  std::vector<char> buf(1 << 20);
-  GrB_Index len = buf.size();
-  EXPECT_EQ(GxB_Stats_json(buf.data(), &len), GrB_SUCCESS);
-  const std::string json(buf.data());
-  const size_t begin = json.find("\"pools\":{");
-  const size_t end = json.find("\"contexts\":", begin);
-  EXPECT_NE(begin, std::string::npos);
-  uint64_t total = 0;
-  const std::string key = "\"chunks\":";
-  for (size_t at = json.find(key, begin); at < end;
-       at = json.find(key, at + 1)) {
-    total += std::stoull(json.substr(at + key.size()));
-  }
-  return total;
-}
-
 // Regression: the masked kernels once split rows by the context's
 // default 4096-row grain, so any mask under 4096 rows ran inline even
 // after the serial gate chose the parallel path.  A k-truss-shaped
@@ -275,7 +256,7 @@ TEST(MaskedMxmTest, StructuralMaskFansOutToPool) {
                       GrB_DESC_RST1),
               GrB_SUCCESS);
     ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
-    EXPECT_GT(pool_chunks(), 0u) << "strategy=" << static_cast<int>(strategy);
+    EXPECT_GT(testutil::pool_chunks(), 0u) << "strategy=" << static_cast<int>(strategy);
     ASSERT_EQ(GxB_Stats_enable(0), GrB_SUCCESS);
   }
 

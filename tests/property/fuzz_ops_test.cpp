@@ -181,8 +181,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzOps,
 // ---- parallel-vs-serial differential fuzz ---------------------------------
 //
 // The same pseudo-random op sequence is applied to twin worlds, one homed
-// in a 1-thread context and one in a multi-thread context (same chunk),
-// with the parallel threshold forced to 1 so every op takes its parallel
+// in a 1-thread context and one in a multi-thread context, with the
+// parallel threshold forced to 1 so every op takes its parallel
 // path.  Results must match EXACTLY after every step; a failure prints
 // the seed so the run can be replayed with
 //   --gtest_filter='*FuzzParallel*/<seed-1>'.
@@ -198,7 +198,6 @@ struct ThresholdGuard {
 GrB_Context fuzz_context(int nthreads) {
   GrB_ContextConfig cfg;
   cfg.nthreads = nthreads;
-  cfg.chunk = 4;
   GrB_Context ctx = nullptr;
   EXPECT_EQ(GrB_Context_new(&ctx, GrB_BLOCKING, GrB_NULL, &cfg),
             GrB_SUCCESS);

@@ -5,7 +5,7 @@
 // matter how many threads the calling context grants.  This harness runs
 // each op on real-valued (non-integer) random data -- where any change
 // in floating-point fold order would show -- in a 1-thread context and
-// in 2/4/8-thread contexts with the same chunk size, across masks
+// in 2/4/8-thread contexts, across masks
 // (none / ~30%-dense valued / structural), accumulate on/off, and
 // replace on/off, and requires exact equality.
 //
@@ -33,7 +33,6 @@ struct ThresholdGuard {
 GrB_Context make_ctx(int nthreads) {
   GrB_ContextConfig cfg;
   cfg.nthreads = nthreads;
-  cfg.chunk = 4;  // identical chunk in serial and parallel contexts
   GrB_Context ctx = nullptr;
   EXPECT_EQ(GrB_Context_new(&ctx, GrB_BLOCKING, GrB_NULL, &cfg),
             GrB_SUCCESS);
@@ -112,7 +111,7 @@ std::string config_name(const Config& c) {
   return s;
 }
 
-constexpr GrB_Index kDim = 48;   // matrices: 48x48, chunk 4 -> 12 blocks
+constexpr GrB_Index kDim = 48;   // matrices: 48x48
 constexpr GrB_Index kVDim = 300; // vectors
 
 // Runs `op` on fresh copies of the inputs homed in an nthreads-context;
@@ -302,6 +301,54 @@ TEST(DiffOracle, SelectVector) {
     ASSERT_EQ(GrB_select(w, m, accum, GrB_VALUEGT_FP64, u, 0.0, d),
               GrB_SUCCESS);
   });
+}
+
+// Kernels at the size where the grain rule matters: 1024 rows and 16k+
+// entries clear the default parallel threshold without forcing it, so
+// the multi-thread runs split rows per thread across the pool and must
+// still match the 1-thread run bit for bit.
+template <class Fn>
+void sweep_rows1024(uint64_t seed, const Config& cfg, Fn&& op) {
+  constexpr GrB_Index kRows = 1024;
+  ref::Mat rc0 = real_mat(kRows, kRows, 0.01, seed + 1);
+  ref::Mat ra = real_mat(kRows, kRows, 0.02, seed + 2);
+  ASSERT_GE(ra.nvals(), 16384u);
+  ref::Mat rm = real_mat(kRows, kRows, 0.02, seed + 3);
+  ref::Mat serial = run_mat_op(1, cfg, rc0, ra, ra, rm, op);
+  for (int nthreads : {2, 4, 8}) {
+    ref::Mat parallel = run_mat_op(nthreads, cfg, rc0, ra, ra, rm, op);
+    EXPECT_TRUE(testutil::mats_equal(serial, parallel))
+        << config_name(cfg) << " nthreads=" << nthreads;
+  }
+}
+
+TEST(DiffOracle, SelectMatrix1024Rows) {
+  sweep_rows1024(1500, {false, false, false, false},
+                 [](GrB_Matrix c, GrB_Matrix m, GrB_BinaryOp accum,
+                    GrB_Matrix a, GrB_Matrix, GrB_Descriptor d) {
+                   ASSERT_EQ(GrB_select(c, m, accum, GrB_VALUEGT_FP64, a,
+                                        0.0, d),
+                             GrB_SUCCESS);
+                 });
+}
+
+TEST(DiffOracle, ApplyMatrix1024Rows) {
+  sweep_rows1024(1600, {false, false, false, false},
+                 [](GrB_Matrix c, GrB_Matrix m, GrB_BinaryOp accum,
+                    GrB_Matrix a, GrB_Matrix, GrB_Descriptor d) {
+                   ASSERT_EQ(GrB_apply(c, m, accum, GrB_AINV_FP64, a, d),
+                             GrB_SUCCESS);
+                 });
+}
+
+// A structural mask plus an accumulator: the write-back runs its merge.
+TEST(DiffOracle, MaskedAccumWriteback1024Rows) {
+  sweep_rows1024(1700, {true, true, true, false},
+                 [](GrB_Matrix c, GrB_Matrix m, GrB_BinaryOp accum,
+                    GrB_Matrix a, GrB_Matrix, GrB_Descriptor d) {
+                   ASSERT_EQ(GrB_apply(c, m, accum, GrB_AINV_FP64, a, d),
+                             GrB_SUCCESS);
+                 });
 }
 
 // Scalar reductions: the blocked fold must give the same bits for every

@@ -37,7 +37,6 @@ struct PolicyGuard {
 GrB_Context make_ctx(int nthreads) {
   GrB_ContextConfig cfg;
   cfg.nthreads = nthreads;
-  cfg.chunk = 4;
   GrB_Context ctx = nullptr;
   EXPECT_EQ(GrB_Context_new(&ctx, GrB_BLOCKING, GrB_NULL, &cfg),
             GrB_SUCCESS);

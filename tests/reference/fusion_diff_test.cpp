@@ -59,7 +59,6 @@ uint64_t counter(const char* name) {
 GrB_Context make_ctx(int nthreads) {
   GrB_ContextConfig cfg;
   cfg.nthreads = nthreads;
-  cfg.chunk = 4;
   GrB_Context ctx = nullptr;
   EXPECT_EQ(GrB_Context_new(&ctx, GrB_NONBLOCKING, GrB_NULL, &cfg),
             GrB_SUCCESS);
