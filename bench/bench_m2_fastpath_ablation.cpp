@@ -1,9 +1,10 @@
 // Experiment M2 (Motivation §II): "a function pointer call required for
 // each scalar operation" is a real performance penalty.  The same
-// kernels run with the statically typed fast path and with the generic
-// function-pointer path; user-defined operators can only ever get the
-// latter, which is why 2.0 adds predefined index ops instead of making
-// users write unpacking operators.
+// kernels (mxm/mxv/vxm, and the vector op layer's eWiseAdd, apply,
+// reduce and scalar assign) run with the statically typed fast path and
+// with the generic function-pointer path; user-defined operators can
+// only ever get the latter, which is why 2.0 adds predefined index ops
+// instead of making users write unpacking operators.
 #include "bench/bench_util.hpp"
 
 #include "ops/mxm.hpp"
@@ -96,6 +97,66 @@ void BM_Vxm_FunctionPointerPath(benchmark::State& state) {
 }
 BENCHMARK(BM_Vxm_TypedFastPath)->Arg(12)->Arg(15)->Arg(17);
 BENCHMARK(BM_Vxm_FunctionPointerPath)->Arg(12)->Arg(15)->Arg(17);
+
+// The vector op layer: full FP64 vectors of n = 2^14..2^18, each leg
+// through the same kernel with the typed runner (inlined scalar body)
+// and with the generic runner (a function-pointer call per scalar).
+enum class VecLeg { kEwiseAdd, kApplyBind2nd, kReduce, kAssignAccum };
+
+void run_vec(benchmark::State& state, VecLeg leg, bool fast) {
+  FastpathGuard guard(fast);
+  const GrB_Index n = GrB_Index{1} << state.range(0);
+  GrB_Vector u = benchutil::dense_vector(n, 5);
+  GrB_Vector v = benchutil::dense_vector(n, 6);
+  GrB_Vector w = nullptr;
+  BENCH_TRY(GrB_Vector_new(&w, GrB_FP64, n));
+  for (auto _ : state) {
+    switch (leg) {
+      case VecLeg::kEwiseAdd:
+        BENCH_TRY(GrB_eWiseAdd(w, GrB_NULL, GrB_NULL, GrB_PLUS_FP64, u, v,
+                               GrB_NULL));
+        BENCH_TRY(GrB_wait(w, GrB_COMPLETE));
+        break;
+      case VecLeg::kApplyBind2nd:
+        BENCH_TRY(GrB_apply(w, GrB_NULL, GrB_NULL, GrB_TIMES_FP64, u, 0.85,
+                            GrB_NULL));
+        BENCH_TRY(GrB_wait(w, GrB_COMPLETE));
+        break;
+      case VecLeg::kReduce: {
+        double sum = 0.0;
+        BENCH_TRY(GrB_reduce(&sum, GrB_NULL, GrB_PLUS_MONOID_FP64, u,
+                             GrB_NULL));
+        benchmark::DoNotOptimize(sum);
+        break;
+      }
+      case VecLeg::kAssignAccum:
+        BENCH_TRY(GrB_assign(w, GrB_NULL, GrB_PLUS_FP64, 0.5, GrB_ALL, n,
+                             GrB_NULL));
+        BENCH_TRY(GrB_wait(w, GrB_COMPLETE));
+        break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.counters["fastpath"] = fast ? 1 : 0;
+  GrB_free(&u);
+  GrB_free(&v);
+  GrB_free(&w);
+}
+
+#define GRB_VEC_LEG(NAME, LEG)                                         \
+  void BM_##NAME##_TypedFastPath(benchmark::State& state) {            \
+    run_vec(state, VecLeg::LEG, true);                                 \
+  }                                                                    \
+  void BM_##NAME##_FunctionPointerPath(benchmark::State& state) {      \
+    run_vec(state, VecLeg::LEG, false);                                \
+  }                                                                    \
+  BENCHMARK(BM_##NAME##_TypedFastPath)->DenseRange(14, 18, 2);         \
+  BENCHMARK(BM_##NAME##_FunctionPointerPath)->DenseRange(14, 18, 2);
+GRB_VEC_LEG(VecEwiseAdd, kEwiseAdd)
+GRB_VEC_LEG(VecApplyBind2nd, kApplyBind2nd)
+GRB_VEC_LEG(VecReduce, kReduce)
+GRB_VEC_LEG(VecAssignAccum, kAssignAccum)
+#undef GRB_VEC_LEG
 
 // The fully user-defined semiring: always on the function-pointer path,
 // whatever the dispatcher does — the §II floor for custom algebra.

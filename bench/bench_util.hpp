@@ -2,7 +2,9 @@
 // and the machine-readable perf-trajectory reporter.
 //
 // Every bench binary writes BENCH_<name>.json (next to wherever it runs;
-// <name> is the binary basename minus its "bench_" prefix) with one row
+// <name> is the binary basename minus its "bench_" prefix) with the
+// machine fingerprint ("machine": nproc, cpu_model, compiler, build_type;
+// tools/bench_compare.py refuses to compare across fingerprints), one row
 // per benchmark: {"name", "params", "median_ns", "iters", "counters"},
 // plus the telemetry counter dump ("telemetry", populated when the run
 // had GRB_STATS=1 or GxB_Stats_enable).  With --benchmark_repetitions=N
@@ -17,6 +19,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graphblas/GraphBLAS.h"
@@ -74,8 +77,8 @@ class JsonTrajectoryReporter : public ::benchmark::ConsoleReporter {
     std::string path = std::string("BENCH_") + binary_name(argv0) + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
-    std::fprintf(f, "{\"binary\":\"%s\",\"benchmarks\":[",
-                 binary_name(argv0).c_str());
+    std::fprintf(f, "{\"binary\":\"%s\",\"machine\":%s,\"benchmarks\":[",
+                 binary_name(argv0).c_str(), machine_json().c_str());
     bool first = true;
     for (const auto& kv : rows_) {
       const Row& r = kv.second;
@@ -102,6 +105,33 @@ class JsonTrajectoryReporter : public ::benchmark::ConsoleReporter {
     std::fprintf(f, "\n],\"telemetry\":%s}\n",
                  grb::obs::stats_json(true).c_str());
     return std::fclose(f) == 0;
+  }
+
+  // The fingerprint that says which results are comparable: processor
+  // count and model, compiler, build type.
+  static std::string machine_json() {
+    std::string cpu = "unknown";
+    if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+      char line[512];
+      while (std::fgets(line, sizeof(line), f) != nullptr) {
+        if (std::strncmp(line, "model name", 10) != 0) continue;
+        const char* v = std::strchr(line, ':');
+        if (v == nullptr) break;
+        cpu = v + 1;
+        cpu.erase(0, cpu.find_first_not_of(" \t"));
+        cpu.erase(cpu.find_last_not_of(" \t\n") + 1);
+        break;
+      }
+      std::fclose(f);
+    }
+    char buf[768];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"nproc\":%u,\"cpu_model\":\"%s\",\"compiler\":\"%s\","
+                  "\"build_type\":\"%s\"}",
+                  std::thread::hardware_concurrency(),
+                  json_escape(cpu).c_str(), GRB_BENCH_COMPILER,
+                  GRB_BENCH_BUILD_TYPE);
+    return buf;
   }
 
   static std::string binary_name(const char* argv0) {

@@ -6,192 +6,15 @@
 #include <type_traits>
 #include <unordered_set>
 #include <vector>
+
+#include "core/scalar_ops.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace grb {
 namespace {
 
-template <class T>
-T ld(const void* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
-
-template <class T>
-void st(void* p, T v) {
-  std::memcpy(p, &v, sizeof(T));
-}
-
-// Wrapping arithmetic for integers (avoids signed-overflow UB); plain
-// arithmetic for floating point.
-template <class T>
-T wrap_add(T x, T y) {
-  if constexpr (std::is_integral_v<T>) {
-    using U = std::make_unsigned_t<T>;
-    return static_cast<T>(static_cast<U>(x) + static_cast<U>(y));
-  } else {
-    return x + y;
-  }
-}
-template <class T>
-T wrap_sub(T x, T y) {
-  if constexpr (std::is_integral_v<T>) {
-    using U = std::make_unsigned_t<T>;
-    return static_cast<T>(static_cast<U>(x) - static_cast<U>(y));
-  } else {
-    return x - y;
-  }
-}
-template <class T>
-T wrap_mul(T x, T y) {
-  if constexpr (std::is_integral_v<T>) {
-    using U = std::make_unsigned_t<T>;
-    return static_cast<T>(static_cast<U>(x) * static_cast<U>(y));
-  } else {
-    return x * y;
-  }
-}
-template <class T>
-T safe_div(T x, T y) {
-  if constexpr (std::is_integral_v<T>) {
-    if (y == 0) return T{0};
-    if constexpr (std::is_signed_v<T>) {
-      // INT_MIN / -1 overflows; wrap to INT_MIN like a 2's-complement op.
-      if (x == std::numeric_limits<T>::min() && y == T{-1}) return x;
-    }
-    return static_cast<T>(x / y);
-  } else {
-    return x / y;
-  }
-}
-
-// --- arithmetic ops, generic over non-bool arithmetic T ----------------
-template <class T>
-void fn_first(void* z, const void* x, const void*) {
-  st<T>(z, ld<T>(x));
-}
-template <class T>
-void fn_second(void* z, const void*, const void* y) {
-  st<T>(z, ld<T>(y));
-}
-template <class T>
-void fn_oneb(void* z, const void*, const void*) {
-  st<T>(z, T{1});
-}
-template <class T>
-void fn_min(void* z, const void* x, const void* y) {
-  T a = ld<T>(x), b = ld<T>(y);
-  if constexpr (std::is_floating_point_v<T>) {
-    st<T>(z, std::fmin(a, b));
-  } else {
-    st<T>(z, a < b ? a : b);
-  }
-}
-template <class T>
-void fn_max(void* z, const void* x, const void* y) {
-  T a = ld<T>(x), b = ld<T>(y);
-  if constexpr (std::is_floating_point_v<T>) {
-    st<T>(z, std::fmax(a, b));
-  } else {
-    st<T>(z, a > b ? a : b);
-  }
-}
-template <class T>
-void fn_plus(void* z, const void* x, const void* y) {
-  st<T>(z, wrap_add(ld<T>(x), ld<T>(y)));
-}
-template <class T>
-void fn_minus(void* z, const void* x, const void* y) {
-  st<T>(z, wrap_sub(ld<T>(x), ld<T>(y)));
-}
-template <class T>
-void fn_times(void* z, const void* x, const void* y) {
-  st<T>(z, wrap_mul(ld<T>(x), ld<T>(y)));
-}
-template <class T>
-void fn_div(void* z, const void* x, const void* y) {
-  st<T>(z, safe_div(ld<T>(x), ld<T>(y)));
-}
-
-// --- bool specializations ----------------------------------------------
-void bfn_first(void* z, const void* x, const void*) { st<bool>(z, ld<bool>(x)); }
-void bfn_second(void* z, const void*, const void* y) { st<bool>(z, ld<bool>(y)); }
-void bfn_oneb(void* z, const void*, const void*) { st<bool>(z, true); }
-void bfn_min(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<bool>(x) && ld<bool>(y));
-}
-void bfn_max(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<bool>(x) || ld<bool>(y));
-}
-void bfn_plus(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<bool>(x) || ld<bool>(y));
-}
-void bfn_minus(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<bool>(x) != ld<bool>(y));
-}
-void bfn_times(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<bool>(x) && ld<bool>(y));
-}
-void bfn_div(void* z, const void* x, const void*) { st<bool>(z, ld<bool>(x)); }
-
-// --- comparisons: T,T -> bool -------------------------------------------
-template <class T>
-void fn_eq(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<T>(x) == ld<T>(y));
-}
-template <class T>
-void fn_ne(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<T>(x) != ld<T>(y));
-}
-template <class T>
-void fn_gt(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<T>(x) > ld<T>(y));
-}
-template <class T>
-void fn_lt(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<T>(x) < ld<T>(y));
-}
-template <class T>
-void fn_ge(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<T>(x) >= ld<T>(y));
-}
-template <class T>
-void fn_le(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<T>(x) <= ld<T>(y));
-}
-
-// --- logical (bool only) -------------------------------------------------
-void fn_lor(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<bool>(x) || ld<bool>(y));
-}
-void fn_land(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<bool>(x) && ld<bool>(y));
-}
-void fn_lxor(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<bool>(x) != ld<bool>(y));
-}
-void fn_lxnor(void* z, const void* x, const void* y) {
-  st<bool>(z, ld<bool>(x) == ld<bool>(y));
-}
-
-// --- bitwise (integer types) ---------------------------------------------
-template <class T>
-void fn_bor(void* z, const void* x, const void* y) {
-  st<T>(z, static_cast<T>(ld<T>(x) | ld<T>(y)));
-}
-template <class T>
-void fn_band(void* z, const void* x, const void* y) {
-  st<T>(z, static_cast<T>(ld<T>(x) & ld<T>(y)));
-}
-template <class T>
-void fn_bxor(void* z, const void* x, const void* y) {
-  st<T>(z, static_cast<T>(ld<T>(x) ^ ld<T>(y)));
-}
-template <class T>
-void fn_bxnor(void* z, const void* x, const void* y) {
-  st<T>(z, static_cast<T>(~(ld<T>(x) ^ ld<T>(y))));
-}
+using scalar::bin_fn;
+using scalar::st;
 
 constexpr int kNumOps = 24;  // BinOpCode enumerators
 
@@ -209,43 +32,37 @@ struct Registry {
         z, t, t, fn, op, std::string(opname) + "_" + t->name());
   }
 
+  template <BinOpCode Op, class T>
+  void reg(const char* opname) {
+    add<T>(Op, &bin_fn<Op, T>, opname,
+           Op >= BinOpCode::kEq && Op <= BinOpCode::kLxnor);
+  }
+
   template <class T>
   void add_arith() {
-    if constexpr (std::is_same_v<T, bool>) {
-      add<T>(BinOpCode::kFirst, &bfn_first, "GrB_FIRST", false);
-      add<T>(BinOpCode::kSecond, &bfn_second, "GrB_SECOND", false);
-      add<T>(BinOpCode::kOneb, &bfn_oneb, "GrB_ONEB", false);
-      add<T>(BinOpCode::kMin, &bfn_min, "GrB_MIN", false);
-      add<T>(BinOpCode::kMax, &bfn_max, "GrB_MAX", false);
-      add<T>(BinOpCode::kPlus, &bfn_plus, "GrB_PLUS", false);
-      add<T>(BinOpCode::kMinus, &bfn_minus, "GrB_MINUS", false);
-      add<T>(BinOpCode::kTimes, &bfn_times, "GrB_TIMES", false);
-      add<T>(BinOpCode::kDiv, &bfn_div, "GrB_DIV", false);
-    } else {
-      add<T>(BinOpCode::kFirst, &fn_first<T>, "GrB_FIRST", false);
-      add<T>(BinOpCode::kSecond, &fn_second<T>, "GrB_SECOND", false);
-      add<T>(BinOpCode::kOneb, &fn_oneb<T>, "GrB_ONEB", false);
-      add<T>(BinOpCode::kMin, &fn_min<T>, "GrB_MIN", false);
-      add<T>(BinOpCode::kMax, &fn_max<T>, "GrB_MAX", false);
-      add<T>(BinOpCode::kPlus, &fn_plus<T>, "GrB_PLUS", false);
-      add<T>(BinOpCode::kMinus, &fn_minus<T>, "GrB_MINUS", false);
-      add<T>(BinOpCode::kTimes, &fn_times<T>, "GrB_TIMES", false);
-      add<T>(BinOpCode::kDiv, &fn_div<T>, "GrB_DIV", false);
-    }
-    add<T>(BinOpCode::kEq, &fn_eq<T>, "GrB_EQ", true);
-    add<T>(BinOpCode::kNe, &fn_ne<T>, "GrB_NE", true);
-    add<T>(BinOpCode::kGt, &fn_gt<T>, "GrB_GT", true);
-    add<T>(BinOpCode::kLt, &fn_lt<T>, "GrB_LT", true);
-    add<T>(BinOpCode::kGe, &fn_ge<T>, "GrB_GE", true);
-    add<T>(BinOpCode::kLe, &fn_le<T>, "GrB_LE", true);
+    reg<BinOpCode::kFirst, T>("GrB_FIRST");
+    reg<BinOpCode::kSecond, T>("GrB_SECOND");
+    reg<BinOpCode::kOneb, T>("GrB_ONEB");
+    reg<BinOpCode::kMin, T>("GrB_MIN");
+    reg<BinOpCode::kMax, T>("GrB_MAX");
+    reg<BinOpCode::kPlus, T>("GrB_PLUS");
+    reg<BinOpCode::kMinus, T>("GrB_MINUS");
+    reg<BinOpCode::kTimes, T>("GrB_TIMES");
+    reg<BinOpCode::kDiv, T>("GrB_DIV");
+    reg<BinOpCode::kEq, T>("GrB_EQ");
+    reg<BinOpCode::kNe, T>("GrB_NE");
+    reg<BinOpCode::kGt, T>("GrB_GT");
+    reg<BinOpCode::kLt, T>("GrB_LT");
+    reg<BinOpCode::kGe, T>("GrB_GE");
+    reg<BinOpCode::kLe, T>("GrB_LE");
   }
 
   template <class T>
   void add_bitwise() {
-    add<T>(BinOpCode::kBor, &fn_bor<T>, "GrB_BOR", false);
-    add<T>(BinOpCode::kBand, &fn_band<T>, "GrB_BAND", false);
-    add<T>(BinOpCode::kBxor, &fn_bxor<T>, "GrB_BXOR", false);
-    add<T>(BinOpCode::kBxnor, &fn_bxnor<T>, "GrB_BXNOR", false);
+    reg<BinOpCode::kBor, T>("GrB_BOR");
+    reg<BinOpCode::kBand, T>("GrB_BAND");
+    reg<BinOpCode::kBxor, T>("GrB_BXOR");
+    reg<BinOpCode::kBxnor, T>("GrB_BXNOR");
   }
 
   Registry() {
@@ -261,10 +78,10 @@ struct Registry {
     add_arith<float>();
     add_arith<double>();
 
-    add<bool>(BinOpCode::kLor, &fn_lor, "GrB_LOR", true);
-    add<bool>(BinOpCode::kLand, &fn_land, "GrB_LAND", true);
-    add<bool>(BinOpCode::kLxor, &fn_lxor, "GrB_LXOR", true);
-    add<bool>(BinOpCode::kLxnor, &fn_lxnor, "GrB_LXNOR", true);
+    reg<BinOpCode::kLor, bool>("GrB_LOR");
+    reg<BinOpCode::kLand, bool>("GrB_LAND");
+    reg<BinOpCode::kLxor, bool>("GrB_LXOR");
+    reg<BinOpCode::kLxnor, bool>("GrB_LXNOR");
 
     add_bitwise<int8_t>();
     add_bitwise<uint8_t>();

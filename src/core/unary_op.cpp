@@ -5,70 +5,14 @@
 #include <memory>
 #include <type_traits>
 #include <unordered_set>
+
+#include "core/scalar_ops.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace grb {
 namespace {
 
-template <class T>
-T ld(const void* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
-template <class T>
-void st(void* p, T v) {
-  std::memcpy(p, &v, sizeof(T));
-}
-
-template <class T>
-void fn_identity(void* z, const void* x) {
-  st<T>(z, ld<T>(x));
-}
-template <class T>
-void fn_ainv(void* z, const void* x) {
-  if constexpr (std::is_same_v<T, bool>) {
-    st<bool>(z, ld<bool>(x));
-  } else if constexpr (std::is_integral_v<T>) {
-    using U = std::make_unsigned_t<T>;
-    st<T>(z, static_cast<T>(U{0} - static_cast<U>(ld<T>(x))));
-  } else {
-    st<T>(z, -ld<T>(x));
-  }
-}
-template <class T>
-void fn_minv(void* z, const void* x) {
-  if constexpr (std::is_same_v<T, bool>) {
-    st<bool>(z, true);
-  } else if constexpr (std::is_integral_v<T>) {
-    T v = ld<T>(x);
-    st<T>(z, v == 0 ? T{0} : static_cast<T>(T{1} / v));
-  } else {
-    st<T>(z, T{1} / ld<T>(x));
-  }
-}
-template <class T>
-void fn_abs(void* z, const void* x) {
-  if constexpr (std::is_same_v<T, bool>) {
-    st<bool>(z, ld<bool>(x));
-  } else if constexpr (std::is_unsigned_v<T>) {
-    st<T>(z, ld<T>(x));
-  } else if constexpr (std::is_integral_v<T>) {
-    T v = ld<T>(x);
-    if (v == std::numeric_limits<T>::min()) {
-      st<T>(z, v);  // |INT_MIN| wraps to itself in 2's complement
-    } else {
-      st<T>(z, v < 0 ? static_cast<T>(-v) : v);
-    }
-  } else {
-    st<T>(z, std::fabs(ld<T>(x)));
-  }
-}
-void fn_lnot(void* z, const void* x) { st<bool>(z, !ld<bool>(x)); }
-template <class T>
-void fn_bnot(void* z, const void* x) {
-  st<T>(z, static_cast<T>(~ld<T>(x)));
-}
+using scalar::un_fn;
 
 constexpr int kNumOps = 7;
 
@@ -84,14 +28,19 @@ struct Registry {
         t, t, fn, op, std::string(opname) + "_" + t->name());
   }
 
+  template <UnOpCode Op, class T>
+  void reg(const char* opname) {
+    add<T>(Op, &un_fn<Op, T>, opname);
+  }
+
   template <class T>
   void add_common() {
-    add<T>(UnOpCode::kIdentity, &fn_identity<T>, "GrB_IDENTITY");
-    add<T>(UnOpCode::kAinv, &fn_ainv<T>, "GrB_AINV");
-    add<T>(UnOpCode::kMinv, &fn_minv<T>, "GrB_MINV");
-    add<T>(UnOpCode::kAbs, &fn_abs<T>, "GrB_ABS");
+    reg<UnOpCode::kIdentity, T>("GrB_IDENTITY");
+    reg<UnOpCode::kAinv, T>("GrB_AINV");
+    reg<UnOpCode::kMinv, T>("GrB_MINV");
+    reg<UnOpCode::kAbs, T>("GrB_ABS");
     if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
-      add<T>(UnOpCode::kBnot, &fn_bnot<T>, "GrB_BNOT");
+      reg<UnOpCode::kBnot, T>("GrB_BNOT");
     }
   }
 
@@ -107,7 +56,7 @@ struct Registry {
     add_common<uint64_t>();
     add_common<float>();
     add_common<double>();
-    add<bool>(UnOpCode::kLnot, &fn_lnot, "GrB_LNOT");
+    reg<UnOpCode::kLnot, bool>("GrB_LNOT");
   }
 };
 

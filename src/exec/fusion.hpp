@@ -26,10 +26,14 @@ struct VectorData;
 struct MatrixData;
 class BinaryOp;
 
-// A fused elementwise stage: z = f(x) evaluated per stored entry.  The
-// indices are the entry's coordinates (column 0 for vectors) so
-// index-dependent operators (GrB_IndexUnaryOp) fuse like value-only ones.
-using MapFn = std::function<void(void* z, const void* x, Index i, Index j)>;
+// A fused elementwise stage over a contiguous run of n stored entries:
+// z[k] = f(x[k]) for k < n, values packed at their domains' strides.
+// Entry k sits at index idx[k] of a vector, or at (row, idx[k]) of a
+// matrix, so index-dependent operators (GrB_IndexUnaryOp) fuse like
+// value-only ones.  One call maps a whole run, so the std::function call
+// is paid per run of entries, not per entry.
+using MapFn = std::function<void(void* z, const void* x, size_t n,
+                                 const Index* idx, Index row)>;
 
 // Mapper construction is deferred to execution time (operator state such
 // as bound scalars is captured by value inside the factory): the planner

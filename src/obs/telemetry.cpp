@@ -634,13 +634,6 @@ uint64_t now_ns() {
           .count());
 }
 
-// --- current op / current context -------------------------------------------
-
-namespace detail {
-thread_local const char* t_current_op = nullptr;
-thread_local uint64_t t_current_ctx = 0;
-}  // namespace detail
-
 // --- context registry -------------------------------------------------------
 
 void ctx_register(uint64_t ctx_id, uint64_t parent_id) {

@@ -101,12 +101,13 @@ uint64_t now_ns();
 // means "unattributed" (no object touched, or the serial helper
 // context); the top context is always id 1.
 namespace detail {
-// TLS attribution slots (defined in telemetry.cpp).  The accessors are
-// inline so the unconditional save/restore in every CurrentOpScope is a
-// plain TLS load/store, not a cross-TU call — this pair is on the
-// flags==0 fast path of every C API entry.
-extern thread_local const char* t_current_op;
-extern thread_local uint64_t t_current_ctx;
+// TLS attribution slots.  They are defined here, constant-initialized,
+// so every access is a plain TLS load/store: an extern thread_local is
+// reached through a TLS wrapper call instead (which UBSan flags as a
+// null-pointer load), and this pair is on the flags==0 fast path of
+// every C API entry.
+inline constinit thread_local const char* t_current_op = nullptr;
+inline constinit thread_local uint64_t t_current_ctx = 0;
 }  // namespace detail
 
 inline const char* current_op() {              // never null

@@ -12,48 +12,64 @@
 namespace grb {
 namespace {
 
-// ---- generic "map stored values" kernels ---------------------------------
+// ---- "map stored values" kernels --------------------------------------------
 
-// make_mapper() yields a per-chunk callable fn(z, x, i) so mapper
-// scratch buffers are private to each parallel chunk; every output
-// entry depends only on its own input entry, so chunking cannot change
-// the result.
-template <class MakeMapper>
+// Each parallel chunk builds its own MapFn from the factory (generic
+// runners own scratch buffers) and maps its whole run of entries in one
+// call.  Every output entry depends only on its own input entry, so
+// chunking cannot change the result.  The fusion planner's ChainRunner
+// (ops/fused_exec.cpp) runs the same MapFn over the same runs.
 std::shared_ptr<VectorData> map_vector(Context* ctx, const VectorData& u,
                                        const Type* ztype,
-                                       MakeMapper&& make_mapper) {
+                                       const MapFactory& factory) {
   auto t = std::make_shared<VectorData>(ztype, u.n);
   t->ind = u.ind;
   t->vals.resize(u.ind.size());
   Index nvals = static_cast<Index>(u.ind.size());
   ctx->parallel_for(0, nvals, [&](Index lo, Index hi) {
-    auto fn = make_mapper();
-    for (Index k = lo; k < hi; ++k) {
-      fn(t->vals.at(k), u.vals.at(k), u.ind[k]);
-    }
+    factory()(t->vals.at(lo), u.vals.at(lo), hi - lo, u.ind.data() + lo, 0);
   });
   return t;
 }
 
-// make_mapper() yields a per-chunk callable fn(z, x, i, j) so mapper
-// scratch buffers are private to each parallel chunk (no data races).
-template <class MakeMapper>
+// Matrix runs are rows, so an index operator sees (row, col[k]).
 std::shared_ptr<MatrixData> map_matrix(Context* ctx, const MatrixData& a,
                                        const Type* ztype,
-                                       MakeMapper&& make_mapper) {
+                                       const MapFactory& factory) {
   auto t = std::make_shared<MatrixData>(ztype, a.nrows, a.ncols);
   t->ptr = a.ptr;
   t->col = a.col;
   t->vals.resize(a.col.size());
   ctx->parallel_for(0, a.nrows, [&](Index lo, Index hi) {
-    auto fn = make_mapper();
+    MapFn fn = factory();
     for (Index r = lo; r < hi; ++r) {
-      for (size_t k = a.ptr[r]; k < a.ptr[r + 1]; ++k) {
-        fn(t->vals.at(k), a.vals.at(k), r, a.col[k]);
-      }
+      const size_t k = a.ptr[r], n = a.ptr[r + 1] - k;
+      if (n != 0) fn(t->vals.at(k), a.vals.at(k), n, a.col.data() + k, r);
     }
   });
   return t;
+}
+
+// Index-unary ops always take the generic path: the operator sees the
+// entry's coordinates, (idx[k]) for vectors or (row, idx[k]) for
+// matrices.
+MapFactory index_mapper(const IndexUnaryOp* op, ValueBuf s, const Type* ut,
+                        bool matrix) {
+  const Type* xt = op->value_agnostic() ? ut : op->xtype();
+  return [op, s = std::move(s), ut, xt, matrix]() -> MapFn {
+    return [&op = *op, s, u2x = Caster(xt, ut), xb = ValueBuf(xt->size()),
+            us = ut->size(), zs = op->ztype()->size(),
+            matrix](void* z, const void* x, size_t n, const Index* idx,
+                    Index row) mutable {
+      auto* zp = static_cast<std::byte*>(z);
+      const auto* xp = static_cast<const std::byte*>(x);
+      for (size_t k = 0; k < n; ++k) {
+        Index indices[2] = {matrix ? row : idx[k], matrix ? idx[k] : 0};
+        u2x.run(xb.data(), xp + k * us);
+        op.apply(zp + k * zs, xb.data(), indices, matrix ? 2 : 1, s.data());
+      }
+    };
+  };
 }
 
 // ---- validation -----------------------------------------------------------
@@ -107,7 +123,7 @@ Info capture_scalar(ValueBuf* buf, const Type* to, const void* s,
 
 // ---- shared deferral -------------------------------------------------------
 // Every apply form is a structure-preserving value map over its input.
-// `factory` builds the per-chunk mapper (4-arg form; vectors pass j = 0)
+// `factory` builds the per-chunk span mapper (MapFn, exec/fusion.hpp)
 // used by BOTH the eager closure and — when the writeback is a plain
 // replace (no mask, no accumulator) — the fusion planner, so the fused
 // and eager paths run literally the same kernel.
@@ -149,11 +165,7 @@ Info defer_vec_map(Vector* w, const Vector* u, const Vector* mask,
         std::shared_ptr<const VectorData> uu =
             u_snap != nullptr ? u_snap : w->current_canonical();
         Context* ectx = exec_context(w->context(), uu->nvals());
-        auto t = map_vector(ectx, *uu, ztype, [&] {
-          return [fn = factory()](void* z, const void* x, Index i) mutable {
-            fn(z, x, i, 0);
-          };
-        });
+        auto t = map_vector(ectx, *uu, ztype, factory);
         publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       },
@@ -200,7 +212,7 @@ Info defer_mat_map(Matrix* c, const Matrix* a, const Matrix* mask,
         std::shared_ptr<const MatrixData> av =
             t0 ? format_transpose_view(base) : base;
         auto t = map_matrix(exec_context(c->context(), av->nvals()), *av,
-                            ztype, [&] { return factory(); });
+                            ztype, factory);
         publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       },
@@ -208,6 +220,39 @@ Info defer_mat_map(Matrix* c, const Matrix* a, const Matrix* mask,
 }
 
 }  // namespace
+
+// ---- span mappers (declared in ops/op_apply.hpp) ----------------------------
+
+MapFactory unary_mapper(const UnaryOp* op, const Type* xt) {
+  return [op, xt]() -> MapFn {
+    return with_unary_runner(op, xt, [](auto make) -> MapFn {
+      return [run = make()](void* z, const void* x, size_t n, const Index*,
+                            Index) mutable { run.run_n(z, x, n); };
+    });
+  };
+}
+
+MapFactory bind1st_mapper(const BinaryOp* op, ValueBuf s, const Type* yt) {
+  return [op, s = std::move(s), yt]() -> MapFn {
+    return with_binary_runner(op, op->xtype(), yt, [&s](auto make) -> MapFn {
+      return [run = make(), s](void* z, const void* y, size_t n,
+                               const Index*, Index) mutable {
+        run.bind1st_n(z, s.data(), y, n);
+      };
+    });
+  };
+}
+
+MapFactory bind2nd_mapper(const BinaryOp* op, ValueBuf s, const Type* xt) {
+  return [op, s = std::move(s), xt]() -> MapFn {
+    return with_binary_runner(op, xt, op->ytype(), [&s](auto make) -> MapFn {
+      return [run = make(), s](void* z, const void* x, size_t n,
+                               const Index*, Index) mutable {
+        run.bind2nd_n(z, x, s.data(), n);
+      };
+    });
+  };
+}
 
 // ---- unary-op apply --------------------------------------------------------
 
@@ -217,13 +262,8 @@ Info apply(Vector* w, const Vector* mask, const BinaryOp* accum,
   GRB_RETURN_IF_ERROR(
       validate_apply_v(w, mask, accum, op->xtype(), op->ztype(), u));
   const Descriptor& d = resolve_desc(desc);
-  const Type* ut = u->type();
   return defer_vec_map(w, u, mask, accum, d, op->ztype(),
-                       [op, ut]() -> MapFn {
-                         return [run = UnRunner(op, ut)](
-                                    void* z, const void* x, Index,
-                                    Index) mutable { run.run(z, x); };
-                       });
+                       unary_mapper(op, u->type()));
 }
 
 Info apply(Matrix* c, const Matrix* mask, const BinaryOp* accum,
@@ -232,13 +272,8 @@ Info apply(Matrix* c, const Matrix* mask, const BinaryOp* accum,
   const Descriptor& d = resolve_desc(desc);
   GRB_RETURN_IF_ERROR(
       validate_apply_m(c, mask, accum, op->xtype(), op->ztype(), a, d));
-  const Type* at = a->type();
   return defer_mat_map(c, a, mask, accum, d, op->ztype(),
-                       [op, at]() -> MapFn {
-                         return [run = UnRunner(op, at)](
-                                    void* z, const void* x, Index,
-                                    Index) mutable { run.run(z, x); };
-                       });
+                       unary_mapper(op, a->type()));
 }
 
 // ---- bound-binary apply -----------------------------------------------------
@@ -252,16 +287,8 @@ Info apply_bind1st(Vector* w, const Vector* mask, const BinaryOp* accum,
   ValueBuf sv;
   GRB_RETURN_IF_ERROR(capture_scalar(&sv, op->xtype(), s, stype));
   const Descriptor& d = resolve_desc(desc);
-  const Type* ut = u->type();
-  return defer_vec_map(
-      w, u, mask, accum, d, op->ztype(), [op, sv, ut]() -> MapFn {
-        return [&op = *op, sv, u2y = Caster(op->ytype(), ut),
-                yb = ValueBuf(op->ytype()->size())](void* z, const void* x,
-                                                    Index, Index) mutable {
-          u2y.run(yb.data(), x);
-          op.apply(z, sv.data(), yb.data());
-        };
-      });
+  return defer_vec_map(w, u, mask, accum, d, op->ztype(),
+                       bind1st_mapper(op, std::move(sv), u->type()));
 }
 
 Info apply_bind2nd(Vector* w, const Vector* mask, const BinaryOp* accum,
@@ -273,16 +300,8 @@ Info apply_bind2nd(Vector* w, const Vector* mask, const BinaryOp* accum,
   ValueBuf sv;
   GRB_RETURN_IF_ERROR(capture_scalar(&sv, op->ytype(), s, stype));
   const Descriptor& d = resolve_desc(desc);
-  const Type* ut = u->type();
-  return defer_vec_map(
-      w, u, mask, accum, d, op->ztype(), [op, sv, ut]() -> MapFn {
-        return [&op = *op, sv, u2x = Caster(op->xtype(), ut),
-                xb = ValueBuf(op->xtype()->size())](void* z, const void* x,
-                                                    Index, Index) mutable {
-          u2x.run(xb.data(), x);
-          op.apply(z, xb.data(), sv.data());
-        };
-      });
+  return defer_vec_map(w, u, mask, accum, d, op->ztype(),
+                       bind2nd_mapper(op, std::move(sv), u->type()));
 }
 
 Info apply_bind1st(Matrix* c, const Matrix* mask, const BinaryOp* accum,
@@ -294,16 +313,8 @@ Info apply_bind1st(Matrix* c, const Matrix* mask, const BinaryOp* accum,
       validate_apply_m(c, mask, accum, op->ytype(), op->ztype(), a, d));
   ValueBuf sv;
   GRB_RETURN_IF_ERROR(capture_scalar(&sv, op->xtype(), s, stype));
-  const Type* at = a->type();
-  return defer_mat_map(
-      c, a, mask, accum, d, op->ztype(), [op, sv, at]() -> MapFn {
-        return [&op = *op, sv, a2y = Caster(op->ytype(), at),
-                yb = ValueBuf(op->ytype()->size())](void* z, const void* x,
-                                                    Index, Index) mutable {
-          a2y.run(yb.data(), x);
-          op.apply(z, sv.data(), yb.data());
-        };
-      });
+  return defer_mat_map(c, a, mask, accum, d, op->ztype(),
+                       bind1st_mapper(op, std::move(sv), a->type()));
 }
 
 Info apply_bind2nd(Matrix* c, const Matrix* mask, const BinaryOp* accum,
@@ -315,16 +326,8 @@ Info apply_bind2nd(Matrix* c, const Matrix* mask, const BinaryOp* accum,
       validate_apply_m(c, mask, accum, op->xtype(), op->ztype(), a, d));
   ValueBuf sv;
   GRB_RETURN_IF_ERROR(capture_scalar(&sv, op->ytype(), s, stype));
-  const Type* at = a->type();
-  return defer_mat_map(
-      c, a, mask, accum, d, op->ztype(), [op, sv, at]() -> MapFn {
-        return [&op = *op, sv, a2x = Caster(op->xtype(), at),
-                xb = ValueBuf(op->xtype()->size())](void* z, const void* x,
-                                                    Index, Index) mutable {
-          a2x.run(xb.data(), x);
-          op.apply(z, xb.data(), sv.data());
-        };
-      });
+  return defer_mat_map(c, a, mask, accum, d, op->ztype(),
+                       bind2nd_mapper(op, std::move(sv), a->type()));
 }
 
 // ---- index-unary apply (GraphBLAS 2.0) -------------------------------------
@@ -338,18 +341,8 @@ Info apply_indexop(Vector* w, const Vector* mask, const BinaryOp* accum,
   ValueBuf sv;
   GRB_RETURN_IF_ERROR(capture_scalar(&sv, op->stype(), s, stype));
   const Descriptor& d = resolve_desc(desc);
-  const Type* ut = u->type();
-  const Type* xt = op->value_agnostic() ? ut : op->xtype();
-  return defer_vec_map(
-      w, u, mask, accum, d, op->ztype(), [op, sv, ut, xt]() -> MapFn {
-        return [&op = *op, sv, u2x = Caster(xt, ut),
-                xb = ValueBuf(xt->size())](void* z, const void* x, Index i,
-                                           Index) mutable {
-          Index indices[1] = {i};
-          u2x.run(xb.data(), x);
-          op.apply(z, xb.data(), indices, 1, sv.data());
-        };
-      });
+  return defer_vec_map(w, u, mask, accum, d, op->ztype(),
+                       index_mapper(op, std::move(sv), u->type(), false));
 }
 
 Info apply_indexop(Matrix* c, const Matrix* mask, const BinaryOp* accum,
@@ -361,18 +354,8 @@ Info apply_indexop(Matrix* c, const Matrix* mask, const BinaryOp* accum,
       validate_apply_m(c, mask, accum, op->xtype(), op->ztype(), a, d));
   ValueBuf sv;
   GRB_RETURN_IF_ERROR(capture_scalar(&sv, op->stype(), s, stype));
-  const Type* at = a->type();
-  const Type* xt = op->value_agnostic() ? at : op->xtype();
-  return defer_mat_map(
-      c, a, mask, accum, d, op->ztype(), [op, sv, at, xt]() -> MapFn {
-        return [&op = *op, sv, a2x = Caster(xt, at),
-                xb = ValueBuf(xt->size())](void* z, const void* x, Index i,
-                                           Index j) mutable {
-          Index indices[2] = {i, j};
-          a2x.run(xb.data(), x);
-          op.apply(z, xb.data(), indices, 2, sv.data());
-        };
-      });
+  return defer_mat_map(c, a, mask, accum, d, op->ztype(),
+                       index_mapper(op, std::move(sv), a->type(), true));
 }
 
 }  // namespace grb

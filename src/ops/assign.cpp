@@ -14,6 +14,7 @@
 
 #include "ops/common.hpp"
 #include "ops/op_apply.hpp"
+#include "ops/vector_merge.hpp"
 
 namespace grb {
 namespace {
@@ -158,6 +159,84 @@ Info run_vector_assign(Vector* w, const Vector* mask, const BinaryOp* accum,
   }, FuseNode{});
 }
 
+// w(:) = s or w(:) = accum(w(:), s) with no mask and no complement:
+// every position ends up holding a value, so Z is full and is built in
+// one pass over C, with no update list and no sort.  Positions C lacks
+// take cast(s); stored ones take accum(C(i), s) cast back into C's
+// domain, a run of consecutive stored entries at a time through apply's
+// bind-second mapper (typed for hot pairs).  Per entry this is the
+// UpdateMerger sequence, so results match the general path bit for bit.
+Info assign_scalar_all(Vector* w, const BinaryOp* accum, const void* s,
+                       const Type* stype) {
+  ValueBuf sv(stype, s);
+  return defer_or_run(w, [w, accum, sv, stype]() -> Info {
+    auto c_old = w->current_canonical();
+    const VectorData& c = *c_old;
+    const Type* ct = c.type;
+    const size_t csize = ct->size();
+    auto z = std::make_shared<VectorData>(ct, c.n);
+    z->ind.resize(c.n);
+    z->vals.resize(c.n);
+    ValueBuf sc(csize);  // s in C's domain: the untouched positions
+    cast_value(ct, sc.data(), stype, sv.data());
+    const bool accumulate = accum != nullptr && !c.ind.empty();
+    ValueBuf sy;  // s in the accumulator's y domain
+    if (accumulate) {
+      sy.resize(accum->ytype()->size());
+      cast_value(accum->ytype(), sy.data(), stype, sv.data());
+    }
+    Context* ectx = exec_context(w->context(), c.n);
+    // Positions [lo, hi) C lacks: z = cast(s).
+    auto fill = [&](Index lo, Index hi) {
+      for (Index i = lo; i < hi; ++i)
+        std::memcpy(z->vals.at(i), sc.data(), csize);
+    };
+    // The accumulator runs as apply's bind-second mapper over C's runs.
+    const MapFactory accum_map =
+        accumulate ? bind2nd_mapper(accum, std::move(sy), ct) : MapFactory{};
+    const Type* zt = accumulate ? accum->ztype() : ct;
+    ectx->parallel_for(0, c.n, [&](Index lo, Index hi) {
+      for (Index i = lo; i < hi; ++i) z->ind[i] = i;
+      if (!accumulate) {
+        fill(lo, hi);
+        return;
+      }
+      MapFn fn = accum_map();
+      Caster z2c(ct, zt);
+      ValueBuf tile(zt == ct ? 0 : zt->size() * kValueTile);
+      size_t k = std::lower_bound(c.ind.begin(), c.ind.end(), lo) -
+                 c.ind.begin();
+      Index i = lo;
+      while (i < hi) {
+        const Index gap_end =
+            k < c.ind.size() ? std::min<Index>(c.ind[k], hi) : hi;
+        fill(i, gap_end);
+        i = gap_end;
+        if (i == hi) break;
+        // A run of stored positions [i, i + r), held by C at [k, k + r).
+        size_t r = 1;
+        while (k + r < c.ind.size() && c.ind[k + r] == i + r && i + r < hi)
+          ++r;
+        void* dst = z->vals.at(i);
+        if (zt == ct) {
+          fn(dst, c.vals.at(k), r, nullptr, 0);
+        } else {
+          for (size_t t = 0; t < r; t += kValueTile) {
+            const size_t m = std::min(kValueTile, r - t);
+            fn(tile.data(), c.vals.at(k + t), m, nullptr, 0);
+            z2c.run_n(static_cast<std::byte*>(dst) + t * csize, tile.data(),
+                      m);
+          }
+        }
+        i += r;
+        k += r;
+      }
+    });
+    publish_result(w, w->context(), std::move(z), nullptr, WritebackSpec{});
+    return Info::kSuccess;
+  }, FuseNode{});
+}
+
 // Shared implementation for matrix assigns: per-row canonical updates.
 Info run_matrix_assign(Matrix* c, const Matrix* mask, const BinaryOp* accum,
                        std::vector<std::pair<Index, Update>> updates,
@@ -270,6 +349,8 @@ Info assign_scalar(Vector* w, const Vector* mask, const BinaryOp* accum,
   Index eff_ni = il.all ? w->size() : static_cast<Index>(il.list.size());
 
   const Descriptor& d = resolve_desc(desc);
+  if (il.all && mask == nullptr && !d.mask_comp())
+    return assign_scalar_all(w, accum, s, stype);
   std::shared_ptr<const VectorData> m_snap;
   if (mask != nullptr)
     GRB_RETURN_IF_ERROR(const_cast<Vector*>(mask)->snapshot(&m_snap));

@@ -1,15 +1,17 @@
 // eWiseMult (set intersection) and eWiseAdd (set union) for vectors.
 //
-// Two paths produce identical bits: a single-pass serial merge, and a
-// range-blocked parallel merge that partitions the index space [0, n)
-// into fixed blocks, locates each block's start in both operand streams
-// by binary search, counts survivors per block, prefix-sums, and fills
-// values straight into place.  Every output entry depends only on the
-// operands at its own index, so the partition cannot change the result.
+// The general case is the range-blocked merged pass of
+// ops/vector_merge.hpp (one block when the context is serial), whose
+// plan this file defines.  Full operands skip the merge: two full
+// vectors are one aligned loop, and eWiseMult against one full vector
+// gathers by index.  Each kernel is a template over the operator runner
+// (ops/op_apply.hpp), so the typed and the generic runner share every
+// loop.
 #include <algorithm>
 
 #include "ops/common.hpp"
 #include "ops/op_apply.hpp"
+#include "ops/vector_merge.hpp"
 
 namespace grb {
 namespace {
@@ -30,134 +32,65 @@ Info validate_ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
   return Info::kSuccess;
 }
 
-template <bool kUnion>
-std::shared_ptr<VectorData> compute_ewise(const VectorData& u,
-                                          const VectorData& v,
-                                          const BinaryOp* op) {
+// T = u (op) v.  Only the value loops below are instantiated per
+// operator runner; structure (output indices, merge plan) is built once.
+std::shared_ptr<VectorData> compute_ewise_vector(Context* ctx,
+                                                 const VectorData& u,
+                                                 const VectorData& v,
+                                                 bool uni,
+                                                 const BinaryOp* op) {
   auto t = std::make_shared<VectorData>(op->ztype(), u.n);
-  BinRunner run(op, u.type, v.type);
-  // For union, single-sided entries are typecast into the op's ztype.
-  Caster u2z(op->ztype(), u.type);
-  Caster v2z(op->ztype(), v.type);
-  ValueBuf zb(op->ztype()->size());
-  size_t a = 0, b = 0;
-  while (a < u.ind.size() && b < v.ind.size()) {
-    if (u.ind[a] == v.ind[b]) {
-      run.run(zb.data(), u.vals.at(a), v.vals.at(b));
-      t->ind.push_back(u.ind[a]);
-      t->vals.push_back(zb.data());
-      ++a;
-      ++b;
-    } else if (u.ind[a] < v.ind[b]) {
-      if constexpr (kUnion) {
-        u2z.run(zb.data(), u.vals.at(a));
-        t->ind.push_back(u.ind[a]);
-        t->vals.push_back(zb.data());
-      }
-      ++a;
-    } else {
-      if constexpr (kUnion) {
-        v2z.run(zb.data(), v.vals.at(b));
-        t->ind.push_back(v.ind[b]);
-        t->vals.push_back(zb.data());
-      }
-      ++b;
-    }
+  const bool uf = is_full(u), vf = is_full(v);
+  if (uf && vf) {
+    // Both full: position equals index, so union and intersection are
+    // the same aligned loop, with no merge.
+    t->ind = u.ind;
+    t->vals.resize(u.n);
+    with_binary_runner(op, u.type, v.type, [&](auto make) {
+      ctx->parallel_for(0, u.n, [&](Index lo, Index hi) {
+        make().run_n(t->vals.at(lo), u.vals.at(lo), v.vals.at(lo), hi - lo);
+      });
+    });
+  } else if (!uni && (uf || vf)) {
+    // eWiseMult with one full operand: the result takes the other
+    // operand's structure, and each of its entries finds its partner in
+    // the full operand at position = index.
+    const VectorData& s = uf ? v : u;
+    t->ind = s.ind;
+    t->vals.resize(s.ind.size());
+    with_binary_runner(op, u.type, v.type, [&](auto make) {
+      ctx->parallel_for(0, s.ind.size(), [&](Index lo, Index hi) {
+        auto run = make();
+        for (Index k = lo; k < hi; ++k) {
+          const Index i = s.ind[k];
+          run.run(t->vals.at(k), u.vals.at(uf ? i : k), v.vals.at(uf ? k : i));
+        }
+      });
+    });
+  } else {
+    // General case: the merged pass of vector_merge.hpp.  Each value is
+    // op on a matched pair, else (union only) the lone operand cast into
+    // the op's ztype.
+    const MergePlan plan = plan_merge(ctx, u, v, uni);
+    t->ind.resize(plan.offs[plan.nblocks]);
+    t->vals.resize(plan.offs[plan.nblocks]);
+    with_binary_runner(op, u.type, v.type, [&](auto make) {
+      merge_fill(ctx, plan, u, v, [&] {
+        return [&, run = make()](size_t w, Index i, size_t uk,
+                                 size_t vk) mutable {
+          t->ind[w] = i;
+          void* dst = t->vals.at(w);
+          if (uk == VectorData::npos) {
+            run.y_to_z(dst, v.vals.at(vk));
+          } else if (vk == VectorData::npos) {
+            run.x_to_z(dst, u.vals.at(uk));
+          } else {
+            run.run(dst, u.vals.at(uk), v.vals.at(vk));
+          }
+        };
+      });
+    });
   }
-  if constexpr (kUnion) {
-    for (; a < u.ind.size(); ++a) {
-      u2z.run(zb.data(), u.vals.at(a));
-      t->ind.push_back(u.ind[a]);
-      t->vals.push_back(zb.data());
-    }
-    for (; b < v.ind.size(); ++b) {
-      v2z.run(zb.data(), v.vals.at(b));
-      t->ind.push_back(v.ind[b]);
-      t->vals.push_back(zb.data());
-    }
-  }
-  return t;
-}
-
-// Walks the merged streams of u and v over indices < ihi starting at
-// stream offsets a/b; emit(i, uk, vk) with VectorData::npos for the
-// absent side (union only).
-template <bool kUnion, class Emit>
-void merge_ewise_range(const VectorData& u, const VectorData& v, size_t a,
-                       size_t b, Index ihi, Emit&& emit) {
-  size_t ae = u.ind.size(), be = v.ind.size();
-  while (a < ae && u.ind[a] < ihi && b < be && v.ind[b] < ihi) {
-    if (u.ind[a] == v.ind[b]) {
-      emit(u.ind[a], a, b);
-      ++a;
-      ++b;
-    } else if (u.ind[a] < v.ind[b]) {
-      if constexpr (kUnion) emit(u.ind[a], a, VectorData::npos);
-      ++a;
-    } else {
-      if constexpr (kUnion) emit(v.ind[b], VectorData::npos, b);
-      ++b;
-    }
-  }
-  if constexpr (kUnion) {
-    for (; a < ae && u.ind[a] < ihi; ++a)
-      emit(u.ind[a], a, VectorData::npos);
-    for (; b < be && v.ind[b] < ihi; ++b)
-      emit(v.ind[b], VectorData::npos, b);
-  }
-}
-
-template <bool kUnion>
-std::shared_ptr<VectorData> compute_ewise_blocked(Context* ctx,
-                                                  const VectorData& u,
-                                                  const VectorData& v,
-                                                  const BinaryOp* op) {
-  auto t = std::make_shared<VectorData>(op->ztype(), u.n);
-  Index block = ctx->block_size(u.n, u.nvals() + v.nvals());
-  Index nb = (u.n + block - 1) / block;
-  std::vector<size_t> ustart(nb), vstart(nb);
-  std::vector<Index> counts(nb, 0);
-  ctx->parallel_for(0, nb, 1, [&](Index blo, Index bhi) {
-    for (Index b = blo; b < bhi; ++b) {
-      Index ilo = b * block;
-      Index ihi = std::min<Index>(u.n, ilo + block);
-      ustart[b] = std::lower_bound(u.ind.begin(), u.ind.end(), ilo) -
-                  u.ind.begin();
-      vstart[b] = std::lower_bound(v.ind.begin(), v.ind.end(), ilo) -
-                  v.ind.begin();
-      Index n = 0;
-      merge_ewise_range<kUnion>(u, v, ustart[b], vstart[b], ihi,
-                                [&](Index, size_t, size_t) { ++n; });
-      counts[b] = n;
-    }
-  });
-  std::vector<size_t> offs(nb + 1, 0);
-  for (Index b = 0; b < nb; ++b) offs[b + 1] = offs[b] + counts[b];
-  t->ind.resize(offs[nb]);
-  t->vals.resize(offs[nb]);
-  ctx->parallel_for(0, nb, 1, [&](Index blo, Index bhi) {
-    BinRunner run(op, u.type, v.type);
-    Caster u2z(op->ztype(), u.type);
-    Caster v2z(op->ztype(), v.type);
-    for (Index b = blo; b < bhi; ++b) {
-      Index ihi = std::min<Index>(u.n, (b + 1) * block);
-      size_t w = offs[b];
-      merge_ewise_range<kUnion>(
-          u, v, ustart[b], vstart[b], ihi,
-          [&](Index i, size_t uk, size_t vk) {
-            t->ind[w] = i;
-            void* dst = t->vals.at(w);
-            if (uk == VectorData::npos) {
-              v2z.run(dst, v.vals.at(vk));
-            } else if (vk == VectorData::npos) {
-              u2z.run(dst, u.vals.at(uk));
-            } else {
-              run.run(dst, u.vals.at(uk), v.vals.at(vk));
-            }
-            ++w;
-          });
-    }
-  });
   return t;
 }
 
@@ -192,10 +125,12 @@ Info ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
     node.full_replace = true;
     const Type* wt = w->type();
     node.make_mapper = [op, wt]() -> MapFn {
-      return [run = BinRunner(op, wt, wt)](void* z, const void* x, Index,
-                                           Index) mutable {
-        run.run(z, x, x);
-      };
+      return with_binary_runner(op, wt, wt, [](auto make) -> MapFn {
+        return [run = make()](void* z, const void* x, size_t n,
+                              const Index*, Index) mutable {
+          run.run_n(z, x, x, n);
+        };
+      });
     };
   } else if (u_self || v_self) {
     // Exactly one operand is the target: a zip of the running chain
@@ -221,9 +156,7 @@ Info ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
             v_snap != nullptr ? v_snap : w->current_canonical();
         Context* ectx =
             exec_context(w->context(), uu->nvals() + vv->nvals());
-        auto t = ectx->effective_nthreads() > 1
-                     ? compute_ewise_blocked<kUnion>(ectx, *uu, *vv, op)
-                     : compute_ewise<kUnion>(*uu, *vv, op);
+        auto t = compute_ewise_vector(ectx, *uu, *vv, kUnion, op);
         publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       },
@@ -231,6 +164,36 @@ Info ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
 }
 
 }  // namespace
+
+MergePlan plan_merge(Context* ctx, const VectorData& x, const VectorData& y,
+                     bool uni) {
+  MergePlan plan;
+  plan.n = x.n;
+  plan.uni = uni;
+  plan.block = ctx->block_size(x.n, x.nvals() + y.nvals());
+  plan.nblocks = (x.n + plan.block - 1) / plan.block;
+  plan.xstart.resize(plan.nblocks);
+  plan.ystart.resize(plan.nblocks);
+  std::vector<size_t> counts(plan.nblocks, 0);
+  ctx->parallel_for(0, plan.nblocks, 1, [&](Index blo, Index bhi) {
+    for (Index b = blo; b < bhi; ++b) {
+      const Index ilo = b * plan.block;
+      const Index ihi = std::min<Index>(x.n, ilo + plan.block);
+      plan.xstart[b] = std::lower_bound(x.ind.begin(), x.ind.end(), ilo) -
+                       x.ind.begin();
+      plan.ystart[b] = std::lower_bound(y.ind.begin(), y.ind.end(), ilo) -
+                       y.ind.begin();
+      size_t n = 0;
+      merge_ewise_range(x, y, plan.xstart[b], plan.ystart[b], ihi, uni,
+                        [&](Index, size_t, size_t) { ++n; });
+      counts[b] = n;
+    }
+  });
+  plan.offs.assign(plan.nblocks + 1, 0);
+  for (Index b = 0; b < plan.nblocks; ++b)
+    plan.offs[b + 1] = plan.offs[b] + counts[b];
+  return plan;
+}
 
 Info ewise_mult(Vector* w, const Vector* mask, const BinaryOp* accum,
                 const BinaryOp* op, const Vector* u, const Vector* v,

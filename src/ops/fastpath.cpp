@@ -1,11 +1,14 @@
-// Statically typed semiring kernels for hot (semiring, type) pairs.
+// Statically typed semiring kernels for hot (semiring, type) pairs, and
+// the fast-path switch every typed kernel honors.
 //
 // The paper's Motivation (§II) observes that an opaque function-pointer
 // call per scalar operation is a real performance penalty in C API
 // implementations.  Kernels here instantiate the same mxm/vxm/mxv
 // algorithms with inlined arithmetic; the dispatcher falls back to the
-// generic path for everything else.  bench_m2_fastpath_ablation measures
-// the difference, reproducing the claim.
+// generic path for everything else.  The vector op layer makes the same
+// choice per call through with_binary_runner / with_unary_runner
+// (ops/op_apply.hpp).  bench_m2_fastpath_ablation measures the
+// difference, reproducing the claim.
 #include <algorithm>
 
 #include "ops/mxm.hpp"
@@ -15,62 +18,6 @@ namespace {
 
 std::atomic<bool> g_fastpath_enabled{true};
 std::atomic<int> g_mxm_strategy{0};  // MxmStrategy::kAuto
-
-template <class T>
-struct MulTimes {
-  T operator()(T a, T b) const { return static_cast<T>(a * b); }
-};
-template <class T>
-struct MulPlus {
-  T operator()(T a, T b) const { return static_cast<T>(a + b); }
-};
-template <class T>
-struct MulSecond {
-  T operator()(T, T b) const { return b; }
-};
-template <class T>
-struct MulFirst {
-  T operator()(T a, T) const { return a; }
-};
-template <class T>
-struct MulLand {
-  T operator()(T a, T b) const { return a && b; }
-};
-template <class T>
-struct AddPlus {
-  T operator()(T a, T b) const { return static_cast<T>(a + b); }
-};
-template <class T>
-struct AddMin {
-  T operator()(T a, T b) const { return a < b ? a : b; }
-};
-template <class T>
-struct AddMax {
-  T operator()(T a, T b) const { return a > b ? a : b; }
-};
-template <class T>
-struct AddLor {
-  T operator()(T a, T b) const { return a || b; }
-};
-
-template <class T, class Mul, class Add>
-class TypedRunner {
- public:
-  void mul(void* z, const void* a, const void* b) {
-    T x, y;
-    std::memcpy(&x, a, sizeof(T));
-    std::memcpy(&y, b, sizeof(T));
-    T r = Mul()(x, y);
-    std::memcpy(z, &r, sizeof(T));
-  }
-  void add(void* acc, const void* z) {
-    T x, y;
-    std::memcpy(&x, acc, sizeof(T));
-    std::memcpy(&y, z, sizeof(T));
-    T r = Add()(x, y);
-    std::memcpy(acc, &r, sizeof(T));
-  }
-};
 
 // True when the semiring is exactly <add, mul> over T with no casts.
 template <class T>
@@ -87,26 +34,31 @@ bool matches(const Semiring* s, BinOpCode add, BinOpCode mul,
 // combination.
 template <class Invoke>
 auto dispatch(const Semiring* s, const Type* atype, const Type* btype,
-              Invoke&& invoke) -> decltype(invoke(TypedRunner<double, MulTimes<double>, AddPlus<double>>{})) {
+              Invoke&& invoke)
+    -> decltype(invoke(TypedSemiringRunner<double, BinOpCode::kPlus,
+                                   BinOpCode::kTimes>{})) {
   using R = decltype(invoke(
-      TypedRunner<double, MulTimes<double>, AddPlus<double>>{}));
-#define GRB_TRY_COMBO(T, ADDC, MULC, ADDF, MULF)                        \
-  if (matches<T>(s, BinOpCode::ADDC, BinOpCode::MULC, atype, btype))    \
-    return invoke(TypedRunner<T, MULF<T>, ADDF<T>>{});
-  GRB_TRY_COMBO(double, kPlus, kTimes, AddPlus, MulTimes)
-  GRB_TRY_COMBO(float, kPlus, kTimes, AddPlus, MulTimes)
-  GRB_TRY_COMBO(int64_t, kPlus, kTimes, AddPlus, MulTimes)
-  GRB_TRY_COMBO(int32_t, kPlus, kTimes, AddPlus, MulTimes)
-  GRB_TRY_COMBO(uint64_t, kPlus, kTimes, AddPlus, MulTimes)
-  GRB_TRY_COMBO(double, kMin, kPlus, AddMin, MulPlus)
-  GRB_TRY_COMBO(int64_t, kMin, kPlus, AddMin, MulPlus)
-  GRB_TRY_COMBO(int32_t, kMin, kPlus, AddMin, MulPlus)
-  GRB_TRY_COMBO(double, kMax, kPlus, AddMax, MulPlus)
-  GRB_TRY_COMBO(int64_t, kMax, kPlus, AddMax, MulPlus)
-  GRB_TRY_COMBO(double, kMin, kSecond, AddMin, MulSecond)
-  GRB_TRY_COMBO(double, kMin, kFirst, AddMin, MulFirst)
-  GRB_TRY_COMBO(double, kPlus, kSecond, AddPlus, MulSecond)
-  GRB_TRY_COMBO(bool, kLor, kLand, AddLor, MulLand)
+      TypedSemiringRunner<double, BinOpCode::kPlus, BinOpCode::kTimes>{}));
+#define GRB_TRY_COMBO(T, ADD, MUL)                                   \
+  if (matches<T>(s, BinOpCode::ADD, BinOpCode::MUL, atype, btype))   \
+    return invoke(TypedSemiringRunner<T, BinOpCode::ADD, BinOpCode::MUL>{});
+  GRB_TRY_COMBO(double, kPlus, kTimes)
+  GRB_TRY_COMBO(float, kPlus, kTimes)
+  GRB_TRY_COMBO(int64_t, kPlus, kTimes)
+  GRB_TRY_COMBO(int32_t, kPlus, kTimes)
+  GRB_TRY_COMBO(uint64_t, kPlus, kTimes)
+  GRB_TRY_COMBO(double, kMin, kPlus)
+  GRB_TRY_COMBO(int64_t, kMin, kPlus)
+  GRB_TRY_COMBO(int32_t, kMin, kPlus)
+  GRB_TRY_COMBO(double, kMax, kPlus)
+  GRB_TRY_COMBO(int64_t, kMax, kPlus)
+  GRB_TRY_COMBO(double, kMin, kSecond)
+  GRB_TRY_COMBO(double, kMin, kFirst)
+  GRB_TRY_COMBO(double, kPlus, kFirst)
+  GRB_TRY_COMBO(int64_t, kPlus, kFirst)
+  GRB_TRY_COMBO(double, kPlus, kSecond)
+  GRB_TRY_COMBO(int64_t, kPlus, kSecond)
+  GRB_TRY_COMBO(bool, kLor, kLand)
 #undef GRB_TRY_COMBO
   return R{};  // null shared_ptr: no fast kernel registered
 }
@@ -182,8 +134,8 @@ std::shared_ptr<VectorData> fastpath_vxm_dot(Context* ctx,
                                              const Semiring* s) {
   if (!fastpath_enabled()) return nullptr;
   return dispatch(s, u.type, at.type, [&](auto runner) {
-    return vxm_dot_kernel(ctx, u, at, s->mul()->ztype(),
-                          [runner] { return runner; });
+    return row_dot_kernel<true>(ctx, at, u, s->mul()->ztype(),
+                                [runner] { return runner; });
   });
 }
 
@@ -192,8 +144,8 @@ std::shared_ptr<VectorData> fastpath_mxv(Context* ctx, const MatrixData& a,
                                          const Semiring* s) {
   if (!fastpath_enabled()) return nullptr;
   return dispatch(s, a.type, u.type, [&](auto runner) {
-    return mxv_kernel(ctx, a, u, s->mul()->ztype(),
-                      [runner] { return runner; });
+    return row_dot_kernel<false>(ctx, a, u, s->mul()->ztype(),
+                                 [runner] { return runner; });
   });
 }
 

@@ -12,6 +12,7 @@
 #include "ops/fused_exec.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "containers/matrix.hpp"
@@ -22,6 +23,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "ops/op_apply.hpp"
+#include "ops/vector_merge.hpp"
 
 namespace grb {
 namespace {
@@ -33,30 +35,53 @@ struct Stage {
   const Type* ztype;
 };
 
-// Per-chunk runner applying the composed stage list to one value.  An
-// empty chain is the identity (bytewise copy in the target domain).
+// Per-chunk runner applying the composed stage list to a run of values,
+// a tile at a time: each stage maps the whole tile, then casts it into
+// the target domain.  Per entry that is exactly the eager sequence.  An
+// empty chain is the identity (a bytewise copy in the target domain).
 class ChainRunner {
  public:
-  ChainRunner(const std::vector<Stage>& stages, const Type* wtype)
-      : wsize_(wtype->size()), wb_(wtype->size()) {
+  // `src_type` is the domain of the values the chain reads (the chain
+  // head's snapshot, or the target itself).
+  ChainRunner(const std::vector<Stage>& stages, const Type* src_type,
+              const Type* wtype)
+      : src_size_(src_type->size()),
+        wsize_(wtype->size()),
+        wb_(wtype->size() * kValueTile) {
     steps_.reserve(stages.size());
-    for (const Stage& s : stages)
+    for (const Stage& s : stages) {
       steps_.push_back(Step{(*s.make)(), Caster(wtype, s.ztype),
-                            ValueBuf(s.ztype->size())});
+                            ValueBuf(s.ztype->size() * kValueTile),
+                            s.ztype == wtype});
+    }
   }
 
-  void run(void* dst, const void* x, Index i, Index j) {
+  bool empty() const { return steps_.empty(); }
+
+  // dst[k] (wtype) = chain(x[k]) for k < n; entry k sits at idx[k] (and
+  // `row`, for matrices).
+  void run(void* dst, const void* x, size_t n, const Index* idx,
+           Index row) {
     if (steps_.empty()) {
-      std::memcpy(dst, x, wsize_);
+      std::memcpy(dst, x, n * wsize_);
       return;
     }
-    const void* cur = x;
-    for (size_t s = 0; s < steps_.size(); ++s) {
-      Step& st = steps_[s];
-      st.fn(st.zb.data(), cur, i, j);
-      void* out = (s + 1 == steps_.size()) ? dst : wb_.data();
-      st.cast.run(out, st.zb.data());
-      cur = out;
+    for (size_t lo = 0; lo < n; lo += kValueTile) {
+      const size_t m = std::min(kValueTile, n - lo);
+      const void* cur = static_cast<const std::byte*>(x) + lo * src_size_;
+      for (size_t s = 0; s < steps_.size(); ++s) {
+        Step& st = steps_[s];
+        void* out = s + 1 == steps_.size()
+                        ? static_cast<std::byte*>(dst) + lo * wsize_
+                        : wb_.data();
+        if (st.direct) {
+          st.fn(out, cur, m, idx + lo, row);
+        } else {
+          st.fn(st.zb.data(), cur, m, idx + lo, row);
+          st.cast.run_n(out, st.zb.data(), m);
+        }
+        cur = out;
+      }
     }
   }
 
@@ -64,11 +89,12 @@ class ChainRunner {
   struct Step {
     MapFn fn;
     Caster cast;
-    ValueBuf zb;
+    ValueBuf zb;  // one tile in the stage's ztype
+    bool direct;  // ztype == wtype: the mapper writes the target domain
   };
   std::vector<Step> steps_;
-  size_t wsize_;
-  ValueBuf wb_;
+  size_t src_size_, wsize_;
+  ValueBuf wb_;  // one tile in the target domain
 };
 
 std::shared_ptr<VectorData> apply_stages_vec(Context* ctx,
@@ -80,9 +106,8 @@ std::shared_ptr<VectorData> apply_stages_vec(Context* ctx,
   t->vals.resize(u.ind.size());
   Index nvals = static_cast<Index>(u.ind.size());
   ctx->parallel_for(0, nvals, [&](Index lo, Index hi) {
-    ChainRunner chain(st, wtype);
-    for (Index k = lo; k < hi; ++k)
-      chain.run(t->vals.at(k), u.vals.at(k), u.ind[k], 0);
+    ChainRunner chain(st, u.type, wtype);
+    chain.run(t->vals.at(lo), u.vals.at(lo), hi - lo, u.ind.data() + lo, 0);
   });
   return t;
 }
@@ -96,40 +121,29 @@ std::shared_ptr<MatrixData> apply_stages_mat(Context* ctx,
   t->col = a.col;
   t->vals.resize(a.col.size());
   ctx->parallel_for(0, a.nrows, [&](Index lo, Index hi) {
-    ChainRunner chain(st, ctype);
+    ChainRunner chain(st, a.type, ctype);
     for (Index r = lo; r < hi; ++r) {
-      for (size_t k = a.ptr[r]; k < a.ptr[r + 1]; ++k)
-        chain.run(t->vals.at(k), a.vals.at(k), r, a.col[k]);
+      const size_t k = a.ptr[r], n = a.ptr[r + 1] - k;
+      if (n != 0)
+        chain.run(t->vals.at(k), a.vals.at(k), n, a.col.data() + k, r);
     }
   });
   return t;
 }
 
-// Runtime-flagged version of the eager merge walk (compute_ewise /
-// merge_ewise_range in ewise_vector.cpp): streams x and y over indices
-// < ihi starting at offsets a/b; emit(i, xk, yk) with npos for the
-// absent side (union only).
-template <class Emit>
-void merge_range(const VectorData& x, const VectorData& y, size_t a,
-                 size_t b, Index ihi, bool uni, Emit&& emit) {
-  size_t ae = x.ind.size(), be = y.ind.size();
-  while (a < ae && x.ind[a] < ihi && b < be && y.ind[b] < ihi) {
-    if (x.ind[a] == y.ind[b]) {
-      emit(x.ind[a], a, b);
-      ++a;
-      ++b;
-    } else if (x.ind[a] < y.ind[b]) {
-      if (uni) emit(x.ind[a], a, VectorData::npos);
-      ++a;
-    } else {
-      if (uni) emit(y.ind[b], VectorData::npos, b);
-      ++b;
-    }
-  }
-  if (uni) {
-    for (; a < ae && x.ind[a] < ihi; ++a) emit(x.ind[a], a, VectorData::npos);
-    for (; b < be && y.ind[b] < ihi; ++b) emit(y.ind[b], VectorData::npos, b);
-  }
+// The zip operator in span form: z[k] = op(x[k], y[k]) for k < n, on
+// the runner with_binary_runner picks for (x, y) in slot order.  The zip
+// worker calls it once per aligned tile, or once per matched entry of a
+// merge (where the map chain already costs a call per entry), so only
+// this loop is instantiated per operator runner.
+using ZipFn =
+    std::function<void(void* z, const void* x, const void* y, size_t n)>;
+
+ZipFn zip_span(const BinaryOp* op, const Type* xt, const Type* yt) {
+  return with_binary_runner(op, xt, yt, [](auto make) -> ZipFn {
+    return [run = make()](void* z, const void* x, const void* y,
+                          size_t n) mutable { run.run_n(z, x, y, n); };
+  });
 }
 
 // Per-chunk zip worker: feeds the target side through the pending map
@@ -137,17 +151,19 @@ void merge_range(const VectorData& x, const VectorData& y, size_t a,
 // ending in the target domain (the eager writeback's final cast).
 class ZipWorker {
  public:
-  ZipWorker(const std::vector<Stage>& stages, const Type* wtype,
-            const FuseNode& nd)
+  ZipWorker(const std::vector<Stage>& stages, const Type* self_type,
+            const Type* wtype, const FuseNode& nd)
       : self_is_x_(nd.zip_out_is_x),
-        chain_(stages, wtype),
-        run_(nd.zip_op, self_is_x_ ? wtype : nd.zip_other->type,
-             self_is_x_ ? nd.zip_other->type : wtype),
+        chain_(stages, self_type, wtype),
+        run_(zip_span(nd.zip_op, self_is_x_ ? wtype : nd.zip_other->type,
+                      self_is_x_ ? nd.zip_other->type : wtype)),
         self2z_(nd.zip_op->ztype(), wtype),
         other2z_(nd.zip_op->ztype(), nd.zip_other->type),
         z2w_(wtype, nd.zip_op->ztype()),
-        zb_(nd.zip_op->ztype()->size()),
-        sb_(wtype->size()) {}
+        z_is_w_(nd.zip_op->ztype() == wtype),
+        wsize_(wtype->size()),
+        zb_(nd.zip_op->ztype()->size() * kValueTile),
+        sb_(wtype->size() * kValueTile) {}
 
   // dst: wtype storage.  xk/yk index the x-side / y-side streams
   // (VectorData::npos for the absent side on union entries).
@@ -157,18 +173,42 @@ class ZipWorker {
       const void* xv = xs.vals.at(xk);
       const void* yv = ys.vals.at(yk);
       if (self_is_x_) {
-        chain_.run(sb_.data(), xv, i, 0);
+        chain_.run(sb_.data(), xv, 1, &i, 0);
         xv = sb_.data();
       } else {
-        chain_.run(sb_.data(), yv, i, 0);
+        chain_.run(sb_.data(), yv, 1, &i, 0);
         yv = sb_.data();
       }
-      run_.run(zb_.data(), xv, yv);
+      run_(zb_.data(), xv, yv, 1);
       z2w_.run(dst, zb_.data());
     } else if (yk == VectorData::npos) {
       emit_single(dst, xs, i, xk, self_is_x_);
     } else {
       emit_single(dst, ys, i, yk, !self_is_x_);
+    }
+  }
+
+  // Both sides full: entries k0 .. k0+n-1 of both streams share their
+  // index, so the chain and the operator run over aligned tiles.
+  void emit_aligned(void* dst, const VectorData& xs, const VectorData& ys,
+                    size_t k0, size_t n) {
+    const VectorData& self = self_is_x_ ? xs : ys;
+    for (size_t lo = 0; lo < n; lo += kValueTile) {
+      const size_t m = std::min(kValueTile, n - lo), k = k0 + lo;
+      const void* sv = self.vals.at(k);
+      if (!chain_.empty()) {
+        chain_.run(sb_.data(), sv, m, self.ind.data() + k, 0);
+        sv = sb_.data();
+      }
+      const void* xv = self_is_x_ ? sv : xs.vals.at(k);
+      const void* yv = self_is_x_ ? ys.vals.at(k) : sv;
+      void* out = static_cast<std::byte*>(dst) + lo * wsize_;
+      if (z_is_w_) {
+        run_(out, xv, yv, m);
+      } else {
+        run_(zb_.data(), xv, yv, m);
+        z2w_.run_n(out, zb_.data(), m);
+      }
     }
   }
 
@@ -179,7 +219,7 @@ class ZipWorker {
       // Chain output is already in the target domain; the eager path
       // still casts it through the op's ztype and back (a deliberate
       // round trip we must replicate for bitwise identity).
-      chain_.run(sb_.data(), side.vals.at(k), i, 0);
+      chain_.run(sb_.data(), side.vals.at(k), 1, &i, 0);
       self2z_.run(zb_.data(), sb_.data());
     } else {
       other2z_.run(zb_.data(), side.vals.at(k));
@@ -189,71 +229,39 @@ class ZipWorker {
 
   bool self_is_x_;
   ChainRunner chain_;
-  BinRunner run_;
+  ZipFn run_;
   Caster self2z_, other2z_, z2w_;
-  ValueBuf zb_, sb_;
+  bool z_is_w_;
+  size_t wsize_;
+  ValueBuf zb_, sb_;  // one tile in the op's ztype / the target domain
 };
 
-std::shared_ptr<VectorData> fused_zip_serial(const VectorData& self,
-                                             const std::vector<Stage>& st,
-                                             const Type* wtype,
-                                             const FuseNode& nd) {
+// The zip node's pass over the target's current data `self`: two full
+// sides run aligned; otherwise the merged pass of vector_merge.hpp.
+std::shared_ptr<VectorData> run_zip(Context* ctx, const VectorData& self,
+                                    const std::vector<Stage>& st,
+                                    const Type* wtype, const FuseNode& nd) {
   const VectorData& xs = nd.zip_out_is_x ? self : *nd.zip_other;
   const VectorData& ys = nd.zip_out_is_x ? *nd.zip_other : self;
   auto t = std::make_shared<VectorData>(wtype, self.n);
-  ZipWorker wkr(st, wtype, nd);
-  ValueBuf wb(wtype->size());
-  merge_range(xs, ys, 0, 0, self.n, nd.zip_union,
-              [&](Index i, size_t xk, size_t yk) {
-                wkr.emit(wb.data(), xs, ys, i, xk, yk);
-                t->ind.push_back(i);
-                t->vals.push_back(wb.data());
-              });
-  return t;
-}
-
-std::shared_ptr<VectorData> fused_zip_blocked(Context* ctx,
-                                              const VectorData& self,
-                                              const std::vector<Stage>& st,
-                                              const Type* wtype,
-                                              const FuseNode& nd) {
-  const VectorData& xs = nd.zip_out_is_x ? self : *nd.zip_other;
-  const VectorData& ys = nd.zip_out_is_x ? *nd.zip_other : self;
-  auto t = std::make_shared<VectorData>(wtype, self.n);
-  Index block = ctx->block_size(self.n, xs.nvals() + ys.nvals());
-  Index nb = (self.n + block - 1) / block;
-  std::vector<size_t> xstart(nb), ystart(nb);
-  std::vector<Index> counts(nb, 0);
-  ctx->parallel_for(0, nb, 1, [&](Index blo, Index bhi) {
-    for (Index b = blo; b < bhi; ++b) {
-      Index ilo = b * block;
-      Index ihi = std::min<Index>(self.n, ilo + block);
-      xstart[b] = std::lower_bound(xs.ind.begin(), xs.ind.end(), ilo) -
-                  xs.ind.begin();
-      ystart[b] = std::lower_bound(ys.ind.begin(), ys.ind.end(), ilo) -
-                  ys.ind.begin();
-      Index cnt = 0;
-      merge_range(xs, ys, xstart[b], ystart[b], ihi, nd.zip_union,
-                  [&](Index, size_t, size_t) { ++cnt; });
-      counts[b] = cnt;
-    }
-  });
-  std::vector<size_t> offs(nb + 1, 0);
-  for (Index b = 0; b < nb; ++b) offs[b + 1] = offs[b] + counts[b];
-  t->ind.resize(offs[nb]);
-  t->vals.resize(offs[nb]);
-  ctx->parallel_for(0, nb, 1, [&](Index blo, Index bhi) {
-    ZipWorker wkr(st, wtype, nd);
-    for (Index b = blo; b < bhi; ++b) {
-      Index ihi = std::min<Index>(self.n, (b + 1) * block);
-      size_t w = offs[b];
-      merge_range(xs, ys, xstart[b], ystart[b], ihi, nd.zip_union,
-                  [&](Index i, size_t xk, size_t yk) {
-                    t->ind[w] = i;
-                    wkr.emit(t->vals.at(w), xs, ys, i, xk, yk);
-                    ++w;
-                  });
-    }
+  if (is_full(xs) && is_full(ys)) {
+    t->ind = self.ind;
+    t->vals.resize(self.n);
+    ctx->parallel_for(0, self.n, [&](Index lo, Index hi) {
+      ZipWorker(st, self.type, wtype, nd)
+          .emit_aligned(t->vals.at(lo), xs, ys, lo, hi - lo);
+    });
+    return t;
+  }
+  const MergePlan plan = plan_merge(ctx, xs, ys, nd.zip_union);
+  t->ind.resize(plan.offs[plan.nblocks]);
+  t->vals.resize(plan.offs[plan.nblocks]);
+  merge_fill(ctx, plan, xs, ys, [&] {
+    return [&, wkr = ZipWorker(st, self.type, wtype, nd)](
+               size_t w, Index i, size_t xk, size_t yk) mutable {
+      t->ind[w] = i;
+      wkr.emit(t->vals.at(w), xs, ys, i, xk, yk);
+    };
   });
   return t;
 }
@@ -287,9 +295,7 @@ Info run_fused_vector_group(Vector* w, std::vector<Deferred>& batch,
       if (cur == nullptr) cur = w->current_canonical();
       Context* ectx = exec_context(w->context(),
                                    cur->nvals() + nd.zip_other->nvals());
-      cur = ectx->effective_nthreads() > 1
-                ? fused_zip_blocked(ectx, *cur, stages, wtype, nd)
-                : fused_zip_serial(*cur, stages, wtype, nd);
+      cur = run_zip(ectx, *cur, stages, wtype, nd);
       stages.clear();
     }
     if (k + 1 == e && !stages.empty()) {

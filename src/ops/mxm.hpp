@@ -33,171 +33,143 @@ class SemiringRunner {
   BinRunner add_;
 };
 
-// Column-parallel dot-product kernel for vxm (u^T * A).  `at` is A
-// transposed (CSR of A'), so output entry j folds the products of u(i)
-// and A(i,j) over at's row j in ascending i — exactly the order the
-// serial SPA kernel accumulates them in, which makes the two paths
-// bitwise-identical even for non-associative floating-point rounding.
-// u is probed through the budget-gated VecProbe (dense gather when
+// A semiring runner (SemiringRunner's interface) over T with both
+// operators' scalar bodies inlined from core/scalar_ops.hpp; the typed
+// fast path (ops/fastpath.cpp) instantiates the kernels with it.
+template <class T, BinOpCode Add, BinOpCode Mul>
+class TypedSemiringRunner {
+ public:
+  static T mul_v(const void* a, const void* b) {
+    return scalar::bin_eval<Mul, T>(scalar::ld<T>(a), scalar::ld<T>(b));
+  }
+  static T add_v(T acc, T z) { return scalar::bin_eval<Add, T>(acc, z); }
+
+  void mul(void* z, const void* a, const void* b) {
+    scalar::st<T>(z, mul_v(a, b));
+  }
+  void add(void* acc, const void* z) {
+    scalar::st<T>(acc, add_v(scalar::ld<T>(acc), scalar::ld<T>(z)));
+  }
+};
+
+// The accumulator of one dot product: start() seeds it with the first
+// product, step() folds in the next, finish() leaves the sum in the
+// output slot.  The generic form folds in place in the slot through the
+// runner's mul/add; the typed form keeps the partial sum in a register.
+template <class Runner>
+class DotAcc {
+ public:
+  explicit DotAcc(size_t zsize) : prod_(zsize) {}
+  void start(Runner& run, void* slot, const void* a, const void* b) {
+    slot_ = slot;
+    run.mul(slot, a, b);
+  }
+  void step(Runner& run, const void* a, const void* b) {
+    run.mul(prod_.data(), a, b);
+    run.add(slot_, prod_.data());
+  }
+  void finish() {}
+
+ private:
+  void* slot_ = nullptr;
+  ValueBuf prod_;
+};
+
+template <class T, BinOpCode Add, BinOpCode Mul>
+class DotAcc<TypedSemiringRunner<T, Add, Mul>> {
+  using Run = TypedSemiringRunner<T, Add, Mul>;
+
+ public:
+  explicit DotAcc(size_t) {}
+  void start(Run&, void* slot, const void* a, const void* b) {
+    slot_ = slot;
+    v_ = Run::mul_v(a, b);
+  }
+  void step(Run&, const void* a, const void* b) {
+    v_ = Run::add_v(v_, Run::mul_v(a, b));
+  }
+  void finish() { scalar::st<T>(slot_, v_); }
+
+ private:
+  void* slot_ = nullptr;
+  T v_{};
+};
+
+// Row-parallel dot products of a matrix m against a vector u: output
+// entry r folds the products of row r of m with u over the row's stored
+// columns in ascending order, the first product seeding the
+// accumulator.  mxv runs it on A (kVecFirst = false: the runner's mul
+// takes (A value, u value)); vxm runs it on A' (kVecFirst = true: mul
+// takes (u value, A value)), which folds each output in ascending row
+// index of A — exactly the order of the serial SPA kernel, so the two
+// vxm paths are bitwise-identical even under floating-point rounding.
+// A hypersparse m (MatFormat::kHyper, ptr compacted to hrow.size()+1)
+// visits only its listed rows, in ascending row id, so the result equals
+// the run on its expanded CSR view.
+//
+// One pass folds the rows of each block and writes the rows that
+// received a product packed at the block's start, in row order; closing
+// the gaps between blocks is one move per block.  u is probed through
+// the budget-gated VecProbe (in place when full, dense gather when
 // affordable, binary search for hypersparse dimensions).
-template <class MakeRunner>
-std::shared_ptr<VectorData> vxm_dot_kernel(Context* ctx,
+template <bool kVecFirst, class MakeRunner>
+std::shared_ptr<VectorData> row_dot_kernel(Context* ctx, const MatrixData& m,
                                            const VectorData& u,
-                                           const MatrixData& at,
                                            const Type* ztype,
                                            MakeRunner&& make_runner) {
-  auto t = std::make_shared<VectorData>(ztype, at.nrows);
-  size_t zsize = ztype->size();
+  auto t = std::make_shared<VectorData>(ztype, m.nrows);
+  const size_t zsize = ztype->size();
+  const bool hyper = m.format == MatFormat::kHyper;
+  const Index nr = hyper ? static_cast<Index>(m.hrow.size()) : m.nrows;
+  if (nr == 0) return t;
   VecProbe probe;
   probe.init(u);
-  // Structural pass: does output position j receive any product?
-  std::vector<uint8_t> hit(at.nrows, 0);
-  ctx->parallel_for(0, at.nrows, [&](Index lo, Index hi) {
-    for (Index j = lo; j < hi; ++j) {
-      for (size_t ka = at.ptr[j]; ka < at.ptr[j + 1]; ++ka) {
-        if (probe.find(at.col[ka]) != nullptr) {
-          hit[j] = 1;
-          break;
-        }
-      }
-    }
-  });
-  std::vector<Index> slot(at.nrows + 1, 0);
-  for (Index j = 0; j < at.nrows; ++j) slot[j + 1] = slot[j] + hit[j];
-  t->ind.resize(slot[at.nrows]);
-  t->vals.resize(slot[at.nrows]);
-  ctx->parallel_for(0, at.nrows, [&](Index lo, Index hi) {
+  t->ind.resize(nr);
+  t->vals.resize(nr);
+  const Index block = ctx->block_size(nr, m.nvals());
+  const Index nb = (nr + block - 1) / block;
+  std::vector<Index> counts(nb, 0);
+  ctx->parallel_for(0, nb, 1, [&](Index blo, Index bhi) {
     auto runner = make_runner();
-    ValueBuf acc(zsize), prod(zsize);
-    for (Index j = lo; j < hi; ++j) {
-      if (!hit[j]) continue;
-      bool first = true;
-      for (size_t ka = at.ptr[j]; ka < at.ptr[j + 1]; ++ka) {
-        const void* uval = probe.find(at.col[ka]);
-        if (uval == nullptr) continue;
-        if (first) {
-          runner.mul(acc.data(), uval, at.vals.at(ka));
-          first = false;
-        } else {
-          runner.mul(prod.data(), uval, at.vals.at(ka));
-          runner.add(acc.data(), prod.data());
+    DotAcc<decltype(runner)> acc(zsize);
+    const Index* ptr = m.ptr.data();
+    const Index* col = m.col.data();
+    for (Index b = blo; b < bhi; ++b) {
+      const Index rlo = b * block, rhi = std::min<Index>(nr, rlo + block);
+      Index n = rlo;  // next packed slot of this block
+      for (Index r = rlo; r < rhi; ++r) {
+        bool first = true;
+        for (size_t ka = ptr[r], ke = ptr[r + 1]; ka < ke; ++ka) {
+          const void* uval = probe.find(col[ka]);
+          if (uval == nullptr) continue;
+          const void* mval = m.vals.at(ka);
+          const void* x = kVecFirst ? uval : mval;
+          const void* y = kVecFirst ? mval : uval;
+          if (first) {
+            acc.start(runner, t->vals.at(n), x, y);
+            first = false;
+          } else {
+            acc.step(runner, x, y);
+          }
         }
+        if (first) continue;
+        acc.finish();
+        t->ind[n++] = hyper ? m.hrow[r] : r;
       }
-      Index s = slot[j];
-      t->ind[s] = j;
-      t->vals.set(s, acc.data());
+      counts[b] = n - rlo;
     }
   });
-  return t;
-}
-
-// Row-parallel dot-product kernel for mxv (A * u).  u is probed through
-// the budget-gated VecProbe; each row of A then probes it.
-template <class MakeRunner>
-std::shared_ptr<VectorData> mxv_kernel(Context* ctx, const MatrixData& a,
-                                       const VectorData& u,
-                                       const Type* ztype,
-                                       MakeRunner&& make_runner) {
-  auto t = std::make_shared<VectorData>(ztype, a.nrows);
-  size_t zsize = ztype->size();
-  VecProbe probe;
-  probe.init(u);
-  // Structural pass: does row i hit any entry of u?
-  std::vector<uint8_t> hit(a.nrows, 0);
-  ctx->parallel_for(0, a.nrows, [&](Index lo, Index hi) {
-    for (Index i = lo; i < hi; ++i) {
-      for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
-        if (probe.find(a.col[ka]) != nullptr) {
-          hit[i] = 1;
-          break;
-        }
-      }
+  size_t total = counts[0];
+  for (Index b = 1; b < nb; ++b) {
+    const Index rlo = b * block;
+    if (total != rlo && counts[b] != 0) {
+      std::memmove(&t->ind[total], &t->ind[rlo], counts[b] * sizeof(Index));
+      std::memmove(t->vals.at(total), t->vals.at(rlo), counts[b] * zsize);
     }
-  });
-  std::vector<Index> slot(a.nrows + 1, 0);
-  for (Index i = 0; i < a.nrows; ++i) slot[i + 1] = slot[i] + hit[i];
-  t->ind.resize(slot[a.nrows]);
-  t->vals.resize(slot[a.nrows]);
-  ctx->parallel_for(0, a.nrows, [&](Index lo, Index hi) {
-    auto runner = make_runner();
-    ValueBuf acc(zsize), prod(zsize);
-    for (Index i = lo; i < hi; ++i) {
-      if (!hit[i]) continue;
-      bool first = true;
-      for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
-        const void* uval = probe.find(a.col[ka]);
-        if (uval == nullptr) continue;
-        if (first) {
-          runner.mul(acc.data(), a.vals.at(ka), uval);
-          first = false;
-        } else {
-          runner.mul(prod.data(), a.vals.at(ka), uval);
-          runner.add(acc.data(), prod.data());
-        }
-      }
-      Index s = slot[i];
-      t->ind[s] = i;
-      t->vals.set(s, acc.data());
-    }
-  });
-  return t;
-}
-
-// Hypersparse variant of mxv_kernel: iterates only the nonempty rows
-// listed in a.hrow (a must be MatFormat::kHyper, whose ptr array is
-// compacted to hrow.size()+1 entries).  Per-row fold order matches the
-// CSR kernel exactly — same column order, same first/add sequence — and
-// nonempty rows are visited in ascending row id, so the output is
-// bitwise-identical to running mxv_kernel on the expanded CSR view.
-template <class MakeRunner>
-std::shared_ptr<VectorData> mxv_hyper_kernel(Context* ctx,
-                                             const MatrixData& a,
-                                             const VectorData& u,
-                                             const Type* ztype,
-                                             MakeRunner&& make_runner) {
-  auto t = std::make_shared<VectorData>(ztype, a.nrows);
-  size_t zsize = ztype->size();
-  VecProbe probe;
-  probe.init(u);
-  Index nh = a.hrow.size();
-  // Structural pass over the compact row list only.
-  std::vector<uint8_t> hit(nh, 0);
-  ctx->parallel_for(0, nh, [&](Index lo, Index hi) {
-    for (Index h = lo; h < hi; ++h) {
-      for (size_t ka = a.ptr[h]; ka < a.ptr[h + 1]; ++ka) {
-        if (probe.find(a.col[ka]) != nullptr) {
-          hit[h] = 1;
-          break;
-        }
-      }
-    }
-  });
-  std::vector<Index> slot(nh + 1, 0);
-  for (Index h = 0; h < nh; ++h) slot[h + 1] = slot[h] + hit[h];
-  t->ind.resize(slot[nh]);
-  t->vals.resize(slot[nh]);
-  ctx->parallel_for(0, nh, [&](Index lo, Index hi) {
-    auto runner = make_runner();
-    ValueBuf acc(zsize), prod(zsize);
-    for (Index h = lo; h < hi; ++h) {
-      if (!hit[h]) continue;
-      bool first = true;
-      for (size_t ka = a.ptr[h]; ka < a.ptr[h + 1]; ++ka) {
-        const void* uval = probe.find(a.col[ka]);
-        if (uval == nullptr) continue;
-        if (first) {
-          runner.mul(acc.data(), a.vals.at(ka), uval);
-          first = false;
-        } else {
-          runner.mul(prod.data(), a.vals.at(ka), uval);
-          runner.add(acc.data(), prod.data());
-        }
-      }
-      Index s = slot[h];
-      t->ind[s] = a.hrow[h];
-      t->vals.set(s, acc.data());
-    }
-  });
+    total += counts[b];
+  }
+  t->ind.resize(total);
+  t->vals.resize(total);
   return t;
 }
 
@@ -387,10 +359,6 @@ MxmStrategy mxm_strategy();
 void set_mxm_strategy(MxmStrategy strategy);
 
 // ---- typed fast path (ops/fastpath.cpp) -----------------------------------
-
-// Global switch so the M2 ablation bench can force the generic path.
-bool fastpath_enabled();
-void set_fastpath_enabled(bool enabled);
 
 // Attempt a statically typed mxm/vxm/mxv; returns nullptr when the
 // (semiring, types) combination has no registered fast kernel.  `costs`

@@ -51,7 +51,7 @@ Info mxv(Vector* w, const Vector* mask, const BinaryOp* accum,
       // Hypersparse fast path: visit only the nonempty rows.  Bitwise-
       // identical to the CSR kernel (same per-row fold order).
       av = a_snap;
-      t = mxv_hyper_kernel(ctx, *av, *u_snap, s->mul()->ztype(), [&] {
+      t = row_dot_kernel<false>(ctx, *av, *u_snap, s->mul()->ztype(), [&] {
         return SemiringRunner(s, av->type, u_snap->type);
       });
     } else {
@@ -59,7 +59,7 @@ Info mxv(Vector* w, const Vector* mask, const BinaryOp* accum,
       t = fastpath_mxv(ctx, *av, *u_snap, s);
       if (t == nullptr) {
         // mul's x comes from the matrix, y from the vector.
-        t = mxv_kernel(ctx, *av, *u_snap, s->mul()->ztype(), [&] {
+        t = row_dot_kernel<false>(ctx, *av, *u_snap, s->mul()->ztype(), [&] {
           return SemiringRunner(s, av->type, u_snap->type);
         });
       }

@@ -8,6 +8,7 @@
 // The GrB_Scalar flavour also admits a plain associative BinaryOp in
 // place of a monoid (Table II) since no identity value is needed.
 #include <algorithm>
+#include <functional>
 
 #include "obs/telemetry.hpp"
 #include "ops/common.hpp"
@@ -26,126 +27,70 @@ namespace {
 // tree.
 constexpr size_t kReduceBlock = 4096;
 
-// Folds all stored values with the monoid; returns presence.
-bool reduce_all_vector(Context* ctx, const VectorData& u, const Monoid* m,
-                       void* out) {
-  size_t n = u.ind.size();
+// One fold over a run of n >= 1 packed values of domain yt:
+// acc = cast(y[0]) op y[1] op ... op y[n-1], stopping once acc equals
+// *term (term == nullptr: never).  Built per chunk on the runner
+// with_binary_runner picks, so the loop is typed for hot pairs.
+using FoldFn =
+    std::function<void(void* acc, const void* y, size_t n, const void* term)>;
+
+FoldFn make_fold(const BinaryOp* op, const Type* yt) {
+  const size_t ys = yt->size();
+  return with_binary_runner(op, op->ztype(), yt, [ys](auto make) -> FoldFn {
+    return [run = make(), ys](void* acc, const void* y, size_t n,
+                              const void* term) mutable {
+      run.y_to_z(acc, y);
+      run.fold_n(acc, static_cast<const std::byte*>(y) + ys, n - 1, term);
+    };
+  });
+}
+
+// Folds the n packed values (domain vtype) with `op` into out (op's
+// ztype) along the blocked association above; returns presence.  `term`
+// is the monoid's terminal (nullptr for a plain binary op or a monoid
+// without one): a block stops folding once its partial equals it.
+bool fold_values(Context* ctx, const ValueArray& vals, size_t n,
+                 const Type* vtype, const BinaryOp* op, const void* term,
+                 void* out) {
   if (n == 0) return false;
-  const Type* mt = m->type();
+  const Type* zt = op->ztype();
+  const size_t zsize = zt->size();
   Context* ectx = exec_context(ctx, n);
   size_t nb = (n + kReduceBlock - 1) / kReduceBlock;
-  ValueArray partials(mt->size());
+  ValueArray partials(zsize);
   partials.resize(nb);
   ectx->parallel_for(0, static_cast<Index>(nb), 1,
                      [&](Index blo, Index bhi) {
-    BinRunner run(m->op(), mt, u.type);
-    Caster u2m(mt, u.type);
+    FoldFn fold = make_fold(op, vtype);
     for (Index b = blo; b < bhi; ++b) {
       size_t k = static_cast<size_t>(b) * kReduceBlock;
       size_t kend = std::min(n, k + kReduceBlock);
-      void* acc = partials.at(b);
-      u2m.run(acc, u.vals.at(k));
-      for (++k; k < kend; ++k) {
-        if (m->is_terminal(acc)) break;
-        run.run(acc, acc, u.vals.at(k));
-      }
+      fold(partials.at(b), vals.at(k), kend - k, term);
     }
   });
-  std::memcpy(out, partials.at(0), mt->size());
-  BinRunner comb(m->op(), mt, mt);
+  std::memcpy(out, partials.at(0), zsize);
+  BinRunner comb(op, zt, zt);
   for (size_t b = 1; b < nb; ++b) {
-    if (m->is_terminal(out)) break;
+    if (term != nullptr && std::memcmp(out, term, zsize) == 0) break;
     comb.run(out, out, partials.at(b));
   }
   return true;
+}
+
+const void* terminal_of(const Monoid* m) {
+  return m->has_terminal() ? m->terminal() : nullptr;
+}
+
+bool reduce_all_vector(Context* ctx, const VectorData& u, const Monoid* m,
+                       void* out) {
+  return fold_values(ctx, u.vals, u.ind.size(), u.type, m->op(),
+                     terminal_of(m), out);
 }
 
 bool reduce_all_matrix(Context* ctx, const MatrixData& a, const Monoid* m,
                        void* out) {
-  size_t n = a.col.size();
-  if (n == 0) return false;
-  const Type* mt = m->type();
-  Context* ectx = exec_context(ctx, n);
-  size_t nb = (n + kReduceBlock - 1) / kReduceBlock;
-  ValueArray partials(mt->size());
-  partials.resize(nb);
-  ectx->parallel_for(0, static_cast<Index>(nb), 1,
-                     [&](Index blo, Index bhi) {
-    BinRunner run(m->op(), mt, a.type);
-    Caster a2m(mt, a.type);
-    for (Index b = blo; b < bhi; ++b) {
-      size_t k = static_cast<size_t>(b) * kReduceBlock;
-      size_t kend = std::min(n, k + kReduceBlock);
-      void* acc = partials.at(b);
-      a2m.run(acc, a.vals.at(k));
-      for (++k; k < kend; ++k) {
-        if (m->is_terminal(acc)) break;
-        run.run(acc, acc, a.vals.at(k));
-      }
-    }
-  });
-  std::memcpy(out, partials.at(0), mt->size());
-  BinRunner comb(m->op(), mt, mt);
-  for (size_t b = 1; b < nb; ++b) {
-    if (m->is_terminal(out)) break;
-    comb.run(out, out, partials.at(b));
-  }
-  return true;
-}
-
-// Blocked fold with a plain binary op (no identity, no terminal).
-bool reduce_all_vector_binop(Context* ctx, const VectorData& u,
-                             const BinaryOp* op, void* out) {
-  size_t n = u.ind.size();
-  if (n == 0) return false;
-  const Type* zt = op->ztype();
-  Context* ectx = exec_context(ctx, n);
-  size_t nb = (n + kReduceBlock - 1) / kReduceBlock;
-  ValueArray partials(zt->size());
-  partials.resize(nb);
-  ectx->parallel_for(0, static_cast<Index>(nb), 1,
-                     [&](Index blo, Index bhi) {
-    BinRunner run(op, zt, u.type);
-    Caster u2z(zt, u.type);
-    for (Index b = blo; b < bhi; ++b) {
-      size_t k = static_cast<size_t>(b) * kReduceBlock;
-      size_t kend = std::min(n, k + kReduceBlock);
-      void* acc = partials.at(b);
-      u2z.run(acc, u.vals.at(k));
-      for (++k; k < kend; ++k) run.run(acc, acc, u.vals.at(k));
-    }
-  });
-  std::memcpy(out, partials.at(0), zt->size());
-  BinRunner comb(op, zt, zt);
-  for (size_t b = 1; b < nb; ++b) comb.run(out, out, partials.at(b));
-  return true;
-}
-
-bool reduce_all_matrix_binop(Context* ctx, const MatrixData& a,
-                             const BinaryOp* op, void* out) {
-  size_t n = a.col.size();
-  if (n == 0) return false;
-  const Type* zt = op->ztype();
-  Context* ectx = exec_context(ctx, n);
-  size_t nb = (n + kReduceBlock - 1) / kReduceBlock;
-  ValueArray partials(zt->size());
-  partials.resize(nb);
-  ectx->parallel_for(0, static_cast<Index>(nb), 1,
-                     [&](Index blo, Index bhi) {
-    BinRunner run(op, zt, a.type);
-    Caster a2z(zt, a.type);
-    for (Index b = blo; b < bhi; ++b) {
-      size_t k = static_cast<size_t>(b) * kReduceBlock;
-      size_t kend = std::min(n, k + kReduceBlock);
-      void* acc = partials.at(b);
-      a2z.run(acc, a.vals.at(k));
-      for (++k; k < kend; ++k) run.run(acc, acc, a.vals.at(k));
-    }
-  });
-  std::memcpy(out, partials.at(0), zt->size());
-  BinRunner comb(op, zt, zt);
-  for (size_t b = 1; b < nb; ++b) comb.run(out, out, partials.at(b));
-  return true;
+  return fold_values(ctx, a.vals, a.col.size(), a.type, m->op(),
+                     terminal_of(m), out);
 }
 
 // Writes `sum` (in sum_type, or nothing when !present) into the scalar
@@ -210,20 +155,15 @@ Info reduce_to_vector(Vector* w, const Vector* mask, const BinaryOp* accum,
     t->ind.resize(slot[av->nrows]);
     t->vals.resize(slot[av->nrows]);
     Context* ectx = exec_context(w->context(), av->nvals());
+    const void* term = terminal_of(monoid);
     ectx->parallel_for(0, av->nrows, [&](Index lo, Index hi) {
-      BinRunner run(monoid->op(), mt, av->type);
-      Caster a2m(mt, av->type);
+      FoldFn fold = make_fold(monoid->op(), av->type);
       for (Index r = lo; r < hi; ++r) {
         size_t k = av->ptr[r], kend = av->ptr[r + 1];
         if (k == kend) continue;
         Index s = slot[r];
         t->ind[s] = r;
-        void* acc = t->vals.at(s);
-        a2m.run(acc, av->vals.at(k));
-        for (++k; k < kend; ++k) {
-          if (monoid->is_terminal(acc)) break;
-          run.run(acc, acc, av->vals.at(k));
-        }
+        fold(t->vals.at(s), av->vals.at(k), kend - k, term);
       }
     });
     publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
@@ -343,7 +283,8 @@ Info reduce_to_scalar_binop(Scalar* out, const BinaryOp* accum,
     if (obs::stats_enabled()) obs::add_scalars(snap->nvals());
     ValueBuf sum(op->ztype()->size());
     bool present =
-        reduce_all_vector_binop(out->context(), *snap, op, sum.data());
+        fold_values(out->context(), snap->vals, snap->ind.size(),
+                    snap->type, op, nullptr, sum.data());
     return scalar_writeback(out, accum, op->ztype(), sum.data(), present);
   }, FuseNode{});
 }
@@ -364,7 +305,8 @@ Info reduce_to_scalar_binop(Scalar* out, const BinaryOp* accum,
     if (obs::stats_enabled()) obs::add_scalars(snap->nvals());
     ValueBuf sum(op->ztype()->size());
     bool present =
-        reduce_all_matrix_binop(out->context(), *snap, op, sum.data());
+        fold_values(out->context(), snap->vals, snap->col.size(),
+                    snap->type, op, nullptr, sum.data());
     return scalar_writeback(out, accum, op->ztype(), sum.data(), present);
   }, FuseNode{});
 }

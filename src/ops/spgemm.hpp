@@ -624,15 +624,21 @@ std::shared_ptr<VectorData> vxm_spa(const VectorData& u, const MatrixData& a,
 }
 
 // Budget-gated vector probe for the dot-product kernels (mxv, parallel
-// vxm): gathers u into dense present/value scratch when u.n is
-// affordable, and falls back to binary search over u's sorted coordinate
-// list for hypersparse dimensions.  Built on the caller's arena; workers
-// only read it during the parallel region.
+// vxm): reads a full u in place (position equals index), gathers a
+// sparse u into dense present/value scratch when u.n is affordable, and
+// falls back to binary search over u's sorted coordinate list for
+// hypersparse dimensions.  Built on the caller's arena; workers only
+// read it during the parallel region.
 class VecProbe {
  public:
   void init(const VectorData& u) {
     u_ = &u;
     usize_ = u.type->size();
+    if (u.nvals() == u.n) {
+      full_ = true;
+      bytes_ = static_cast<const std::byte*>(u.vals.data());
+      return;
+    }
     const uint64_t footprint =
         static_cast<uint64_t>(u.n) * (usize_ + 1);
     dense_ = footprint <= spgemm_dense_budget();
@@ -641,31 +647,40 @@ class VecProbe {
     size_t n = static_cast<size_t>(u.n);
     present_ = reinterpret_cast<uint8_t*>(
         arena.request_zeroed(ScratchArena::kVecPresent, n));
-    bytes_ = arena.request(ScratchArena::kVecVals, n * usize_);
+    std::byte* gathered = arena.request(ScratchArena::kVecVals, n * usize_);
     for (size_t k = 0; k < u.ind.size(); ++k) {
       present_[u.ind[k]] = 1;
-      std::memcpy(bytes_ + static_cast<size_t>(u.ind[k]) * usize_,
+      std::memcpy(gathered + static_cast<size_t>(u.ind[k]) * usize_,
                   u.vals.at(k), usize_);
     }
+    bytes_ = gathered;
   }
 
-  // Value pointer for index i, or nullptr when u(i) is absent.
+  // Value pointer for index i, or nullptr when u(i) is absent.  The
+  // binary search stays out of line so the in-place and gathered cases
+  // inline into the kernels' inner loops.
   const void* find(Index i) const {
+    if (full_) return bytes_ + static_cast<size_t>(i) * usize_;
     if (dense_) {
       return present_[i] != 0 ? bytes_ + static_cast<size_t>(i) * usize_
                               : nullptr;
     }
+    return find_sorted(i);
+  }
+
+ private:
+  [[gnu::noinline]] const void* find_sorted(Index i) const {
     auto it = std::lower_bound(u_->ind.begin(), u_->ind.end(), i);
     if (it == u_->ind.end() || *it != i) return nullptr;
     return u_->vals.at(static_cast<size_t>(it - u_->ind.begin()));
   }
 
- private:
   const VectorData* u_ = nullptr;
   size_t usize_ = 0;
+  bool full_ = false;
   bool dense_ = false;
   uint8_t* present_ = nullptr;
-  std::byte* bytes_ = nullptr;
+  const std::byte* bytes_ = nullptr;
 };
 
 }  // namespace grb

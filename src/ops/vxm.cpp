@@ -5,25 +5,6 @@
 #include "ops/mxm.hpp"
 
 namespace grb {
-namespace {
-
-// Adapter flipping mul's operand order: vxm feeds (u_i, a_ij) but the
-// multiplier's x operand is the vector value and y the matrix value,
-// while vxm_kernel streams (uval, aval) already in that order.
-class VxmRunner {
- public:
-  VxmRunner(const Semiring* s, const Type* utype, const Type* atype)
-      : mul_(s->mul(), utype, atype),
-        add_(s->add()->op(), s->mul()->ztype(), s->mul()->ztype()) {}
-  void mul(void* z, const void* u, const void* a) { mul_.run(z, u, a); }
-  void add(void* acc, const void* z) { add_.run(acc, acc, z); }
-
- private:
-  BinRunner mul_;
-  BinRunner add_;
-};
-
-}  // namespace
 
 Info vxm(Vector* w, const Vector* mask, const BinaryOp* accum,
          const Semiring* s, const Vector* u, const Matrix* a,
@@ -79,15 +60,15 @@ Info vxm(Vector* w, const Vector* mask, const BinaryOp* accum,
       auto at = format_transpose_view(av);
       t = fastpath_vxm_dot(ectx, *u_snap, *at, s);
       if (t == nullptr) {
-        t = vxm_dot_kernel(ectx, *u_snap, *at, s->mul()->ztype(), [&] {
-          return VxmRunner(s, u_snap->type, at->type);
+        t = row_dot_kernel<true>(ectx, *at, *u_snap, s->mul()->ztype(), [&] {
+          return SemiringRunner(s, u_snap->type, at->type);
         });
       }
     } else {
       t = fastpath_vxm(*u_snap, *av, s);
       if (t == nullptr) {
         t = vxm_spa(*u_snap, *av, s->mul()->ztype(), [&] {
-          return VxmRunner(s, u_snap->type, av->type);
+          return SemiringRunner(s, u_snap->type, av->type);
         });
       }
     }

@@ -2,6 +2,8 @@
 // transposes, casting, and fast-path/generic-path agreement.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ops/mxm.hpp"
 #include "tests/grb_test_util.hpp"
 
@@ -186,6 +188,71 @@ TEST(MxmTest, FastpathMatchesGenericPath) {
   }
   GrB_free(&a);
   GrB_free(&b);
+}
+
+// Regression: the typed MIN/MAX adders once computed a < b ? a : b, so a
+// NaN product won where the operator (fmin/fmax) drops it.
+// u = [1, 1], A = [5; NaN]: w(0) = min(1 + 5, 1 + NaN) = 6 on both paths.
+TEST(VxmTest, MinMaxPlusNaNMatchesOperatorOnBothPaths) {
+  GrB_Matrix a = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, GrB_FP64, 2, 1), GrB_SUCCESS);
+  const GrB_Index rows[] = {0, 1}, cols[] = {0, 0};
+  const double vals[] = {5.0, std::numeric_limits<double>::quiet_NaN()};
+  ASSERT_EQ(GrB_Matrix_build(a, rows, cols, vals, 2, GrB_NULL), GrB_SUCCESS);
+  GrB_Vector u = nullptr;
+  ASSERT_EQ(GrB_Vector_new(&u, GrB_FP64, 2), GrB_SUCCESS);
+  ASSERT_EQ(GrB_assign(u, GrB_NULL, GrB_NULL, 1.0, GrB_ALL, 2, GrB_NULL),
+            GrB_SUCCESS);
+  const GrB_Semiring rings[] = {GrB_MIN_PLUS_SEMIRING_FP64,
+                                GrB_MAX_PLUS_SEMIRING_FP64};
+  for (GrB_Semiring ring : rings) {
+    for (bool fast : {true, false}) {
+      grb::set_fastpath_enabled(fast);
+      GrB_Vector w = nullptr;
+      ASSERT_EQ(GrB_Vector_new(&w, GrB_FP64, 1), GrB_SUCCESS);
+      ASSERT_EQ(GrB_vxm(w, GrB_NULL, GrB_NULL, ring, u, a, GrB_NULL),
+                GrB_SUCCESS);
+      double x = 0.0;
+      ASSERT_EQ(GrB_Vector_extractElement(&x, w, 0), GrB_SUCCESS);
+      EXPECT_EQ(x, 6.0) << (fast ? "typed" : "generic") << " path";
+      GrB_free(&w);
+    }
+  }
+  grb::set_fastpath_enabled(true);
+  GrB_free(&a);
+  GrB_free(&u);
+}
+
+// Integer semirings wrap on overflow on both paths (the operators compute
+// in unsigned arithmetic; the typed kernels evaluate the same bodies).
+TEST(MxmTest, Int64OverflowWrapsOnBothPaths) {
+  GrB_Matrix a = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, GrB_INT64, 1, 2), GrB_SUCCESS);
+  const GrB_Index rows[] = {0, 0}, cols[] = {0, 1};
+  const int64_t vals[] = {std::numeric_limits<int64_t>::max(), 3};
+  ASSERT_EQ(GrB_Matrix_build(a, rows, cols, vals, 2, GrB_NULL), GrB_SUCCESS);
+  GrB_Vector u = nullptr;
+  ASSERT_EQ(GrB_Vector_new(&u, GrB_INT64, 2), GrB_SUCCESS);
+  ASSERT_EQ(GrB_assign(u, GrB_NULL, GrB_NULL, int64_t{2}, GrB_ALL, 2,
+                       GrB_NULL),
+            GrB_SUCCESS);
+  const int64_t expect = static_cast<int64_t>(
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) * 2 + 6);
+  for (bool fast : {true, false}) {
+    grb::set_fastpath_enabled(fast);
+    GrB_Vector w = nullptr;
+    ASSERT_EQ(GrB_Vector_new(&w, GrB_INT64, 1), GrB_SUCCESS);
+    ASSERT_EQ(GrB_mxv(w, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_INT64,
+                      a, u, GrB_NULL),
+              GrB_SUCCESS);
+    int64_t x = 0;
+    ASSERT_EQ(GrB_Vector_extractElement(&x, w, 0), GrB_SUCCESS);
+    EXPECT_EQ(x, expect) << (fast ? "typed" : "generic") << " path";
+    GrB_free(&w);
+  }
+  grb::set_fastpath_enabled(true);
+  GrB_free(&a);
+  GrB_free(&u);
 }
 
 TEST(MxmTest, IntTypedSemiring) {

@@ -10,7 +10,15 @@ REGRESSION.  Exits nonzero when at least one regression is found, so CI
 can gate on it; keys present in only one set are reported but do not
 fail the comparison (benchmarks come and go across PRs).
 
+Timings from different machines are not comparable.  A BENCH file may
+carry a "machine" fingerprint (nproc, cpu_model, compiler, build_type;
+bench/bench_util.hpp writes it).  When both sets carry one and the
+fingerprints differ, the comparison is refused (exit 2) with the
+differing fields named, unless --allow-cross-machine is given.  Files
+without a fingerprint compare as before.
+
 Usage: bench_compare.py OLD NEW [--threshold 0.10] [--json out.json]
+                        [--allow-cross-machine]
 
 Pure stdlib; no dependencies.
 """
@@ -21,8 +29,13 @@ import os
 import sys
 
 
+FINGERPRINT_FIELDS = ("nproc", "cpu_model", "compiler", "build_type")
+
+
 def load_set(path):
-    """Return {(binary, name, params): median_ns} from a file or dir.
+    """Return ({(binary, name, params): median_ns}, fingerprint or None).
+
+    The fingerprint is the first "machine" object found in the set.
 
     Missing or malformed files are warned about and skipped — a crashed
     or interrupted benchmark run must not take the whole comparison down
@@ -40,6 +53,7 @@ def load_set(path):
     else:
         files = [path]
     rows = {}
+    machine = None
     for fname in files:
         try:
             with open(fname, "r", encoding="utf-8") as f:
@@ -55,6 +69,8 @@ def load_set(path):
             print(f"warning: skipping {fname}: not a JSON object",
                   file=sys.stderr)
             continue
+        if machine is None and isinstance(doc.get("machine"), dict):
+            machine = doc["machine"]
         binary = doc.get("binary", os.path.basename(fname))
         bench_list = doc.get("benchmarks", [])
         if not isinstance(bench_list, list):
@@ -71,7 +87,15 @@ def load_set(path):
                     f"{fname}: {e!r}",
                     file=sys.stderr,
                 )
-    return rows
+    return rows, machine
+
+
+def fingerprint_diff(old, new):
+    """Fields whose values differ between two fingerprints, as text."""
+    if old is None or new is None:
+        return []
+    return [f"{k}: {old.get(k)!r} -> {new.get(k)!r}"
+            for k in FINGERPRINT_FIELDS if old.get(k) != new.get(k)]
 
 
 def main():
@@ -85,10 +109,27 @@ def main():
         help="slowdown fraction that counts as a regression (default 0.10)",
     )
     ap.add_argument("--json", help="write the comparison table to this file")
+    ap.add_argument(
+        "--allow-cross-machine",
+        action="store_true",
+        help="compare even when the machine fingerprints differ",
+    )
     args = ap.parse_args()
 
-    old = load_set(args.old)
-    new = load_set(args.new)
+    old, old_machine = load_set(args.old)
+    new, new_machine = load_set(args.new)
+    diff = fingerprint_diff(old_machine, new_machine)
+    if diff:
+        if not args.allow_cross_machine:
+            print("error: refusing to compare results from different "
+                  "machines; differing fingerprint fields:", file=sys.stderr)
+            for d in diff:
+                print(f"  {d}", file=sys.stderr)
+            print("pass --allow-cross-machine to compare anyway",
+                  file=sys.stderr)
+            return 2
+        print("warning: comparing across machines: " + "; ".join(diff),
+              file=sys.stderr)
     common = sorted(set(old) & set(new))
     only_old = sorted(set(old) - set(new))
     only_new = sorted(set(new) - set(old))
