@@ -55,11 +55,16 @@
 #                        tools/bench_compare.py diffs against
 #                        bench_artifacts/baseline/ when present (advisory:
 #                        shared boxes are noisy)
-#   12. asan           — AddressSanitizer build + tsan-labeled tests
+#   12. perfbench-smoke — one short run of the end-to-end benchmark's
+#                        ingest workload (perfbench/run.py); fails unless
+#                        it reports "correct": true and "failed": 0, so a
+#                        pending-tuple fold that breaks the full-graph
+#                        check is caught before the benchmark runs
+#   13. asan           — AddressSanitizer build + tsan-labeled tests
 #                        (skipped unless GRB_CI_ASAN=1)
-#   13. ubsan          — UndefinedBehaviorSanitizer build + tsan-labeled
+#   14. ubsan          — UndefinedBehaviorSanitizer build + tsan-labeled
 #                        tests (skipped unless GRB_CI_UBSAN=1)
-#   14. tsan           — ThreadSanitizer build + tsan-labeled tests
+#   15. tsan           — ThreadSanitizer build + tsan-labeled tests
 #                        (skipped unless GRB_CI_TSAN=1; the slowest stage,
 #                        and the tsan preset also runs in its own lane)
 #
@@ -82,21 +87,21 @@ record() {
   if [ "$2" = FAIL ]; then failed=1; fi
 }
 
-note "1/14 grb_lint (regex spec conformance)"
+note "1/15 grb_lint (regex spec conformance)"
 if python3 tools/grb_lint.py --json grb_lint_report.json; then
   record grb_lint PASS
 else
   record grb_lint FAIL
 fi
 
-note "2/14 grb_analyze (AST/call-graph conformance)"
+note "2/15 grb_analyze (AST/call-graph conformance)"
 if python3 tools/grb_analyze.py --json grb_analyze_report.json; then
   record grb_analyze PASS
 else
   record grb_analyze FAIL
 fi
 
-note "3/14 default build + tests"
+note "3/15 default build + tests"
 cmake --preset default >/dev/null
 cmake --build build -j "$JOBS"
 if (cd build && ctest --output-on-failure -j "$JOBS"); then
@@ -105,7 +110,7 @@ else
   record build+ctest FAIL
 fi
 
-note "4/14 format ablation (differential suites under each GRB_FORMAT)"
+note "4/15 format ablation (differential suites under each GRB_FORMAT)"
 # Every forced storage format must reproduce the CSR baseline bitwise.
 # The differential suites build their own inputs, so the env override
 # genuinely changes what the publishes store.
@@ -118,14 +123,14 @@ for fmt in csr hyper bitmap dense; do
 done
 if [ "$ablate_ok" = 1 ]; then record format-ablate PASS; else record format-ablate FAIL; fi
 
-note "5/14 telemetry (obs-labeled tests: counters + trace pipeline)"
+note "5/15 telemetry (obs-labeled tests: counters + trace pipeline)"
 if (cd build && ctest -L obs --output-on-failure); then
   record telemetry PASS
 else
   record telemetry FAIL
 fi
 
-note "6/14 observability (flight recorder + GRB_METRICS exposition)"
+note "6/15 observability (flight recorder + GRB_METRICS exposition)"
 obs_ok=1
 obs_dir=$(mktemp -d)
 GRB_FLIGHT_RECORDER=1024 GRB_METRICS="$obs_dir/metrics.prom" \
@@ -140,7 +145,7 @@ fi
 rm -rf "$obs_dir"
 if [ "$obs_ok" = 1 ]; then record observability PASS; else record observability FAIL; fi
 
-note "7/14 attribution (watchdog stall report + two-tenant scrape)"
+note "7/15 attribution (watchdog stall report + two-tenant scrape)"
 attr_ok=1
 # Synthetic stalls must trip the watchdog and name the owning context.
 (cd build && ctest -R WatchdogTest --output-on-failure) || attr_ok=0
@@ -159,7 +164,7 @@ fi
 rm -rf "$attr_dir"
 if [ "$attr_ok" = 1 ]; then record attribution PASS; else record attribution FAIL; fi
 
-note "8/14 explain (decision audit + profiler forced degradation)"
+note "8/15 explain (decision audit + profiler forced degradation)"
 # GRB_PERF_EVENTS=0 models a locked-down box (perf_event_open denied):
 # the profiler must come up on the CPU-time fallback, the decision
 # audit must still explain the plan, and every downstream consumer —
@@ -189,7 +194,7 @@ GRB_PERF_EVENTS=0 ./build/tests/grb_obs_tests \
 rm -rf "$exp_dir"
 if [ "$exp_ok" = 1 ]; then record explain PASS; else record explain FAIL; fi
 
-note "9/14 thread-safety analysis (clang)"
+note "9/15 thread-safety analysis (clang)"
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-tsa -S . \
         -DCMAKE_C_COMPILER=clang -DCMAKE_CXX_COMPILER=clang++ \
@@ -205,7 +210,7 @@ else
   record thread-safety SKIP
 fi
 
-note "10/14 clang-tidy (bugprone/concurrency/performance vs baseline)"
+note "10/15 clang-tidy (bugprone/concurrency/performance vs baseline)"
 if command -v clang-tidy >/dev/null 2>&1; then
   # The default preset exports compile_commands.json; grb_tidy_check
   # fails only on warnings above the checked-in per-check baseline.
@@ -219,7 +224,7 @@ else
   record clang-tidy SKIP
 fi
 
-note "11/14 benchmarks (all benches, BENCH_*.json archived)"
+note "11/15 benchmarks (all benches, BENCH_*.json archived)"
 bench_ok=1
 cmake --build build -j "$JOBS"
 mkdir -p bench_artifacts
@@ -255,6 +260,21 @@ else
 fi
 if [ "$bench_ok" = 1 ]; then record bench PASS; else record bench FAIL; fi
 
+note "12/15 perfbench smoke (ingest workload checkers)"
+# A fold that breaks the workload's full-graph equality check shows up
+# as "correct": false; the last stdout line is the result object.
+smoke_out=$(python3 perfbench/run.py --workload ingest --seed 1 \
+                --seconds 1 --trace 0 | tail -n 1) || smoke_out=""
+echo "$smoke_out"
+if printf '%s' "$smoke_out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
+  record perfbench-smoke PASS
+else
+  record perfbench-smoke FAIL
+fi
+
 # sanitizer_stage <name> <preset> <gate-env-name>
 sanitizer_stage() {
   local name=$1 preset=$2 gate=$3
@@ -270,13 +290,13 @@ sanitizer_stage() {
   fi
 }
 
-note "12/14 address sanitizer (tsan-labeled tests under asan)"
+note "13/15 address sanitizer (tsan-labeled tests under asan)"
 sanitizer_stage asan asan GRB_CI_ASAN
 
-note "13/14 undefined-behavior sanitizer (tsan-labeled tests under ubsan)"
+note "14/15 undefined-behavior sanitizer (tsan-labeled tests under ubsan)"
 sanitizer_stage ubsan ubsan GRB_CI_UBSAN
 
-note "14/14 thread sanitizer (tsan-labeled tests)"
+note "15/15 thread sanitizer (tsan-labeled tests)"
 sanitizer_stage tsan tsan GRB_CI_TSAN
 
 printf '\n== summary ==\n'

@@ -111,67 +111,6 @@ void Matrix::mem_snapshot(obs::MemReportable::Snapshot* out) const {
   out->live_bytes += out->view_bytes;
 }
 
-std::shared_ptr<MatrixData> Matrix::fold(const MatrixData& base,
-                                         obs::TrackedVec<PendingTupleIJ> pend,
-                                         ValueArray pend_vals) {
-  struct Item {
-    Index i, j;
-    size_t seq;
-    bool is_delete;
-    size_t val_slot;
-  };
-  std::vector<Item> items;
-  items.reserve(pend.size());
-  size_t slot = 0;
-  for (size_t s = 0; s < pend.size(); ++s) {
-    items.push_back({pend[s].i, pend[s].j, s, pend[s].is_delete,
-                     pend[s].is_delete ? size_t{0} : slot});
-    if (!pend[s].is_delete) ++slot;
-  }
-  std::stable_sort(items.begin(), items.end(),
-                   [](const Item& a, const Item& b) {
-                     return a.i != b.i ? a.i < b.i : a.j < b.j;
-                   });
-  std::vector<Item> last;
-  last.reserve(items.size());
-  for (size_t k = 0; k < items.size(); ++k) {
-    if (k + 1 < items.size() && items[k + 1].i == items[k].i &&
-        items[k + 1].j == items[k].j)
-      continue;
-    last.push_back(items[k]);
-  }
-
-  auto out = std::make_shared<MatrixData>(base.type, base.nrows, base.ncols);
-  out->col.reserve(base.col.size() + last.size());
-  out->vals.reserve(base.col.size() + last.size());
-  size_t t = 0;  // cursor into `last`
-  for (Index r = 0; r < base.nrows; ++r) {
-    size_t b = base.ptr[r];
-    size_t bend = base.ptr[r + 1];
-    while (t < last.size() && last[t].i == r) {
-      Index j = last[t].j;
-      while (b < bend && base.col[b] < j) {
-        out->col.push_back(base.col[b]);
-        out->vals.push_back_from(base.vals, b);
-        ++b;
-      }
-      if (b < bend && base.col[b] == j) ++b;  // overridden
-      if (!last[t].is_delete) {
-        out->col.push_back(j);
-        out->vals.push_back(pend_vals.at(last[t].val_slot));
-      }
-      ++t;
-    }
-    while (b < bend) {
-      out->col.push_back(base.col[b]);
-      out->vals.push_back_from(base.vals, b);
-      ++b;
-    }
-    out->ptr[r + 1] = out->col.size();
-  }
-  return out;
-}
-
 Info Matrix::flush_pending() {
   uint64_t upto;
   {
@@ -189,84 +128,34 @@ Info Matrix::flush_prefix(uint64_t upto) {
   size_t remaining;
   {
     MutexLock lock(mu_);
-    size_t take =
-        upto > pend_consumed_
-            ? std::min<size_t>(pend_.size(),
-                               static_cast<size_t>(upto - pend_consumed_))
-            : 0;
+    const size_t take = prefix_take(upto, pend_consumed_, pend_.size());
     if (take == 0) return Info::kSuccess;
-    if (take == pend_.size()) {
-      pend.swap(pend_);
-      pvals = std::move(pend_vals_);
-      pend_vals_ = ValueArray(type_->size(), pend_acct_);
-    } else {
-      // Split: fold only the leading `take` tuples (see Vector).
-      size_t slots = 0;
-      for (size_t s = 0; s < take; ++s) {
-        pend.push_back(pend_[s]);
-        if (!pend_[s].is_delete) ++slots;
-      }
-      for (size_t s = 0; s < slots; ++s) pvals.push_back_from(pend_vals_, s);
-      obs::TrackedVec<PendingTupleIJ> rest{
-          obs::TrackedAlloc<PendingTupleIJ>(pend_acct_)};
-      ValueArray rvals(type_->size(), pend_acct_);
-      size_t next_slot = slots;
-      for (size_t s = take; s < pend_.size(); ++s) {
-        rest.push_back(pend_[s]);
-        if (!pend_[s].is_delete) {
-          rvals.push_back_from(pend_vals_, next_slot);
-          ++next_slot;
-        }
-      }
-      pend_.swap(rest);
-      pend_vals_ = std::move(rvals);
-    }
+    split_pending(&pend_, &pend_vals_, take, &pend, &pvals);
     pend_consumed_ += take;
     remaining = pend_.size();
     base = data_;
   }
   obs::pending_tuples_sample(remaining);
-  // fold() walks CSR structure; expand a non-canonical base first (the
+  // The fold walks CSR structure; expand a non-canonical base first (the
   // view is cached, so repeated folds against one block convert once).
-  auto base_csr = format_csr_view(std::move(base));
-  auto folded = fold(*base_csr, std::move(pend), std::move(pvals));
+  auto b = format_csr_view(std::move(base));
+  auto folded = std::make_shared<MatrixData>(b->type, b->nrows, b->ncols);
+  fold_pending(pend, pvals, b->nrows, b->ptr.data(), b->col, b->vals,
+               folded->ptr.data(), &folded->col, &folded->vals);
   publish(std::move(folded));
   return Info::kSuccess;
 }
 
 Info Matrix::drop_prefix(uint64_t upto) {
+  obs::TrackedVec<PendingTupleIJ> dropped{
+      obs::TrackedAlloc<PendingTupleIJ>(pend_acct_)};
+  ValueArray dropped_vals(type_->size(), pend_acct_);
   size_t remaining;
   {
     MutexLock lock(mu_);
-    size_t take =
-        upto > pend_consumed_
-            ? std::min<size_t>(pend_.size(),
-                               static_cast<size_t>(upto - pend_consumed_))
-            : 0;
+    const size_t take = prefix_take(upto, pend_consumed_, pend_.size());
     if (take == 0) return Info::kSuccess;
-    if (take == pend_.size()) {
-      obs::TrackedVec<PendingTupleIJ> none{
-          obs::TrackedAlloc<PendingTupleIJ>(pend_acct_)};
-      pend_.swap(none);
-      pend_vals_ = ValueArray(type_->size(), pend_acct_);
-    } else {
-      size_t slots = 0;
-      for (size_t s = 0; s < take; ++s)
-        if (!pend_[s].is_delete) ++slots;
-      obs::TrackedVec<PendingTupleIJ> rest{
-          obs::TrackedAlloc<PendingTupleIJ>(pend_acct_)};
-      ValueArray rvals(type_->size(), pend_acct_);
-      size_t next_slot = slots;
-      for (size_t s = take; s < pend_.size(); ++s) {
-        rest.push_back(pend_[s]);
-        if (!pend_[s].is_delete) {
-          rvals.push_back_from(pend_vals_, next_slot);
-          ++next_slot;
-        }
-      }
-      pend_.swap(rest);
-      pend_vals_ = std::move(rvals);
-    }
+    split_pending(&pend_, &pend_vals_, take, &dropped, &dropped_vals);
     pend_consumed_ += take;
     remaining = pend_.size();
   }
@@ -365,12 +254,13 @@ Info Matrix::resize(Index new_nrows, Index new_ncols) {
     auto out = std::make_shared<MatrixData>(base->type, new_nrows, new_ncols);
     Index keep_rows = std::min(new_nrows, base->nrows);
     for (Index r = 0; r < keep_rows; ++r) {
-      for (size_t k = base->ptr[r]; k < base->ptr[r + 1]; ++k) {
-        if (base->col[k] < new_ncols) {
-          out->col.push_back(base->col[k]);
-          out->vals.push_back_from(base->vals, k);
-        }
-      }
+      // Columns are sorted, so the survivors are a prefix of the row.
+      const Index* first = base->col.data() + base->ptr[r];
+      const Index* last = std::lower_bound(
+          first, base->col.data() + base->ptr[r + 1], new_ncols);
+      out->col.insert(out->col.end(), first, last);
+      out->vals.append(base->vals, base->ptr[r],
+                       static_cast<size_t>(last - first));
       out->ptr[r + 1] = out->col.size();
     }
     for (Index r = keep_rows; r < new_nrows; ++r)

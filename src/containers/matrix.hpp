@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "containers/pending.hpp"
 #include "core/type.hpp"
 #include "exec/object_base.hpp"
 
@@ -93,11 +94,6 @@ std::shared_ptr<const MatrixData> format_csr_view(
 // counting sort once (obs: format.transpose_cache_hits/misses).
 std::shared_ptr<const MatrixData> format_transpose_view(
     const std::shared_ptr<const MatrixData>& m);
-
-struct PendingTupleIJ {
-  Index i, j;
-  bool is_delete;
-};
 
 class Matrix : public ObjectBase, public obs::MemReportable {
  public:
@@ -206,10 +202,6 @@ class Matrix : public ObjectBase, public obs::MemReportable {
   // Monotonic count of pending tuples ever folded or dropped (see
   // Vector::pend_consumed_).
   uint64_t pend_consumed_ GRB_GUARDED_BY(mu_) = 0;
-
-  static std::shared_ptr<MatrixData> fold(
-      const MatrixData& base, obs::TrackedVec<PendingTupleIJ> pend,
-      ValueArray pend_vals);
 };
 
 }  // namespace grb

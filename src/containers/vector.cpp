@@ -81,59 +81,6 @@ void Vector::mem_snapshot(obs::MemReportable::Snapshot* out) const {
   out->live_bytes += out->view_bytes;
 }
 
-std::shared_ptr<VectorData> Vector::fold(const VectorData& base,
-                                         obs::TrackedVec<PendingTuple> pend,
-                                         ValueArray pend_vals) {
-  // Assign each non-delete tuple its value slot (insertion order), then
-  // keep only the last tuple per index ("last write wins").
-  struct Item {
-    Index i;
-    size_t seq;
-    bool is_delete;
-    size_t val_slot;
-  };
-  std::vector<Item> items;
-  items.reserve(pend.size());
-  size_t slot = 0;
-  for (size_t s = 0; s < pend.size(); ++s) {
-    items.push_back({pend[s].i, s, pend[s].is_delete,
-                     pend[s].is_delete ? size_t{0} : slot});
-    if (!pend[s].is_delete) ++slot;
-  }
-  std::stable_sort(items.begin(), items.end(),
-                   [](const Item& a, const Item& b) { return a.i < b.i; });
-  // Deduplicate: last per index survives.
-  std::vector<Item> last;
-  last.reserve(items.size());
-  for (size_t k = 0; k < items.size(); ++k) {
-    if (k + 1 < items.size() && items[k + 1].i == items[k].i) continue;
-    last.push_back(items[k]);
-  }
-
-  auto out = std::make_shared<VectorData>(base.type, base.n);
-  out->ind.reserve(base.ind.size() + last.size());
-  out->vals.reserve(base.ind.size() + last.size());
-  size_t b = 0;
-  for (const Item& it : last) {
-    while (b < base.ind.size() && base.ind[b] < it.i) {
-      out->ind.push_back(base.ind[b]);
-      out->vals.push_back_from(base.vals, b);
-      ++b;
-    }
-    if (b < base.ind.size() && base.ind[b] == it.i) ++b;  // overridden
-    if (!it.is_delete) {
-      out->ind.push_back(it.i);
-      out->vals.push_back(pend_vals.at(it.val_slot));
-    }
-  }
-  while (b < base.ind.size()) {
-    out->ind.push_back(base.ind[b]);
-    out->vals.push_back_from(base.vals, b);
-    ++b;
-  }
-  return out;
-}
-
 Info Vector::flush_pending() {
   uint64_t upto;
   {
@@ -151,86 +98,38 @@ Info Vector::flush_prefix(uint64_t upto) {
   size_t remaining;
   {
     MutexLock lock(mu_);
-    size_t take =
-        upto > pend_consumed_
-            ? std::min<size_t>(pend_.size(),
-                               static_cast<size_t>(upto - pend_consumed_))
-            : 0;
+    const size_t take = prefix_take(upto, pend_consumed_, pend_.size());
     if (take == 0) return Info::kSuccess;
-    if (take == pend_.size()) {
-      pend.swap(pend_);
-      pvals = std::move(pend_vals_);
-      pend_vals_ = ValueArray(type_->size(), pend_acct_);
-    } else {
-      // Split: fold only the leading `take` tuples.  Value slots are
-      // numbered in insertion order among non-deletes, so the prefix
-      // owns the first slots and the survivors' slots shift down.
-      size_t slots = 0;
-      for (size_t s = 0; s < take; ++s) {
-        pend.push_back(pend_[s]);
-        if (!pend_[s].is_delete) ++slots;
-      }
-      for (size_t s = 0; s < slots; ++s) pvals.push_back_from(pend_vals_, s);
-      obs::TrackedVec<PendingTuple> rest{
-          obs::TrackedAlloc<PendingTuple>(pend_acct_)};
-      ValueArray rvals(type_->size(), pend_acct_);
-      size_t next_slot = slots;
-      for (size_t s = take; s < pend_.size(); ++s) {
-        rest.push_back(pend_[s]);
-        if (!pend_[s].is_delete) {
-          rvals.push_back_from(pend_vals_, next_slot);
-          ++next_slot;
-        }
-      }
-      pend_.swap(rest);
-      pend_vals_ = std::move(rvals);
-    }
+    // Fold only the leading `take` tuples; later ones stay pending.
+    split_pending(&pend_, &pend_vals_, take, &pend, &pvals);
     pend_consumed_ += take;
     remaining = pend_.size();
     base = data_;
   }
   obs::pending_tuples_sample(remaining);
-  // fold() walks the sorted coordinate form; expand a non-canonical
-  // base first (cached on the block).
-  auto base_sp = format_sparse_view(std::move(base));
-  auto folded = fold(*base_sp, std::move(pend), std::move(pvals));
+  // The fold walks the sorted coordinate form (the one-row case of the
+  // matrix fold); expand a non-canonical base first (cached on the
+  // block).
+  auto b = format_sparse_view(std::move(base));
+  auto folded = std::make_shared<VectorData>(b->type, b->n);
+  const Index base_ptr[2] = {0, static_cast<Index>(b->ind.size())};
+  Index out_ptr[2] = {};
+  fold_pending(pend, pvals, 1, base_ptr, b->ind, b->vals, out_ptr,
+               &folded->ind, &folded->vals);
   publish(std::move(folded));
   return Info::kSuccess;
 }
 
 Info Vector::drop_prefix(uint64_t upto) {
+  obs::TrackedVec<PendingTuple> dropped{
+      obs::TrackedAlloc<PendingTuple>(pend_acct_)};
+  ValueArray dropped_vals(type_->size(), pend_acct_);
   size_t remaining;
   {
     MutexLock lock(mu_);
-    size_t take =
-        upto > pend_consumed_
-            ? std::min<size_t>(pend_.size(),
-                               static_cast<size_t>(upto - pend_consumed_))
-            : 0;
+    const size_t take = prefix_take(upto, pend_consumed_, pend_.size());
     if (take == 0) return Info::kSuccess;
-    if (take == pend_.size()) {
-      obs::TrackedVec<PendingTuple> none{
-          obs::TrackedAlloc<PendingTuple>(pend_acct_)};
-      pend_.swap(none);
-      pend_vals_ = ValueArray(type_->size(), pend_acct_);
-    } else {
-      size_t slots = 0;
-      for (size_t s = 0; s < take; ++s)
-        if (!pend_[s].is_delete) ++slots;
-      obs::TrackedVec<PendingTuple> rest{
-          obs::TrackedAlloc<PendingTuple>(pend_acct_)};
-      ValueArray rvals(type_->size(), pend_acct_);
-      size_t next_slot = slots;
-      for (size_t s = take; s < pend_.size(); ++s) {
-        rest.push_back(pend_[s]);
-        if (!pend_[s].is_delete) {
-          rvals.push_back_from(pend_vals_, next_slot);
-          ++next_slot;
-        }
-      }
-      pend_.swap(rest);
-      pend_vals_ = std::move(rvals);
-    }
+    split_pending(&pend_, &pend_vals_, take, &dropped, &dropped_vals);
     pend_consumed_ += take;
     remaining = pend_.size();
   }
@@ -332,11 +231,10 @@ Info Vector::resize(Index new_size) {
       out->ind = base->ind;
       out->vals = base->vals;
     } else {
-      for (size_t k = 0; k < base->ind.size() && base->ind[k] < new_size;
-           ++k) {
-        out->ind.push_back(base->ind[k]);
-        out->vals.push_back_from(base->vals, k);
-      }
+      auto last = std::lower_bound(base->ind.begin(), base->ind.end(),
+                                   new_size);
+      out->ind.assign(base->ind.begin(), last);
+      out->vals.append(base->vals, 0, out->ind.size());
     }
     publish(std::move(out));
     return Info::kSuccess;

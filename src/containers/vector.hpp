@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "containers/pending.hpp"
 #include "core/type.hpp"
 #include "exec/object_base.hpp"
 
@@ -70,12 +71,6 @@ struct VectorData {
 // cached expansion otherwise.
 std::shared_ptr<const VectorData> format_sparse_view(
     std::shared_ptr<const VectorData> v);
-
-// A pending elementwise update (setElement or removeElement).
-struct PendingTuple {
-  Index i;
-  bool is_delete;
-};
 
 class Vector : public ObjectBase, public obs::MemReportable {
  public:
@@ -187,11 +182,6 @@ class Vector : public ObjectBase, public obs::MemReportable {
   // Monotonic count of pending tuples ever folded or dropped; kFlush
   // nodes carry the absolute count they advance to (flush_prefix).
   uint64_t pend_consumed_ GRB_GUARDED_BY(mu_) = 0;
-
-  // Folds `pend/pend_vals` (moved-from) into `base`, producing new data.
-  static std::shared_ptr<VectorData> fold(
-      const VectorData& base, obs::TrackedVec<PendingTuple> pend,
-      ValueArray pend_vals);
 };
 
 }  // namespace grb

@@ -141,6 +141,16 @@ class ValueArray {
   void push_back_from(const ValueArray& src, size_t j) {
     push_back(src.at(j));
   }
+  // Appends `src[first, first + count)` (same stride) with one copy.
+  void append(const ValueArray& src, size_t first, size_t count) {
+    const std::byte* p = src.bytes_.data() + first * stride_;
+    bytes_.insert(bytes_.end(), p, p + count * stride_);
+  }
+  // Drops the first `count` values, keeping the rest in order.
+  void erase_front(size_t count) {
+    bytes_.erase(bytes_.begin(),
+                 bytes_.begin() + static_cast<ptrdiff_t>(count * stride_));
+  }
 
   // Typed accessors for tests and fast paths; T must match the stride.
   template <class T>
