@@ -1947,13 +1947,14 @@ inline GrB_Info GxB_Fusion_get(int* on) {
 }
 
 // --- Storage-format options (DESIGN.md §15) --------------------------------
-// Polymorphic storage: each container's data block is stored as CSR
+// Matrix storage is polymorphic: each matrix data block is stored as CSR
 // ("csr", the canonical sparse form), hypersparse CSR ("hyper"), a
 // presence bitmap ("bitmap"), or a full dense array ("dense").  The
-// library picks per object from a density cost model; these entry
+// library picks per matrix from a density cost model; these entry
 // points pin a format or read what is actually resident.  Pinning never
 // changes results — every format is bitwise-identical under the
-// differential oracle — only the memory/time trade-off.
+// differential oracle — only the memory/time trade-off.  Vectors have
+// one layout, a sorted coordinate list, reported as GxB_FORMAT_CSR.
 
 typedef enum {
   GxB_FORMAT_CSR = 0,     // compressed sparse row (canonical)
@@ -1982,11 +1983,12 @@ inline GrB_Info format_pin(GxB_Format value, int max_fmt, int* pin) {
 }
 }  // namespace grb_detail
 
-// Sets the global format policy: AUTO restores the cost model; any
-// other value forces that format for every subsequently published
-// block (degrading to the nearest representable format when the forced
-// one cannot hold the object).  GRB_FORMAT=csr|hyper|bitmap|dense|auto
-// in the environment sets the same knob.
+// Sets the global matrix format policy: AUTO restores the cost model;
+// any other value forces that format for every subsequently published
+// matrix block (degrading to the nearest representable format when the
+// forced one cannot hold the object).  GRB_FORMAT=csr|hyper|bitmap|
+// dense|auto in the environment sets the same knob.  Vectors are not
+// affected: they are always stored sparse.
 inline GrB_Info GxB_Format_set(GxB_Format value) {
   return grb_detail::guarded([&]() -> GrB_Info {
     int pin = -1;
@@ -2037,51 +2039,36 @@ inline GrB_Info GxB_Matrix_Option_get(GrB_Matrix A, GxB_Option_Field field,
   });
 }
 
-// Vector variant.  Vectors have no hypersparse form; their formats map
-// as sparse = GxB_FORMAT_CSR, bitmap = GxB_FORMAT_BITMAP,
-// dense = GxB_FORMAT_DENSE.
+// Vector variant.  Vectors have one layout, the sorted coordinate list,
+// so every accepted value (CSR, BITMAP, DENSE, AUTO) leaves the vector
+// sparse: the nearest representable format, as for a forced matrix
+// format that cannot hold its block.  HYPER is rejected, as vectors have
+// no hypersparse form.
 inline GrB_Info GxB_Vector_Option_set(GrB_Vector v, GxB_Option_Field field,
                                       GxB_Format value) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (v == nullptr) return GrB_UNINITIALIZED_OBJECT;
     if (field != GxB_FORMAT) return GrB_INVALID_VALUE;
-    int pin = -1;
-    if (value != GxB_FORMAT_AUTO) {
-      switch (value) {
-        case GxB_FORMAT_CSR:
-          pin = static_cast<int>(grb::VecFormat::kSparse);
-          break;
-        case GxB_FORMAT_BITMAP:
-          pin = static_cast<int>(grb::VecFormat::kBitmap);
-          break;
-        case GxB_FORMAT_DENSE:
-          pin = static_cast<int>(grb::VecFormat::kDense);
-          break;
-        default:
-          return GrB_INVALID_VALUE;  // no hypersparse vectors
-      }
+    switch (value) {
+      case GxB_FORMAT_CSR:
+      case GxB_FORMAT_BITMAP:
+      case GxB_FORMAT_DENSE:
+      case GxB_FORMAT_AUTO:
+        return GrB_SUCCESS;
+      default:
+        return GrB_INVALID_VALUE;
     }
-    return grb_detail::to_c(v->set_format_option(pin));
   });
 }
 
+// Reads a vector's storage format: always GxB_FORMAT_CSR.
 inline GrB_Info GxB_Vector_Option_get(GrB_Vector v, GxB_Option_Field field,
                                       GxB_Format* value) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (value == nullptr) return GrB_NULL_POINTER;
     if (v == nullptr) return GrB_UNINITIALIZED_OBJECT;
     if (field != GxB_FORMAT) return GrB_INVALID_VALUE;
-    switch (v->current_data()->format) {
-      case grb::VecFormat::kSparse:
-        *value = GxB_FORMAT_CSR;
-        break;
-      case grb::VecFormat::kBitmap:
-        *value = GxB_FORMAT_BITMAP;
-        break;
-      case grb::VecFormat::kDense:
-        *value = GxB_FORMAT_DENSE;
-        break;
-    }
+    *value = GxB_FORMAT_CSR;
     return GrB_SUCCESS;
   });
 }

@@ -14,9 +14,9 @@
 #                        self-contained text frontend otherwise)
 #    3. build+ctest    — default preset, full tier-1 suite
 #    4. format-ablate  — the differential suites rerun under each forced
-#                        GRB_FORMAT=csr|hyper|bitmap|dense: every storage
-#                        format must reproduce the CSR baseline bitwise
-#                        (DESIGN.md §15)
+#                        GRB_FORMAT=csr|hyper|bitmap|dense: every matrix
+#                        storage format must reproduce the CSR baseline
+#                        bitwise (DESIGN.md §15; vectors have one layout)
 #    5. telemetry      — obs-labeled tests: counter oracles plus the
 #                        GRB_TRACE → grb_trace_summarize.py pipeline
 #    6. observability  — quickstart under GRB_FLIGHT_RECORDER + GRB_METRICS;
@@ -55,11 +55,13 @@
 #                        tools/bench_compare.py diffs against
 #                        bench_artifacts/baseline/ when present (advisory:
 #                        shared boxes are noisy)
-#   12. perfbench-smoke — one short run of the end-to-end benchmark's
-#                        ingest workload (perfbench/run.py); fails unless
-#                        it reports "correct": true and "failed": 0, so a
-#                        pending-tuple fold that breaks the full-graph
-#                        check is caught before the benchmark runs
+#   12. perfbench-smoke — one 1 s run of each end-to-end benchmark
+#                        workload (pagerank, ktruss, ingest; perfbench/
+#                        run.py); fails unless every run reports
+#                        "correct": true and "failed": 0, so a rank
+#                        mismatch, a wrong truss or a pending-tuple fold
+#                        that breaks the full-graph check is caught
+#                        before the benchmark runs
 #   13. asan           — AddressSanitizer build + tsan-labeled tests
 #                        (skipped unless GRB_CI_ASAN=1)
 #   14. ubsan          — UndefinedBehaviorSanitizer build + tsan-labeled
@@ -111,7 +113,8 @@ else
 fi
 
 note "4/15 format ablation (differential suites under each GRB_FORMAT)"
-# Every forced storage format must reproduce the CSR baseline bitwise.
+# Every forced matrix storage format must reproduce the CSR baseline
+# bitwise (GRB_FORMAT governs matrices only; vectors are always sparse).
 # The differential suites build their own inputs, so the env override
 # genuinely changes what the publishes store.
 ablate_ok=1
@@ -260,16 +263,21 @@ else
 fi
 if [ "$bench_ok" = 1 ]; then record bench PASS; else record bench FAIL; fi
 
-note "12/15 perfbench smoke (ingest workload checkers)"
-# A fold that breaks the workload's full-graph equality check shows up
-# as "correct": false; the last stdout line is the result object.
-smoke_out=$(python3 perfbench/run.py --workload ingest --seed 1 \
-                --seconds 1 --trace 0 | tail -n 1) || smoke_out=""
-echo "$smoke_out"
-if printf '%s' "$smoke_out" | python3 -c '
+note "12/15 perfbench smoke (every workload's checkers)"
+# A wrong result shows up as "correct": false (rank, truss or full-graph
+# check); the last stdout line of each run is its result object.
+smoke_ok=1
+for workload in pagerank ktruss ingest; do
+  smoke_out=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+                  --seconds 1 --trace 0 | tail -n 1) || smoke_out=""
+  echo "-- $workload: $smoke_out"
+  printf '%s' "$smoke_out" | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' ||
+    smoke_ok=0
+done
+if [ "$smoke_ok" = 1 ]; then
   record perfbench-smoke PASS
 else
   record perfbench-smoke FAIL

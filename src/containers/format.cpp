@@ -196,62 +196,6 @@ MatFormat forced_matrix_target(const MatrixData& m, MatFormat want) {
   return want;  // hyper and csr are always representable
 }
 
-VecFormat forced_vector_target(const VectorData& v, VecFormat want) {
-  const uint64_t vsize = v.type->size() != 0 ? v.type->size() : 1;
-  const uint64_t budget = spgemm_dense_budget();
-  if (want == VecFormat::kDense) {
-    if (v.nvals() == v.n && v.n != 0 && v.n <= budget / vsize)
-      return VecFormat::kDense;
-    want = VecFormat::kBitmap;
-  }
-  if (want == VecFormat::kBitmap) {
-    if (v.n != 0 && v.n <= budget / (1 + vsize)) return VecFormat::kBitmap;
-    return VecFormat::kSparse;
-  }
-  return want;
-}
-
-// --- vector conversions -------------------------------------------------
-
-std::shared_ptr<const VectorData> vector_to_sparse(const VectorData& v) {
-  auto out = std::make_shared<VectorData>(v.type, v.n);
-  if (v.format == VecFormat::kDense) {
-    out->ind.resize(v.n);
-    for (Index i = 0; i < v.n; ++i) out->ind[i] = i;
-    copy_value_bytes(&out->vals, v.vals);
-  } else {  // bitmap
-    out->ind.reserve(v.full_nvals);
-    out->vals.reserve(v.full_nvals);
-    for (Index i = 0; i < v.n; ++i) {
-      if (v.bmap[i] != 0) {
-        out->ind.push_back(i);
-        out->vals.push_back(v.vals.at(i));
-      }
-    }
-  }
-  return out;
-}
-
-std::shared_ptr<const VectorData> sparse_to_bitmap(const VectorData& v) {
-  auto out =
-      std::make_shared<VectorData>(v.type, v.n, VecFormat::kBitmap);
-  out->bmap.assign(v.n, 0);
-  out->vals.resize(v.n);
-  for (size_t k = 0; k < v.ind.size(); ++k) {
-    out->bmap[v.ind[k]] = 1;
-    out->vals.set(v.ind[k], v.vals.at(k));
-  }
-  out->full_nvals = v.nvals();
-  return out;
-}
-
-std::shared_ptr<const VectorData> sparse_to_dense(const VectorData& v) {
-  auto out = std::make_shared<VectorData>(v.type, v.n, VecFormat::kDense);
-  copy_value_bytes(&out->vals, v.vals);  // full: index order == position
-  out->full_nvals = v.n;
-  return out;
-}
-
 // Approximate storage footprints, the currency of the format chooser —
 // exported to the decision audit so GxB_Explain shows the byte tradeoff
 // a switch was predicted to win.
@@ -273,19 +217,6 @@ uint64_t approx_matrix_bytes(const MatrixData& m, MatFormat f) {
   return nnz * (sizeof(Index) + vsize);
 }
 
-uint64_t approx_vector_bytes(const VectorData& v, VecFormat f) {
-  const uint64_t vsize = v.type->size() != 0 ? v.type->size() : 1;
-  switch (f) {
-    case VecFormat::kDense:
-      return static_cast<uint64_t>(v.n) * vsize;
-    case VecFormat::kBitmap:
-      return static_cast<uint64_t>(v.n) * (1 + vsize);
-    case VecFormat::kSparse:
-      break;
-  }
-  return v.nvals() * (sizeof(Index) + vsize);
-}
-
 }  // namespace
 
 const char* format_name(MatFormat f) {
@@ -294,15 +225,6 @@ const char* format_name(MatFormat f) {
     case MatFormat::kHyper: return "hyper";
     case MatFormat::kBitmap: return "bitmap";
     case MatFormat::kDense: return "dense";
-  }
-  return "?";
-}
-
-const char* format_name(VecFormat f) {
-  switch (f) {
-    case VecFormat::kSparse: return "sparse";
-    case VecFormat::kBitmap: return "bitmap";
-    case VecFormat::kDense: return "dense";
   }
   return "?";
 }
@@ -361,18 +283,6 @@ MatFormat choose_matrix_format(const MatrixData& m, uint64_t flops_hint) {
   return MatFormat::kCsr;
 }
 
-VecFormat choose_vector_format(const VectorData& v) {
-  const uint64_t nnz = v.nvals();
-  if (nnz < kFormatMinWork) return v.format;
-  const uint64_t vsize = v.type->size() != 0 ? v.type->size() : 1;
-  const uint64_t budget = spgemm_dense_budget();
-  if (nnz == v.n && v.n <= budget / vsize) return VecFormat::kDense;
-  if (nnz < v.n && v.n <= budget / (1 + vsize) &&
-      v.n * (1 + vsize) < nnz * (sizeof(Index) + vsize))
-    return VecFormat::kBitmap;
-  return VecFormat::kSparse;
-}
-
 std::shared_ptr<const MatrixData> format_convert_matrix(
     const std::shared_ptr<const MatrixData>& m, MatFormat to) {
   if (m == nullptr || m->format == to) return m;
@@ -395,24 +305,6 @@ std::shared_ptr<const MatrixData> format_convert_matrix(
       break;
   }
   return csr;
-}
-
-std::shared_ptr<const VectorData> format_convert_vector(
-    const std::shared_ptr<const VectorData>& v, VecFormat to) {
-  if (v == nullptr || v->format == to) return v;
-  std::shared_ptr<const VectorData> sp =
-      v->format == VecFormat::kSparse ? v : vector_to_sparse(*v);
-  switch (to) {
-    case VecFormat::kBitmap:
-      if (sp->n == 0) return sp;
-      return sparse_to_bitmap(*sp);
-    case VecFormat::kDense:
-      if (sp->nvals() != sp->n || sp->n == 0) return sp;
-      return sparse_to_dense(*sp);
-    case VecFormat::kSparse:
-      break;
-  }
-  return sp;
 }
 
 std::shared_ptr<const MatrixData> format_adapt_matrix(
@@ -444,37 +336,6 @@ std::shared_ptr<const MatrixData> format_adapt_matrix(
   return out;
 }
 
-std::shared_ptr<const VectorData> format_adapt_vector(
-    std::shared_ptr<const VectorData> v, int override_fmt) {
-  if (v == nullptr) return v;
-  VecFormat target;
-  if (override_fmt >= 0) {
-    target = forced_vector_target(*v, static_cast<VecFormat>(override_fmt));
-  } else {
-    const FormatPolicy p = format_policy();
-    if (p == FormatPolicy::kAuto) {
-      target = choose_vector_format(*v);
-    } else {
-      // The matrix policy maps onto vectors with hyper meaning sparse
-      // (a coordinate list is already row-compressed storage).
-      VecFormat want = p == FormatPolicy::kBitmap ? VecFormat::kBitmap
-                       : p == FormatPolicy::kDense ? VecFormat::kDense
-                                                   : VecFormat::kSparse;
-      target = forced_vector_target(*v, want);
-    }
-  }
-  if (target == v->format) return v;
-  obs::DecisionTicket ticket = obs::decision_record(
-      obs::DecisionSite::kFormatAdapt, format_name(target),
-      format_name(v->format),
-      static_cast<double>(approx_vector_bytes(*v, target)),
-      static_cast<double>(approx_vector_bytes(*v, v->format)));
-  auto out = format_convert_vector(v, target);
-  if (out != v) obs::format_switch();
-  obs::decision_measure(ticket, 0);
-  return out;
-}
-
 // --- cached canonical views --------------------------------------------
 // check-under-lock / compute-outside-lock / install-under-lock: racing
 // builders are tolerated, the first install wins, and view_mu_ never
@@ -492,20 +353,6 @@ std::shared_ptr<const MatrixData> format_csr_view(
   MutexLock lock(m->view_mu_);
   if (m->csr_view_ == nullptr) m->csr_view_ = std::move(built);
   return m->csr_view_;
-}
-
-std::shared_ptr<const VectorData> format_sparse_view(
-    std::shared_ptr<const VectorData> v) {
-  if (v == nullptr || v->format == VecFormat::kSparse) return v;
-  {
-    MutexLock lock(v->view_mu_);
-    if (v->sparse_view_ != nullptr) return v->sparse_view_;
-  }
-  auto built = vector_to_sparse(*v);
-  obs::format_csr_convert();
-  MutexLock lock(v->view_mu_);
-  if (v->sparse_view_ == nullptr) v->sparse_view_ = std::move(built);
-  return v->sparse_view_;
 }
 
 std::shared_ptr<const MatrixData> format_transpose_view(

@@ -2,34 +2,17 @@
 
 #include <algorithm>
 
-#include "containers/format.hpp"
 #include "obs/telemetry.hpp"
 
 namespace grb {
 
 size_t VectorData::find(Index i) const {
-  if (i >= n) return npos;
-  switch (format) {
-    case VecFormat::kBitmap:
-      return bmap[i] != 0 ? static_cast<size_t>(i) : npos;
-    case VecFormat::kDense:
-      return static_cast<size_t>(i);
-    case VecFormat::kSparse:
-      break;
-  }
   auto it = std::lower_bound(ind.begin(), ind.end(), i);
   if (it == ind.end() || *it != i) return npos;
   return static_cast<size_t>(it - ind.begin());
 }
 
 Info Vector::snapshot(std::shared_ptr<const VectorData>* out) {
-  std::shared_ptr<const VectorData> native;
-  GRB_RETURN_IF_ERROR(snapshot_native(&native));
-  *out = format_sparse_view(std::move(native));
-  return Info::kSuccess;
-}
-
-Info Vector::snapshot_native(std::shared_ptr<const VectorData>* out) {
   Info info = complete();
   if (static_cast<int>(info) < 0) return info;
   MutexLock lock(mu_);
@@ -38,21 +21,8 @@ Info Vector::snapshot_native(std::shared_ptr<const VectorData>* out) {
 }
 
 void Vector::publish(std::shared_ptr<const VectorData> data) {
-  // Snapshot-boundary format adaptation, before mu_ (see Matrix).
-  data = format_adapt_vector(std::move(data),
-                             fmt_override_.load(std::memory_order_relaxed));
   MutexLock lock(mu_);
   data_ = std::move(data);
-}
-
-Info Vector::set_format_option(int fmt) {
-  if (fmt < -1 || fmt > static_cast<int>(VecFormat::kDense))
-    return Info::kInvalidValue;
-  fmt_override_.store(fmt, std::memory_order_relaxed);
-  std::shared_ptr<const VectorData> snap;
-  GRB_RETURN_IF_ERROR(snapshot_native(&snap));
-  publish(std::move(snap));
-  return Info::kSuccess;
 }
 
 void Vector::mem_snapshot(obs::MemReportable::Snapshot* out) const {
@@ -68,17 +38,9 @@ void Vector::mem_snapshot(obs::MemReportable::Snapshot* out) const {
     out->ctx = obs_ctx_id();
   }
   out->nvals = data->nvals();
-  out->format = format_name(data->format);
+  out->format = "sparse";
   out->live_bytes += obs::account_live(*data->acct);
   out->peak_bytes += obs::account_peak(*data->acct);
-  std::shared_ptr<const VectorData> sparse;
-  {
-    MutexLock lock(data->view_mu_);
-    sparse = data->sparse_view_;
-  }
-  if (sparse != nullptr)
-    out->view_bytes += obs::account_live(*sparse->acct);
-  out->live_bytes += out->view_bytes;
 }
 
 Info Vector::flush_pending() {
@@ -107,14 +69,11 @@ Info Vector::flush_prefix(uint64_t upto) {
     base = data_;
   }
   obs::pending_tuples_sample(remaining);
-  // The fold walks the sorted coordinate form (the one-row case of the
-  // matrix fold); expand a non-canonical base first (cached on the
-  // block).
-  auto b = format_sparse_view(std::move(base));
-  auto folded = std::make_shared<VectorData>(b->type, b->n);
-  const Index base_ptr[2] = {0, static_cast<Index>(b->ind.size())};
+  // The fold is the one-row case of the matrix fold.
+  auto folded = std::make_shared<VectorData>(base->type, base->n);
+  const Index base_ptr[2] = {0, static_cast<Index>(base->ind.size())};
   Index out_ptr[2] = {};
-  fold_pending(pend, pvals, 1, base_ptr, b->ind, b->vals, out_ptr,
+  fold_pending(pend, pvals, 1, base_ptr, base->ind, base->vals, out_ptr,
                &folded->ind, &folded->vals);
   publish(std::move(folded));
   return Info::kSuccess;
@@ -210,9 +169,8 @@ Info Vector::clear() {
 
 Info Vector::nvals(Index* out) {
   if (out == nullptr) return Info::kNullPointer;
-  // Native block: every format answers nvals in O(1), no expansion.
   std::shared_ptr<const VectorData> snap;
-  GRB_RETURN_IF_ERROR(snapshot_native(&snap));
+  GRB_RETURN_IF_ERROR(snapshot(&snap));
   *out = snap->nvals();
   return Info::kSuccess;
 }
@@ -225,7 +183,7 @@ Info Vector::resize(Index new_size) {
     size_ = new_size;  // handle dims update eagerly for validation
   }
   auto op = [this, new_size]() -> Info {
-    std::shared_ptr<const VectorData> base = current_canonical();
+    std::shared_ptr<const VectorData> base = current_data();
     auto out = std::make_shared<VectorData>(base->type, new_size);
     if (new_size >= base->n) {
       out->ind = base->ind;

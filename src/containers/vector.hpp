@@ -19,58 +19,31 @@
 
 namespace grb {
 
-// Storage format of one immutable vector data block (DESIGN.md §15).
-//  * kSparse — canonical: sorted coordinate list ind + packed vals.
-//  * kBitmap — bmap holds n presence bytes; vals holds one slot per
-//              position (absent slots zero-filled).
-//  * kDense  — every position present; vals holds n slots.
-enum class VecFormat : uint8_t { kSparse = 0, kBitmap = 1, kDense = 2 };
-
-const char* format_name(VecFormat f);
-
+// One immutable vector data block.  Every block has one layout, the
+// sorted coordinate list (DESIGN.md §15): no kernel reads a vector any
+// other way, so there is nothing to convert on publish or on read.
 struct VectorData {
   // Memory-attribution account for ind/vals; declared first so it
   // outlives the arrays it is credited from during destruction.
   std::shared_ptr<obs::MemAccount> acct;
   const Type* type;
   Index n = 0;
-  VecFormat format = VecFormat::kSparse;
-  obs::TrackedVec<Index> ind;     // sparse only: sorted, unique
-  obs::TrackedVec<uint8_t> bmap;  // bitmap only: n presence bytes
-  Index full_nvals = 0;           // bitmap/dense: stored entry count
-  ValueArray vals;                // stride == type->size()
+  obs::TrackedVec<Index> ind;  // sorted, unique
+  ValueArray vals;             // stride == type->size()
 
-  VectorData(const Type* t, Index size,
-             VecFormat f = VecFormat::kSparse)
+  VectorData(const Type* t, Index size)
       : acct(std::make_shared<obs::MemAccount>()),
         type(t),
         n(size),
-        format(f),
         ind(obs::TrackedAlloc<Index>(acct)),
-        bmap(obs::TrackedAlloc<uint8_t>(acct)),
         vals(t->size(), acct) {}
 
-  Index nvals() const {
-    return format == VecFormat::kSparse ? static_cast<Index>(ind.size())
-                                        : full_nvals;
-  }
+  Index nvals() const { return static_cast<Index>(ind.size()); }
 
-  // Position of index i in vals, or npos.  O(1) for bitmap/dense.
+  // Position of index i in vals (binary search), or npos.
   static constexpr size_t npos = ~size_t{0};
   size_t find(Index i) const;
-
-  // Canonical-view cache (containers/format.cpp): a non-sparse block is
-  // expanded to the sorted-coordinate form at most once; the view dies
-  // with this block's last reference (COW = free invalidation).
-  mutable Mutex view_mu_;
-  mutable std::shared_ptr<const VectorData> sparse_view_
-      GRB_GUARDED_BY(view_mu_);
 };
-
-// Canonical sparse view of a snapshot: identity for kSparse blocks, the
-// cached expansion otherwise.
-std::shared_ptr<const VectorData> format_sparse_view(
-    std::shared_ptr<const VectorData> v);
 
 class Vector : public ObjectBase, public obs::MemReportable {
  public:
@@ -96,17 +69,12 @@ class Vector : public ObjectBase, public obs::MemReportable {
   }
 
   // Completes the sequence (drains deferred ops, folds pending tuples)
-  // and returns an immutable snapshot in the canonical sparse form.
-  // Format-aware fast paths use snapshot_native() and branch on
-  // ->format.
+  // and returns an immutable snapshot.
   Info snapshot(std::shared_ptr<const VectorData>* out) GRB_EXCLUDES(mu_);
-  Info snapshot_native(std::shared_ptr<const VectorData>* out)
-      GRB_EXCLUDES(mu_);
 
-  // Publishes new contents, adapting the stored format first (cost
-  // model or per-object override; the conversion runs before mu_ is
-  // taken).  Called by operation closures; the data's size must equal
-  // the handle size at the time the closure runs.
+  // Publishes new contents as produced.  Called by operation closures;
+  // the data's size must equal the handle size at the time the closure
+  // runs.
   void publish(std::shared_ptr<const VectorData> data) GRB_EXCLUDES(mu_);
 
   // Folds any pending tuples into the sequence, then appends `op`, so
@@ -131,19 +99,6 @@ class Vector : public ObjectBase, public obs::MemReportable {
     MutexLock lock(mu_);
     return data_;
   }
-  // Canonical sparse view of current_data() — what deferred closures
-  // read.
-  std::shared_ptr<const VectorData> current_canonical() const
-      GRB_EXCLUDES(mu_) {
-    return format_sparse_view(current_data());
-  }
-
-  // GxB_Vector_Option_set/get: per-object format pin (-1 = cost model).
-  Info set_format_option(int fmt) GRB_EXCLUDES(mu_);
-  int format_option() const {
-    return fmt_override_.load(std::memory_order_relaxed);
-  }
-
   // --- lifecycle / structure --------------------------------------------
   static Info new_(Vector** v, const Type* type, Index n, Context* ctx);
   static Info dup(Vector** out, const Vector* in);
@@ -170,9 +125,6 @@ class Vector : public ObjectBase, public obs::MemReportable {
   Index size_ GRB_GUARDED_BY(mu_);
   const Type* type_;  // immutable after construction
   std::shared_ptr<const VectorData> data_ GRB_GUARDED_BY(mu_);
-  // Per-object format pin: -1 defers to the cost model / GRB_FORMAT
-  // policy, otherwise a VecFormat value publish() converts to.
-  std::atomic<int> fmt_override_{-1};
 
   // Pending-tuple store on its own account (buffered-but-unfolded bytes
   // in the handle's memory snapshot); account declared first.

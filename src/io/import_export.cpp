@@ -302,6 +302,8 @@ Info vector_import(Vector** v, const Type* type, Index n,
                    Context* ctx) {
   if (v == nullptr || type == nullptr) return Info::kNullPointer;
   if (!is_vector_format(format)) return Info::kInvalidValue;
+  // The GrB_Vector_new bound, checked before anything is sized from n.
+  if (n > kIndexMax) return Info::kInvalidValue;
   size_t sz = type->size();
   auto data = std::make_shared<VectorData>(type, n);
   if (format == Format::kSparseVector) {
@@ -325,6 +327,8 @@ Info vector_import(Vector** v, const Type* type, Index n,
       std::memcpy(data->vals.at(k), src + order[k] * sz, sz);
     }
   } else {  // kDenseVector
+    if (sz != 0 && n > std::numeric_limits<size_t>::max() / sz)
+      return Info::kInvalidValue;  // n * type size overflows
     if (values == nullptr && n > 0) return Info::kNullPointer;
     if (values_len < n) return Info::kInvalidValue;
     data->ind.resize(n);

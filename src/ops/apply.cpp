@@ -129,7 +129,7 @@ Info capture_scalar(ValueBuf* buf, const Type* to, const void* s,
 // and eager paths run literally the same kernel.
 //
 // Plain self-apply (u == w) skips the eager input snapshot and reads
-// w->current_canonical() inside the closure instead: by FIFO ordering of the
+// w->current_data() inside the closure instead: by FIFO ordering of the
 // deferred queue both see the same data, and staying lazy is what lets
 // the planner accumulate apply→apply chains instead of forcing a
 // materialization per call.
@@ -163,7 +163,7 @@ Info defer_vec_map(Vector* w, const Vector* u, const Vector* mask,
       [w, u_snap, m_snap, spec, ztype,
        factory = std::move(factory)]() -> Info {
         std::shared_ptr<const VectorData> uu =
-            u_snap != nullptr ? u_snap : w->current_canonical();
+            u_snap != nullptr ? u_snap : w->current_data();
         Context* ectx = exec_context(w->context(), uu->nvals());
         auto t = map_vector(ectx, *uu, ztype, factory);
         publish_result(w, w->context(), std::move(t), m_snap.get(), spec);

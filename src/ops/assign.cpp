@@ -144,7 +144,7 @@ Info run_vector_assign(Vector* w, const Vector* mask, const BinaryOp* accum,
   return defer_or_run(w, [w, m_snap, accum, updates = std::move(updates),
                           src_vals = std::move(src_vals), src_type,
                           spec]() -> Info {
-    auto c_old = w->current_canonical();
+    auto c_old = w->current_data();
     auto z = std::make_shared<VectorData>(c_old->type, c_old->n);
     UpdateMerger merger(c_old->type, src_type, accum, &src_vals);
     merger.merge(
@@ -170,7 +170,7 @@ Info assign_scalar_all(Vector* w, const BinaryOp* accum, const void* s,
                        const Type* stype) {
   ValueBuf sv(stype, s);
   return defer_or_run(w, [w, accum, sv, stype]() -> Info {
-    auto c_old = w->current_canonical();
+    auto c_old = w->current_data();
     const VectorData& c = *c_old;
     const Type* ct = c.type;
     const size_t csize = ct->size();

@@ -48,9 +48,8 @@ Info Vector::extract_element(void* out, const Type* out_type, Index i) {
   if (out == nullptr || out_type == nullptr) return Info::kNullPointer;
   if (!types_compatible(out_type, type_)) return Info::kDomainMismatch;
   if (i >= size()) return Info::kInvalidIndex;
-  // Native block: find() is O(1) on bitmap/dense, no expansion needed.
   std::shared_ptr<const VectorData> snap;
-  GRB_RETURN_IF_ERROR(snapshot_native(&snap));
+  GRB_RETURN_IF_ERROR(snapshot(&snap));
   size_t pos = snap->find(i);
   if (pos == VectorData::npos) return Info::kNoValue;
   cast_value(out_type, out, snap->type, snap->vals.at(pos));

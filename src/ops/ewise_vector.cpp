@@ -101,7 +101,7 @@ Info ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
   GRB_RETURN_IF_ERROR(validate_ewise_v(w, mask, accum, op, u, v));
   const Descriptor& d = resolve_desc(desc);
   // Plain replaces participate in fusion; self operands stay lazy (the
-  // closure reads w->current_canonical() at execution, which by queue FIFO is
+  // closure reads w->current_data() at execution, which by queue FIFO is
   // identical to snapshotting here) so chains over w keep accumulating
   // instead of forcing a materialization per call.
   const bool plain = mask == nullptr && accum == nullptr && !d.mask_comp();
@@ -151,9 +151,9 @@ Info ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
       w,
       [w, u_snap, v_snap, m_snap, op, spec]() -> Info {
         std::shared_ptr<const VectorData> uu =
-            u_snap != nullptr ? u_snap : w->current_canonical();
+            u_snap != nullptr ? u_snap : w->current_data();
         std::shared_ptr<const VectorData> vv =
-            v_snap != nullptr ? v_snap : w->current_canonical();
+            v_snap != nullptr ? v_snap : w->current_data();
         Context* ectx =
             exec_context(w->context(), uu->nvals() + vv->nvals());
         auto t = compute_ewise_vector(ectx, *uu, *vv, kUnion, op);

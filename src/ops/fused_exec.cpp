@@ -270,7 +270,7 @@ std::shared_ptr<VectorData> run_zip(Context* ctx, const VectorData& self,
 
 Info run_fused_vector_group(Vector* w, std::vector<Deferred>& batch,
                             size_t b, size_t e) {
-  const Type* wtype = w->current_canonical()->type;
+  const Type* wtype = w->current_data()->type;
   std::shared_ptr<const VectorData> cur;
   std::vector<Stage> stages;
   for (size_t k = b; k < e; ++k) {
@@ -289,10 +289,10 @@ Info run_fused_vector_group(Vector* w, std::vector<Deferred>& batch,
       if (nd.vsrc != nullptr)
         cur = nd.vsrc;  // snapshot-source head: chain restarts here
       else if (cur == nullptr)
-        cur = w->current_canonical();
+        cur = w->current_data();
       stages.push_back(Stage{&nd.make_mapper, nd.ztype});
     } else {  // kZip
-      if (cur == nullptr) cur = w->current_canonical();
+      if (cur == nullptr) cur = w->current_data();
       Context* ectx = exec_context(w->context(),
                                    cur->nvals() + nd.zip_other->nvals());
       cur = run_zip(ectx, *cur, stages, wtype, nd);

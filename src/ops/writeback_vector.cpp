@@ -156,7 +156,6 @@ void publish_result(Vector* w, Context* ctx,
     w->publish(std::move(t));
     return;
   }
-  c_old = format_sparse_view(std::move(c_old));
   w->publish(writeback_vector(ctx, *c_old, *t, mask, spec));
 }
 

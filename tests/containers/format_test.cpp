@@ -1,11 +1,17 @@
-// Polymorphic storage formats (DESIGN.md §15): per-object pins via
-// GxB_Matrix/Vector_Option_set, the global GxB_Format policy, format
-// introspection, conversion round-trips, format-aware element access,
-// and the cost model's direct choices.
+// Storage formats (DESIGN.md §15): per-object matrix pins via
+// GxB_Matrix_Option_set, the vector pins (one layout, so each is a
+// no-op), the global GxB_Format policy, format introspection,
+// conversion round-trips, format-aware element access, and the cost
+// model's direct choices.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "algorithms/algorithms.hpp"
 #include "containers/format.hpp"
 #include "tests/grb_test_util.hpp"
+#include "util/generator.hpp"
 
 namespace {
 
@@ -94,41 +100,80 @@ TEST(FormatTest, ExtractElementEveryMatrixFormat) {
   GrB_free(&a);
 }
 
-TEST(FormatTest, VectorPinRoundTripsEveryFormat) {
-  PolicyGuard guard;
-  grb::set_format_policy(grb::FormatPolicy::kAuto);
-  ref::Vec rv = random_vec(40, 0.4, 154);
-  GrB_Vector u = testutil::make_vector(rv);
-  ASSERT_EQ(GrB_wait(u, GrB_MATERIALIZE), GrB_SUCCESS);
-  EXPECT_EQ(vector_format(u), GxB_FORMAT_CSR);  // "sparse" maps to CSR
-
-  ASSERT_EQ(GxB_Vector_Option_set(u, GxB_FORMAT, GxB_FORMAT_BITMAP),
-            GrB_SUCCESS);
-  EXPECT_EQ(vector_format(u), GxB_FORMAT_BITMAP);
-  EXPECT_VECTOR_EQ(u, rv);
-  double out = 0.0;
-  for (GrB_Index i = 0; i < rv.n; ++i) {
-    GrB_Info want = rv.at(i) ? GrB_SUCCESS : GrB_NO_VALUE;
-    EXPECT_EQ(GrB_Vector_extractElement(&out, u, i), want);
-    if (rv.at(i)) EXPECT_EQ(out, *rv.at(i));
+// A vector's stored tuples, compared bitwise (values by memcmp).
+struct Tuples {
+  std::vector<GrB_Index> ind;
+  std::vector<double> vals;
+  bool operator==(const Tuples& o) const {
+    return ind == o.ind && vals.size() == o.vals.size() &&
+           std::memcmp(vals.data(), o.vals.data(),
+                       vals.size() * sizeof(double)) == 0;
   }
-  // Dense needs a full vector; a partial one degrades to bitmap.
-  ASSERT_EQ(GxB_Vector_Option_set(u, GxB_FORMAT, GxB_FORMAT_DENSE),
-            GrB_SUCCESS);
-  EXPECT_EQ(vector_format(u), GxB_FORMAT_BITMAP);
-  ASSERT_EQ(GxB_Vector_Option_set(u, GxB_FORMAT, GxB_FORMAT_CSR),
-            GrB_SUCCESS);
-  EXPECT_EQ(vector_format(u), GxB_FORMAT_CSR);
-  EXPECT_VECTOR_EQ(u, rv);
-  GrB_free(&u);
+};
 
-  ref::Vec full = random_vec(12, 1.1, 155);
-  GrB_Vector w = testutil::make_vector(full);
-  ASSERT_EQ(GxB_Vector_Option_set(w, GxB_FORMAT, GxB_FORMAT_DENSE),
+Tuples tuples_of(GrB_Vector v) {
+  Tuples t;
+  GrB_Index nv = 0;
+  EXPECT_EQ(GrB_Vector_nvals(&nv, v), GrB_SUCCESS);
+  t.ind.resize(nv);
+  t.vals.resize(nv);
+  EXPECT_EQ(GrB_Vector_extractTuples(t.ind.data(), t.vals.data(), &nv, v),
             GrB_SUCCESS);
-  EXPECT_EQ(vector_format(w), GxB_FORMAT_DENSE);
-  EXPECT_VECTOR_EQ(w, full);
-  GrB_free(&w);
+  EXPECT_EQ(nv, t.ind.size());
+  return t;
+}
+
+// Vectors have one layout: every accepted pin succeeds, reports CSR, and
+// leaves the stored tuples bitwise unchanged.
+TEST(FormatTest, VectorPinRoundTripsEveryFormat) {
+  GrB_Vector u = testutil::make_vector(random_vec(40, 0.4, 154));
+  const Tuples before = tuples_of(u);
+  ASSERT_FALSE(before.ind.empty());
+  EXPECT_EQ(vector_format(u), GxB_FORMAT_CSR);
+  for (GxB_Format f : {GxB_FORMAT_BITMAP, GxB_FORMAT_DENSE, GxB_FORMAT_CSR,
+                       GxB_FORMAT_AUTO}) {
+    ASSERT_EQ(GxB_Vector_Option_set(u, GxB_FORMAT, f), GrB_SUCCESS);
+    EXPECT_EQ(vector_format(u), GxB_FORMAT_CSR);
+    EXPECT_TRUE(tuples_of(u) == before);
+  }
+  GrB_free(&u);
+}
+
+// PageRank's vectors are full, the case a density-driven vector format
+// would store dense.  With one vector layout no publish or read of them
+// converts (n = 2048 is past any small-block work gate), and the ranks
+// match a forced-CSR run bitwise.
+TEST(FormatTest, PagerankVectorsNeverSwitchFormat) {
+  PolicyGuard guard;
+  GrB_Matrix a = nullptr;
+  ASSERT_EQ(grb::rmat_matrix(&a, 11, 8, grb::RmatParams{}, nullptr),
+            grb::Info::kSuccess);
+  auto ranks = [&] {
+    GrB_Vector r = nullptr;
+    EXPECT_EQ(grb_algo::pagerank(&r, a, 0.85, 20, 0.0), GrB_SUCCESS);
+    Tuples t = tuples_of(r);
+    GrB_free(&r);
+    return t;
+  };
+  auto counter = [](const char* name) {
+    uint64_t v = ~uint64_t{0};
+    EXPECT_EQ(GxB_Stats_get(name, &v), GrB_SUCCESS) << name;
+    return v;
+  };
+
+  ASSERT_EQ(GxB_Format_set(GxB_FORMAT_AUTO), GrB_SUCCESS);
+  ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
+  ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+  const Tuples by_auto = ranks();
+  EXPECT_EQ(counter("format.switches"), 0u);
+  EXPECT_EQ(counter("format.csr_conversions"), 0u);
+  EXPECT_EQ(GxB_Stats_enable(0), GrB_SUCCESS);
+  EXPECT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+  EXPECT_EQ(by_auto.ind.size(), GrB_Index{2048});
+
+  ASSERT_EQ(GxB_Format_set(GxB_FORMAT_CSR), GrB_SUCCESS);
+  EXPECT_TRUE(ranks() == by_auto);
+  GrB_free(&a);
 }
 
 TEST(FormatTest, GlobalPolicyForcesPublishedFormat) {
@@ -214,24 +259,6 @@ TEST(FormatTest, CostModelChoices) {
   // Tiny block (below min work): keeps its current format.
   grb::MatrixData tiny(GrB_FP64, 10, 10);
   EXPECT_EQ(grb::choose_matrix_format(tiny, 0), grb::MatFormat::kCsr);
-
-  // Full vector: dense; mostly-full: bitmap; sparse: sparse.
-  grb::VectorData vfull(GrB_FP64, 2048);
-  vfull.ind.resize(2048);
-  for (grb::Index i = 0; i < 2048; ++i) vfull.ind[i] = i;
-  vfull.vals.resize(2048);
-  EXPECT_EQ(grb::choose_vector_format(vfull), grb::VecFormat::kDense);
-
-  grb::VectorData vmost(GrB_FP64, 2048);
-  for (grb::Index i = 0; i < 2048; ++i)
-    if (i % 4 != 3) vmost.ind.push_back(i);
-  vmost.vals.resize(vmost.ind.size());
-  EXPECT_EQ(grb::choose_vector_format(vmost), grb::VecFormat::kBitmap);
-
-  grb::VectorData vsparse(GrB_FP64, 1 << 20);
-  for (grb::Index i = 0; i < 1500; ++i) vsparse.ind.push_back(i * 512);
-  vsparse.vals.resize(vsparse.ind.size());
-  EXPECT_EQ(grb::choose_vector_format(vsparse), grb::VecFormat::kSparse);
 }
 
 // Conversions are exact: values round-trip bitwise through every format

@@ -289,4 +289,33 @@ TEST(ImportExportTest, DenseCellCountOverflowIsRejected) {
   }
 }
 
+TEST(ImportExportTest, VectorSizeAboveIndexMaxIsRejected) {
+  // The claimed value length matches n, so only the bound stops the
+  // dense branch from sizing its arrays from n.
+  const GrB_Index huge = GrB_INDEX_MAX + 1;
+  double values[] = {1};
+  for (GrB_Format format : {GrB_SPARSE_VECTOR, GrB_DENSE_VECTOR}) {
+    GrB_Vector v = nullptr;
+    const GrB_Index values_len = format == GrB_DENSE_VECTOR ? huge : 0;
+    EXPECT_EQ(GrB_Vector_import(&v, GrB_FP64, huge, nullptr, values, 0,
+                                values_len, format),
+              GrB_INVALID_VALUE)
+        << "format " << static_cast<int>(format);
+    EXPECT_EQ(v, nullptr);
+  }
+}
+
+TEST(ImportExportTest, DenseVectorByteCountOverflowIsRejected) {
+  // 2^60 values of 32 bytes each is 2^65 bytes: n * type size wraps.
+  GrB_Type wide = nullptr;
+  ASSERT_EQ(GrB_Type_new(&wide, 32), GrB_SUCCESS);
+  unsigned char values[32] = {};
+  GrB_Vector v = nullptr;
+  EXPECT_EQ(GrB_Vector_import(&v, wide, GrB_INDEX_MAX, nullptr, values, 0,
+                              GrB_INDEX_MAX, GrB_DENSE_VECTOR),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(v, nullptr);
+  GrB_free(&wide);
+}
+
 }  // namespace
