@@ -62,7 +62,7 @@
 #                        mismatch, a wrong truss or a pending-tuple fold
 #                        that breaks the full-graph check is caught
 #                        before the benchmark runs
-#   13. asan           — AddressSanitizer build + tsan-labeled tests
+#   13. asan           — AddressSanitizer build + the full test suite
 #                        (skipped unless GRB_CI_ASAN=1)
 #   14. ubsan          — UndefinedBehaviorSanitizer build + tsan-labeled
 #                        tests (skipped unless GRB_CI_UBSAN=1)
@@ -298,7 +298,7 @@ sanitizer_stage() {
   fi
 }
 
-note "13/15 address sanitizer (tsan-labeled tests under asan)"
+note "13/15 address sanitizer (full test suite under asan)"
 sanitizer_stage asan asan GRB_CI_ASAN
 
 note "14/15 undefined-behavior sanitizer (tsan-labeled tests under ubsan)"

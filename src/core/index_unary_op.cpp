@@ -3,21 +3,15 @@
 #include <memory>
 #include <type_traits>
 #include <unordered_set>
+
+#include "core/scalar_ops.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace grb {
 namespace {
 
-template <class T>
-T ld(const void* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
-template <class T>
-void st(void* p, T v) {
-  std::memcpy(p, &v, sizeof(T));
-}
+using scalar::ld;
+using scalar::st;
 
 // For a vector (n == 1) the column index is taken equal to the row index;
 // Table IV documents that matrix-only positional ops on vectors are
@@ -43,56 +37,15 @@ void fn_diagindex(void* out, const void*, Index* ind, Index n,
                             static_cast<int64_t>(ld<Z>(s))));
 }
 
-// --- "keep" (positional) family ------------------------------------------
-void fn_tril(void* out, const void*, Index* ind, Index n, const void* s) {
-  st<bool>(out, col_of(ind, n) <= row_of(ind) + ld<int64_t>(s));
+// --- "keep" families: bodies in core/scalar_ops.hpp ----------------------
+template <IdxOpCode Op>
+void fn_pos_keep(void* out, const void*, Index* ind, Index n, const void* s) {
+  st<bool>(out, scalar::pos_keep<Op>(row_of(ind), col_of(ind, n),
+                                     ld<int64_t>(s)));
 }
-void fn_triu(void* out, const void*, Index* ind, Index n, const void* s) {
-  st<bool>(out, col_of(ind, n) >= row_of(ind) + ld<int64_t>(s));
-}
-void fn_diag(void* out, const void*, Index* ind, Index n, const void* s) {
-  st<bool>(out, col_of(ind, n) == row_of(ind) + ld<int64_t>(s));
-}
-void fn_offdiag(void* out, const void*, Index* ind, Index n, const void* s) {
-  st<bool>(out, col_of(ind, n) != row_of(ind) + ld<int64_t>(s));
-}
-void fn_rowle(void* out, const void*, Index* ind, Index, const void* s) {
-  st<bool>(out, row_of(ind) <= ld<int64_t>(s));
-}
-void fn_rowgt(void* out, const void*, Index* ind, Index, const void* s) {
-  st<bool>(out, row_of(ind) > ld<int64_t>(s));
-}
-void fn_colle(void* out, const void*, Index* ind, Index n, const void* s) {
-  st<bool>(out, col_of(ind, n) <= ld<int64_t>(s));
-}
-void fn_colgt(void* out, const void*, Index* ind, Index n, const void* s) {
-  st<bool>(out, col_of(ind, n) > ld<int64_t>(s));
-}
-
-// --- "keep" (value) family -------------------------------------------------
-template <class T>
-void fn_valueeq(void* out, const void* in, Index*, Index, const void* s) {
-  st<bool>(out, ld<T>(in) == ld<T>(s));
-}
-template <class T>
-void fn_valuene(void* out, const void* in, Index*, Index, const void* s) {
-  st<bool>(out, ld<T>(in) != ld<T>(s));
-}
-template <class T>
-void fn_valuelt(void* out, const void* in, Index*, Index, const void* s) {
-  st<bool>(out, ld<T>(in) < ld<T>(s));
-}
-template <class T>
-void fn_valuele(void* out, const void* in, Index*, Index, const void* s) {
-  st<bool>(out, ld<T>(in) <= ld<T>(s));
-}
-template <class T>
-void fn_valuegt(void* out, const void* in, Index*, Index, const void* s) {
-  st<bool>(out, ld<T>(in) > ld<T>(s));
-}
-template <class T>
-void fn_valuege(void* out, const void* in, Index*, Index, const void* s) {
-  st<bool>(out, ld<T>(in) >= ld<T>(s));
+template <IdxOpCode Op, class T>
+void fn_value_keep(void* out, const void* in, Index*, Index, const void* s) {
+  st<bool>(out, scalar::value_keep<Op, T>(ld<T>(in), ld<T>(s)));
 }
 
 constexpr int kNumOps = 18;
@@ -126,37 +79,35 @@ struct Registry {
 
   template <class T>
   void add_value_family() {
+    using I = IdxOpCode;
     const Type* t = type_of<T>();
-    TypeCode tc = t->code();
-    std::string sfx = "_" + t->name();
-    add(IdxOpCode::kValueEQ, tc, TypeBool(), t, t, &fn_valueeq<T>,
-        "GrB_VALUEEQ" + sfx);
-    add(IdxOpCode::kValueNE, tc, TypeBool(), t, t, &fn_valuene<T>,
-        "GrB_VALUENE" + sfx);
+    const std::string sfx = "_" + t->name();
+    auto value = [&](IdxOpCode op, IndexUnaryFn fn, const char* name) {
+      add(op, t->code(), TypeBool(), t, t, fn, name + sfx);
+    };
+    value(I::kValueEQ, &fn_value_keep<I::kValueEQ, T>, "GrB_VALUEEQ");
+    value(I::kValueNE, &fn_value_keep<I::kValueNE, T>, "GrB_VALUENE");
     if constexpr (!std::is_same_v<T, bool>) {
-      add(IdxOpCode::kValueLT, tc, TypeBool(), t, t, &fn_valuelt<T>,
-          "GrB_VALUELT" + sfx);
-      add(IdxOpCode::kValueLE, tc, TypeBool(), t, t, &fn_valuele<T>,
-          "GrB_VALUELE" + sfx);
-      add(IdxOpCode::kValueGT, tc, TypeBool(), t, t, &fn_valuegt<T>,
-          "GrB_VALUEGT" + sfx);
-      add(IdxOpCode::kValueGE, tc, TypeBool(), t, t, &fn_valuege<T>,
-          "GrB_VALUEGE" + sfx);
+      value(I::kValueLT, &fn_value_keep<I::kValueLT, T>, "GrB_VALUELT");
+      value(I::kValueLE, &fn_value_keep<I::kValueLE, T>, "GrB_VALUELE");
+      value(I::kValueGT, &fn_value_keep<I::kValueGT, T>, "GrB_VALUEGT");
+      value(I::kValueGE, &fn_value_keep<I::kValueGE, T>, "GrB_VALUEGE");
     }
   }
 
   Registry() {
+    using I = IdxOpCode;
     add_replace_family<int32_t>();
     add_replace_family<int64_t>();
 
-    add_positional_bool(IdxOpCode::kTril, &fn_tril, "GrB_TRIL");
-    add_positional_bool(IdxOpCode::kTriu, &fn_triu, "GrB_TRIU");
-    add_positional_bool(IdxOpCode::kDiag, &fn_diag, "GrB_DIAG");
-    add_positional_bool(IdxOpCode::kOffdiag, &fn_offdiag, "GrB_OFFDIAG");
-    add_positional_bool(IdxOpCode::kRowLE, &fn_rowle, "GrB_ROWLE");
-    add_positional_bool(IdxOpCode::kRowGT, &fn_rowgt, "GrB_ROWGT");
-    add_positional_bool(IdxOpCode::kColLE, &fn_colle, "GrB_COLLE");
-    add_positional_bool(IdxOpCode::kColGT, &fn_colgt, "GrB_COLGT");
+    add_positional_bool(I::kTril, &fn_pos_keep<I::kTril>, "GrB_TRIL");
+    add_positional_bool(I::kTriu, &fn_pos_keep<I::kTriu>, "GrB_TRIU");
+    add_positional_bool(I::kDiag, &fn_pos_keep<I::kDiag>, "GrB_DIAG");
+    add_positional_bool(I::kOffdiag, &fn_pos_keep<I::kOffdiag>, "GrB_OFFDIAG");
+    add_positional_bool(I::kRowLE, &fn_pos_keep<I::kRowLE>, "GrB_ROWLE");
+    add_positional_bool(I::kRowGT, &fn_pos_keep<I::kRowGT>, "GrB_ROWGT");
+    add_positional_bool(I::kColLE, &fn_pos_keep<I::kColLE>, "GrB_COLLE");
+    add_positional_bool(I::kColGT, &fn_pos_keep<I::kColGT>, "GrB_COLGT");
 
     add_value_family<bool>();
     add_value_family<int8_t>();
