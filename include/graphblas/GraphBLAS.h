@@ -17,7 +17,6 @@
 #include <new>
 #include <type_traits>
 
-#include "containers/format.hpp"
 #include "containers/matrix.hpp"
 #include "containers/scalar.hpp"
 #include "containers/vector.hpp"
@@ -80,7 +79,7 @@ enum GrB_Info {
   GrB_EMPTY_OBJECT = -106,
 };
 
-enum GrB_Mode {
+enum GrB_Mode : int {
   GrB_NONBLOCKING = 0,
   GrB_BLOCKING = 1,
 };
@@ -1947,117 +1946,90 @@ inline GrB_Info GxB_Fusion_get(int* on) {
 }
 
 // --- Storage-format options (DESIGN.md §15) --------------------------------
-// Matrix storage is polymorphic: each matrix data block is stored as CSR
-// ("csr", the canonical sparse form), hypersparse CSR ("hyper"), a
-// presence bitmap ("bitmap"), or a full dense array ("dense").  The
-// library picks per matrix from a density cost model; these entry
-// points pin a format or read what is actually resident.  Pinning never
-// changes results — every format is bitwise-identical under the
-// differential oracle — only the memory/time trade-off.  Vectors have
-// one layout, a sorted coordinate list, reported as GxB_FORMAT_CSR.
+// Storage has one layout per object kind: a matrix is CSR (row pointers,
+// sorted column indices, values) and a vector a sorted coordinate list.
+// These entry points stay for source compatibility: every accepted
+// format value is a no-op and the getters report GxB_FORMAT_CSR.
 
-typedef enum {
-  GxB_FORMAT_CSR = 0,     // compressed sparse row (canonical)
-  GxB_FORMAT_HYPER = 1,   // hypersparse CSR (matrices only)
-  GxB_FORMAT_BITMAP = 2,  // presence bytes + full value slots
-  GxB_FORMAT_DENSE = 3,   // full value array, no structure
-  GxB_FORMAT_AUTO = 4,    // cost-model choice (the default)
+typedef enum : int {
+  GxB_FORMAT_CSR = 0,     // compressed sparse row (the one layout)
+  GxB_FORMAT_HYPER = 1,   // hypersparse CSR (accepted for matrices)
+  GxB_FORMAT_BITMAP = 2,  // presence bitmap (accepted)
+  GxB_FORMAT_DENSE = 3,   // full value array (accepted)
+  GxB_FORMAT_AUTO = 4,    // library's choice (the default)
 } GxB_Format;
 
-typedef enum {
+typedef enum : int {
   GxB_FORMAT = 0,  // storage format (GxB_Format values)
 } GxB_Option_Field;
 
 namespace grb_detail {
-// GxB_Format -> internal pin (-1 = auto).  `max_fmt` is the largest
-// internal format id the container supports.
-inline GrB_Info format_pin(GxB_Format value, int max_fmt, int* pin) {
-  int v = static_cast<int>(value);
-  if (v == GxB_FORMAT_AUTO) {
-    *pin = -1;
-    return GrB_SUCCESS;
+// Whether `value` is a GxB_Format the option setters accept.  HYPER is
+// a matrix format only.
+inline bool format_accepted(GxB_Format value, bool allow_hyper) {
+  switch (value) {
+    case GxB_FORMAT_HYPER:
+      return allow_hyper;
+    case GxB_FORMAT_CSR:
+    case GxB_FORMAT_BITMAP:
+    case GxB_FORMAT_DENSE:
+    case GxB_FORMAT_AUTO:
+      return true;
   }
-  if (v < 0 || v > max_fmt) return GrB_INVALID_VALUE;
-  *pin = v;
-  return GrB_SUCCESS;
+  return false;
 }
 }  // namespace grb_detail
 
-// Sets the global matrix format policy: AUTO restores the cost model;
-// any other value forces that format for every subsequently published
-// matrix block (degrading to the nearest representable format when the
-// forced one cannot hold the object).  GRB_FORMAT=csr|hyper|bitmap|
-// dense|auto in the environment sets the same knob.  Vectors are not
-// affected: they are always stored sparse.
+// Global format setting: every value is accepted and changes nothing,
+// since matrices are always stored as CSR.
 inline GrB_Info GxB_Format_set(GxB_Format value) {
   return grb_detail::guarded([&]() -> GrB_Info {
-    int pin = -1;
-    GrB_Info info = grb_detail::format_pin(
-        value, static_cast<int>(grb::MatFormat::kDense), &pin);
-    if (info != GrB_SUCCESS) return info;
-    grb::set_format_policy(static_cast<grb::FormatPolicy>(pin));
-    return GrB_SUCCESS;
+    return grb_detail::format_accepted(value, true) ? GrB_SUCCESS
+                                                    : GrB_INVALID_VALUE;
   });
 }
 
-// Reads the global format policy.
+// Reads the global format: always GxB_FORMAT_CSR.
 inline GrB_Info GxB_Format_get(GxB_Format* value) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (value == nullptr) return GrB_NULL_POINTER;
-    int p = static_cast<int>(grb::format_policy());
-    *value = p < 0 ? GxB_FORMAT_AUTO : static_cast<GxB_Format>(p);
+    *value = GxB_FORMAT_CSR;
     return GrB_SUCCESS;
   });
 }
 
-// Pins one matrix to a storage format (GxB_FORMAT_AUTO unpins).  The
-// current block is re-adapted immediately; later publishes honor the
-// pin.
+// Per-matrix format setting: accepted values leave the matrix CSR.
 inline GrB_Info GxB_Matrix_Option_set(GrB_Matrix A, GxB_Option_Field field,
                                       GxB_Format value) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (A == nullptr) return GrB_UNINITIALIZED_OBJECT;
     if (field != GxB_FORMAT) return GrB_INVALID_VALUE;
-    int pin = -1;
-    GrB_Info info = grb_detail::format_pin(
-        value, static_cast<int>(grb::MatFormat::kDense), &pin);
-    if (info != GrB_SUCCESS) return info;
-    return grb_detail::to_c(A->set_format_option(pin));
+    return grb_detail::format_accepted(value, true) ? GrB_SUCCESS
+                                                    : GrB_INVALID_VALUE;
   });
 }
 
-// Reads the format of the matrix's resident data block (what is
-// actually in memory now, not the pin).
+// Reads a matrix's storage format: always GxB_FORMAT_CSR.
 inline GrB_Info GxB_Matrix_Option_get(GrB_Matrix A, GxB_Option_Field field,
                                       GxB_Format* value) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (value == nullptr) return GrB_NULL_POINTER;
     if (A == nullptr) return GrB_UNINITIALIZED_OBJECT;
     if (field != GxB_FORMAT) return GrB_INVALID_VALUE;
-    *value = static_cast<GxB_Format>(A->current_data()->format);
+    *value = GxB_FORMAT_CSR;
     return GrB_SUCCESS;
   });
 }
 
-// Vector variant.  Vectors have one layout, the sorted coordinate list,
-// so every accepted value (CSR, BITMAP, DENSE, AUTO) leaves the vector
-// sparse: the nearest representable format, as for a forced matrix
-// format that cannot hold its block.  HYPER is rejected, as vectors have
-// no hypersparse form.
+// Vector variant: CSR, BITMAP, DENSE and AUTO leave the vector sparse;
+// HYPER is rejected, as vectors have no hypersparse form.
 inline GrB_Info GxB_Vector_Option_set(GrB_Vector v, GxB_Option_Field field,
                                       GxB_Format value) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (v == nullptr) return GrB_UNINITIALIZED_OBJECT;
     if (field != GxB_FORMAT) return GrB_INVALID_VALUE;
-    switch (value) {
-      case GxB_FORMAT_CSR:
-      case GxB_FORMAT_BITMAP:
-      case GxB_FORMAT_DENSE:
-      case GxB_FORMAT_AUTO:
-        return GrB_SUCCESS;
-      default:
-        return GrB_INVALID_VALUE;
-    }
+    return grb_detail::format_accepted(value, false) ? GrB_SUCCESS
+                                                     : GrB_INVALID_VALUE;
   });
 }
 

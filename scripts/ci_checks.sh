@@ -13,22 +13,18 @@
 #                        entry-point parity (libclang when available,
 #                        self-contained text frontend otherwise)
 #    3. build+ctest    — default preset, full tier-1 suite
-#    4. format-ablate  — the differential suites rerun under each forced
-#                        GRB_FORMAT=csr|hyper|bitmap|dense: every matrix
-#                        storage format must reproduce the CSR baseline
-#                        bitwise (DESIGN.md §15; vectors have one layout)
-#    5. telemetry      — obs-labeled tests: counter oracles plus the
+#    4. telemetry      — obs-labeled tests: counter oracles plus the
 #                        GRB_TRACE → grb_trace_summarize.py pipeline
-#    6. observability  — quickstart under GRB_FLIGHT_RECORDER + GRB_METRICS;
+#    5. observability  — quickstart under GRB_FLIGHT_RECORDER + GRB_METRICS;
 #                        the Prometheus exposition must parse and carry the
 #                        per-op quantiles + memory gauges (grb_prom_check.py)
-#    7. attribution    — per-context tenant attribution: the watchdog
+#    6. attribution    — per-context tenant attribution: the watchdog
 #                        suite (a synthetic stall must trip a flight-
 #                        recorder dump naming the owning context) plus the
 #                        multitenant_scrape example, whose exposition must
 #                        carry two distinct context="..." label sets
 #                        (grb_prom_check.py --require-contexts 2)
-#    8. explain        — decision audit + profiler degradation: the
+#    7. explain        — decision audit + profiler degradation: the
 #                        explain_demo pipeline runs with perf events
 #                        forced unavailable (GRB_PERF_EVENTS=0); the
 #                        GxB_Explain output must carry a plan, the
@@ -38,35 +34,31 @@
 #                        profiler backend (grb_prom_check.py
 #                        --require-decisions --require-prof-backend),
 #                        and the forced-fallback profiler test must pass
-#    9. thread-safety  — Clang -Wthread-safety -Werror=thread-safety build
+#    8. thread-safety  — Clang -Wthread-safety -Werror=thread-safety build
 #                        (skipped when clang++ is absent; the annotations
 #                        compile as no-ops elsewhere)
-#   10. clang-tidy     — bugprone-*/concurrency-*/performance-* profile
-#                        gated by the per-check warning-count baseline
-#                        (tools/grb_tidy_check.py; skipped when clang-tidy
-#                        is absent)
-#   11. bench          — every bench binary runs from bench_artifacts/ so
+#    9. bench          — every bench binary runs from bench_artifacts/ so
 #                        each BENCH_*.json is archived (previously only the
 #                        m4/m5/m6 gate trio ran here and every other
 #                        bench's JSON landed in whatever cwd it was run
-#                        from and was lost).  The gate benches (m4/m5/m6/m7)
+#                        from and was lost).  The gate benches (m4/m5/m6)
 #                        run 3 repetitions; the rest run with a short
 #                        min-time just to refresh their trajectories.
 #                        tools/bench_compare.py diffs against
 #                        bench_artifacts/baseline/ when present (advisory:
 #                        shared boxes are noisy)
-#   12. perfbench-smoke — one 1 s run of each end-to-end benchmark
+#   10. perfbench-smoke — one 1 s run of each end-to-end benchmark
 #                        workload (pagerank, ktruss, ingest; perfbench/
 #                        run.py); fails unless every run reports
 #                        "correct": true and "failed": 0, so a rank
 #                        mismatch, a wrong truss or a pending-tuple fold
 #                        that breaks the full-graph check is caught
 #                        before the benchmark runs
-#   13. asan           — AddressSanitizer build + the full test suite
+#   11. asan           — AddressSanitizer build + the full test suite
 #                        (skipped unless GRB_CI_ASAN=1)
-#   14. ubsan          — UndefinedBehaviorSanitizer build + tsan-labeled
-#                        tests (skipped unless GRB_CI_UBSAN=1)
-#   15. tsan           — ThreadSanitizer build + tsan-labeled tests
+#   12. ubsan          — UndefinedBehaviorSanitizer build + the full test
+#                        suite (skipped unless GRB_CI_UBSAN=1)
+#   13. tsan           — ThreadSanitizer build + tsan-labeled tests
 #                        (skipped unless GRB_CI_TSAN=1; the slowest stage,
 #                        and the tsan preset also runs in its own lane)
 #
@@ -89,21 +81,21 @@ record() {
   if [ "$2" = FAIL ]; then failed=1; fi
 }
 
-note "1/15 grb_lint (regex spec conformance)"
+note "1/13 grb_lint (regex spec conformance)"
 if python3 tools/grb_lint.py --json grb_lint_report.json; then
   record grb_lint PASS
 else
   record grb_lint FAIL
 fi
 
-note "2/15 grb_analyze (AST/call-graph conformance)"
+note "2/13 grb_analyze (AST/call-graph conformance)"
 if python3 tools/grb_analyze.py --json grb_analyze_report.json; then
   record grb_analyze PASS
 else
   record grb_analyze FAIL
 fi
 
-note "3/15 default build + tests"
+note "3/13 default build + tests"
 cmake --preset default >/dev/null
 cmake --build build -j "$JOBS"
 if (cd build && ctest --output-on-failure -j "$JOBS"); then
@@ -112,28 +104,14 @@ else
   record build+ctest FAIL
 fi
 
-note "4/15 format ablation (differential suites under each GRB_FORMAT)"
-# Every forced matrix storage format must reproduce the CSR baseline
-# bitwise (GRB_FORMAT governs matrices only; vectors are always sparse).
-# The differential suites build their own inputs, so the env override
-# genuinely changes what the publishes store.
-ablate_ok=1
-for fmt in csr hyper bitmap dense; do
-  echo "-- GRB_FORMAT=$fmt"
-  GRB_FORMAT=$fmt ./build/tests/grb_parallel_tests \
-      --gtest_filter='DiffOracle.*:SpgemmDiff.*:FusionDiff.*:FormatDiff.*:DescTranspose.*' \
-      --gtest_brief=1 || ablate_ok=0
-done
-if [ "$ablate_ok" = 1 ]; then record format-ablate PASS; else record format-ablate FAIL; fi
-
-note "5/15 telemetry (obs-labeled tests: counters + trace pipeline)"
+note "4/13 telemetry (obs-labeled tests: counters + trace pipeline)"
 if (cd build && ctest -L obs --output-on-failure); then
   record telemetry PASS
 else
   record telemetry FAIL
 fi
 
-note "6/15 observability (flight recorder + GRB_METRICS exposition)"
+note "5/13 observability (flight recorder + GRB_METRICS exposition)"
 obs_ok=1
 obs_dir=$(mktemp -d)
 GRB_FLIGHT_RECORDER=1024 GRB_METRICS="$obs_dir/metrics.prom" \
@@ -148,7 +126,7 @@ fi
 rm -rf "$obs_dir"
 if [ "$obs_ok" = 1 ]; then record observability PASS; else record observability FAIL; fi
 
-note "7/15 attribution (watchdog stall report + two-tenant scrape)"
+note "6/13 attribution (watchdog stall report + two-tenant scrape)"
 attr_ok=1
 # Synthetic stalls must trip the watchdog and name the owning context.
 (cd build && ctest -R WatchdogTest --output-on-failure) || attr_ok=0
@@ -167,7 +145,7 @@ fi
 rm -rf "$attr_dir"
 if [ "$attr_ok" = 1 ]; then record attribution PASS; else record attribution FAIL; fi
 
-note "8/15 explain (decision audit + profiler forced degradation)"
+note "7/13 explain (decision audit + profiler forced degradation)"
 # GRB_PERF_EVENTS=0 models a locked-down box (perf_event_open denied):
 # the profiler must come up on the CPU-time fallback, the decision
 # audit must still explain the plan, and every downstream consumer —
@@ -197,7 +175,7 @@ GRB_PERF_EVENTS=0 ./build/tests/grb_obs_tests \
 rm -rf "$exp_dir"
 if [ "$exp_ok" = 1 ]; then record explain PASS; else record explain FAIL; fi
 
-note "9/15 thread-safety analysis (clang)"
+note "8/13 thread-safety analysis (clang)"
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-tsa -S . \
         -DCMAKE_C_COMPILER=clang -DCMAKE_CXX_COMPILER=clang++ \
@@ -213,28 +191,13 @@ else
   record thread-safety SKIP
 fi
 
-note "10/15 clang-tidy (bugprone/concurrency/performance vs baseline)"
-if command -v clang-tidy >/dev/null 2>&1; then
-  # The default preset exports compile_commands.json; grb_tidy_check
-  # fails only on warnings above the checked-in per-check baseline.
-  if python3 tools/grb_tidy_check.py --build-dir build; then
-    record clang-tidy PASS
-  else
-    record clang-tidy FAIL
-  fi
-else
-  echo "SKIPPED: clang-tidy not found"
-  record clang-tidy SKIP
-fi
-
-note "11/15 benchmarks (all benches, BENCH_*.json archived)"
+note "9/13 benchmarks (all benches, BENCH_*.json archived)"
 bench_ok=1
 cmake --build build -j "$JOBS"
 mkdir -p bench_artifacts
 # Gate benches: 3 repetitions, medians only — these are the trajectories
 # bench_compare.py holds against the baseline.
-gate_benches="bench_m4_masked_mxm bench_m5_spgemm_adaptive bench_m6_fusion \
-bench_m7_formats"
+gate_benches="bench_m4_masked_mxm bench_m5_spgemm_adaptive bench_m6_fusion"
 for bench in $gate_benches; do
   (cd bench_artifacts && \
    "../build/bench/$bench" --benchmark_repetitions=3 \
@@ -263,7 +226,7 @@ else
 fi
 if [ "$bench_ok" = 1 ]; then record bench PASS; else record bench FAIL; fi
 
-note "12/15 perfbench smoke (every workload's checkers)"
+note "10/13 perfbench smoke (every workload's checkers)"
 # A wrong result shows up as "correct": false (rank, truss or full-graph
 # check); the last stdout line of each run is its result object.
 smoke_ok=1
@@ -298,13 +261,13 @@ sanitizer_stage() {
   fi
 }
 
-note "13/15 address sanitizer (full test suite under asan)"
+note "11/13 address sanitizer (full test suite under asan)"
 sanitizer_stage asan asan GRB_CI_ASAN
 
-note "14/15 undefined-behavior sanitizer (tsan-labeled tests under ubsan)"
+note "12/13 undefined-behavior sanitizer (full test suite under ubsan)"
 sanitizer_stage ubsan ubsan GRB_CI_UBSAN
 
-note "15/15 thread sanitizer (tsan-labeled tests)"
+note "13/13 thread sanitizer (tsan-labeled tests)"
 sanitizer_stage tsan tsan GRB_CI_TSAN
 
 printf '\n== summary ==\n'

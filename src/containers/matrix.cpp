@@ -2,33 +2,12 @@
 
 #include <algorithm>
 
-#include "containers/format.hpp"
 #include "obs/telemetry.hpp"
 
 namespace grb {
 
 size_t MatrixData::find(Index i, Index j) const {
   if (i >= nrows || j >= ncols) return npos;
-  switch (format) {
-    case MatFormat::kBitmap: {
-      const size_t slot = static_cast<size_t>(i) * ncols + j;
-      return bmap[slot] != 0 ? slot : npos;
-    }
-    case MatFormat::kDense:
-      return static_cast<size_t>(i) * ncols + j;
-    case MatFormat::kHyper: {
-      auto h = std::lower_bound(hrow.begin(), hrow.end(), i);
-      if (h == hrow.end() || *h != i) return npos;
-      const size_t r = static_cast<size_t>(h - hrow.begin());
-      auto first = col.begin() + static_cast<ptrdiff_t>(ptr[r]);
-      auto last = col.begin() + static_cast<ptrdiff_t>(ptr[r + 1]);
-      auto it = std::lower_bound(first, last, j);
-      if (it == last || *it != j) return npos;
-      return static_cast<size_t>(it - col.begin());
-    }
-    case MatFormat::kCsr:
-      break;
-  }
   auto first = col.begin() + static_cast<ptrdiff_t>(ptr[i]);
   auto last = col.begin() + static_cast<ptrdiff_t>(ptr[i + 1]);
   auto it = std::lower_bound(first, last, j);
@@ -37,15 +16,6 @@ size_t MatrixData::find(Index i, Index j) const {
 }
 
 Info Matrix::snapshot(std::shared_ptr<const MatrixData>* out) {
-  std::shared_ptr<const MatrixData> native;
-  GRB_RETURN_IF_ERROR(snapshot_native(&native));
-  // Canonicalize outside mu_ (the expansion allocates; it is cached on
-  // the immutable block, so concurrent readers share one view).
-  *out = format_csr_view(std::move(native));
-  return Info::kSuccess;
-}
-
-Info Matrix::snapshot_native(std::shared_ptr<const MatrixData>* out) {
   Info info = complete();
   if (static_cast<int>(info) < 0) return info;
   MutexLock lock(mu_);
@@ -54,25 +24,8 @@ Info Matrix::snapshot_native(std::shared_ptr<const MatrixData>* out) {
 }
 
 void Matrix::publish(std::shared_ptr<const MatrixData> data) {
-  // Format adaptation is the snapshot-boundary conversion point: it
-  // happens here, before mu_, so lock scope never covers a conversion
-  // and consumers of data_ only ever see fully-formed blocks.
-  data = format_adapt_matrix(std::move(data),
-                             fmt_override_.load(std::memory_order_relaxed));
   MutexLock lock(mu_);
   data_ = std::move(data);
-}
-
-Info Matrix::set_format_option(int fmt) {
-  if (fmt < -1 || fmt > static_cast<int>(MatFormat::kDense))
-    return Info::kInvalidValue;
-  fmt_override_.store(fmt, std::memory_order_relaxed);
-  // Re-store the completed current block under the new pin so
-  // GxB_Matrix_Option_get coheres immediately.
-  std::shared_ptr<const MatrixData> snap;
-  GRB_RETURN_IF_ERROR(snapshot_native(&snap));
-  publish(std::move(snap));
-  return Info::kSuccess;
 }
 
 void Matrix::mem_snapshot(obs::MemReportable::Snapshot* out) const {
@@ -88,24 +41,15 @@ void Matrix::mem_snapshot(obs::MemReportable::Snapshot* out) const {
     out->ctx = obs_ctx_id();
   }
   out->nvals = data->nvals();
-  out->format = format_name(data->format);
+  out->format = "csr";
   out->live_bytes += obs::account_live(*data->acct);
   out->peak_bytes += obs::account_peak(*data->acct);
-  // Cached canonical/transpose views ride on the block they describe;
-  // report them with their owner so "which matrix ate 3 GiB" keeps an
-  // exact answer with format caches in play.
-  std::shared_ptr<const MatrixData> csr, trans;
+  // The cached transpose rides on the block it describes; report it with
+  // its owner so "which matrix ate 3 GiB" keeps an exact answer.
+  std::shared_ptr<const MatrixData> trans;
   {
     MutexLock lock(data->view_mu_);
-    csr = data->csr_view_;
     trans = data->trans_view_;
-  }
-  if (csr != nullptr) {
-    out->view_bytes += obs::account_live(*csr->acct);
-    // The transpose of a non-CSR block is cached on its canonical view.
-    MutexLock lock(csr->view_mu_);
-    if (csr->trans_view_ != nullptr)
-      out->view_bytes += obs::account_live(*csr->trans_view_->acct);
   }
   if (trans != nullptr) out->view_bytes += obs::account_live(*trans->acct);
   out->live_bytes += out->view_bytes;
@@ -136,12 +80,10 @@ Info Matrix::flush_prefix(uint64_t upto) {
     base = data_;
   }
   obs::pending_tuples_sample(remaining);
-  // The fold walks CSR structure; expand a non-canonical base first (the
-  // view is cached, so repeated folds against one block convert once).
-  auto b = format_csr_view(std::move(base));
-  auto folded = std::make_shared<MatrixData>(b->type, b->nrows, b->ncols);
-  fold_pending(pend, pvals, b->nrows, b->ptr.data(), b->col, b->vals,
-               folded->ptr.data(), &folded->col, &folded->vals);
+  auto folded =
+      std::make_shared<MatrixData>(base->type, base->nrows, base->ncols);
+  fold_pending(pend, pvals, base->nrows, base->ptr.data(), base->col,
+               base->vals, folded->ptr.data(), &folded->col, &folded->vals);
   publish(std::move(folded));
   return Info::kSuccess;
 }
@@ -233,9 +175,8 @@ Info Matrix::clear() {
 
 Info Matrix::nvals(Index* out) {
   if (out == nullptr) return Info::kNullPointer;
-  // Native block: every format answers nvals in O(1), no expansion.
   std::shared_ptr<const MatrixData> snap;
-  GRB_RETURN_IF_ERROR(snapshot_native(&snap));
+  GRB_RETURN_IF_ERROR(snapshot(&snap));
   *out = snap->nvals();
   return Info::kSuccess;
 }
@@ -250,7 +191,7 @@ Info Matrix::resize(Index new_nrows, Index new_ncols) {
     ncols_ = new_ncols;
   }
   auto op = [this, new_nrows, new_ncols]() -> Info {
-    std::shared_ptr<const MatrixData> base = current_canonical();
+    std::shared_ptr<const MatrixData> base = current_data();
     auto out = std::make_shared<MatrixData>(base->type, new_nrows, new_ncols);
     Index keep_rows = std::min(new_nrows, base->nrows);
     for (Index r = 0; r < keep_rows; ++r) {

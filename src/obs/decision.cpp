@@ -52,8 +52,8 @@ struct SiteCounters {
 SiteCounters g_sites[kDecisionSiteCount];
 
 constexpr const char* kSiteNames[kDecisionSiteCount] = {
-    "exec_path",      "spgemm_accum",    "masked_dot",
-    "format_adapt",   "transpose_cache", "fusion_plan",
+    "exec_path",       "spgemm_accum", "masked_dot",
+    "transpose_cache", "fusion_plan",
 };
 
 // A measurement counts as mispredicted when the model's work estimate

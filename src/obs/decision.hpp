@@ -15,7 +15,7 @@
 // Overhead contract: emission gates on one relaxed load of g_flags
 // (kDecisionFlag); when the bit is clear the site pays only that load.
 // The record path is allocation-free — fixed slots, static-string
-// alternative names — so sites inside no-alloc lock zones (format.cpp,
+// alternative names — so sites inside no-alloc lock zones (transpose,
 // spgemm, fusion) may emit directly, though they should still prefer to
 // emit outside critical sections.
 //
@@ -41,28 +41,27 @@
   "src/exec/fusion.cpp",        \
   "src/ops/spgemm.hpp",         \
   "src/ops/mxm.cpp",            \
-  "src/containers/format.cpp"
+  "src/ops/transpose.cpp"
 
 namespace grb {
 namespace obs {
 
 // One enum value per adaptive decision site family.  Order is part of
-// the counter schema ("decision.<site_name>.*"); append only.
+// the counter schema ("decision.<site_name>.*"); new sites append.
 enum class DecisionSite : uint8_t {
   kExecPath = 0,        // serial vs. parallel (exec/context.cpp)
   kSpgemmAccum = 1,     // hash vs. dense SPA rows (ops/spgemm.hpp)
   kMaskedDot = 2,       // dot-product vs. saxpy masked mxm (ops/mxm.cpp)
-  kFormatAdapt = 3,     // storage-format switch (containers/format.cpp)
-  kTransposeCache = 4,  // cached vs. rebuilt A' view (containers/format.cpp)
-  kFusionPlan = 5,      // fused chains vs. eager replay (exec/fusion.cpp)
+  kTransposeCache = 3,  // cached vs. rebuilt A' view (ops/transpose.cpp)
+  kFusionPlan = 4,      // fused chains vs. eager replay (exec/fusion.cpp)
 };
-constexpr int kDecisionSiteCount = 6;
+constexpr int kDecisionSiteCount = 5;
 
 const char* decision_site_name(DecisionSite site);
 
 // A completed audit record as readers see it.  Cost units are
-// site-specific (flops for the kernels, cells/bytes for formats, node
-// counts for fusion) — predicted and alternative share units within one
+// site-specific (flops for the kernels, entries for the transpose
+// cache, node counts for fusion) — predicted and alternative share units within one
 // site, which is all the mispredict test needs.
 struct DecisionRecord {
   uint64_t seq = 0;          // global emission sequence (1-based)

@@ -114,13 +114,13 @@ class MemReportable {
  public:
   struct Snapshot {
     const char* kind = "";    // "matrix" / "vector" / "scalar"
-    const char* format = "";  // storage format ("csr", "hyper", ...)
+    const char* format = "";  // storage layout ("csr", "sparse")
     uint64_t rows = 0, cols = 0;
     uint64_t nvals = 0;
     uint64_t live_bytes = 0;
     uint64_t peak_bytes = 0;
-    // Bytes held by cached canonical/transpose views of the current
-    // block (included in live_bytes).
+    // Bytes held by the cached transpose of the current block
+    // (included in live_bytes).
     uint64_t view_bytes = 0;
     uint64_t ctx = 0;         // home-context obs id (0 = unattributed)
   };

@@ -247,13 +247,9 @@ struct Globals {
   std::atomic<uint64_t> fusion_chains{0};
   std::atomic<uint64_t> fusion_ops_fused{0};
   std::atomic<uint64_t> fusion_dead_writes{0};
-  // Storage-format layer: publish-time format switches, descriptor-
-  // transpose cache outcomes, and lazy canonical (CSR/sparse) view
-  // expansions.
-  std::atomic<uint64_t> format_switches{0};
+  // Descriptor-transpose cache outcomes.
   std::atomic<uint64_t> format_trans_hits{0};
   std::atomic<uint64_t> format_trans_misses{0};
-  std::atomic<uint64_t> format_csr_conversions{0};
 };
 
 Globals g_globals;
@@ -754,20 +750,10 @@ void fusion_span(const char* name, uint64_t t0) {
                current_ctx());
 }
 
-void format_switch() {
-  if (!stats_enabled()) return;
-  g_globals.format_switches.fetch_add(1, std::memory_order_relaxed);
-}
-
 void format_transpose_cache(bool hit) {
   if (!stats_enabled()) return;
   (hit ? g_globals.format_trans_hits : g_globals.format_trans_misses)
       .fetch_add(1, std::memory_order_relaxed);
-}
-
-void format_csr_convert() {
-  if (!stats_enabled()) return;
-  g_globals.format_csr_conversions.fetch_add(1, std::memory_order_relaxed);
 }
 
 // --- causal flow linking ----------------------------------------------------
@@ -974,10 +960,8 @@ void stats_reset() {
   g_globals.fusion_chains = 0;
   g_globals.fusion_ops_fused = 0;
   g_globals.fusion_dead_writes = 0;
-  g_globals.format_switches = 0;
   g_globals.format_trans_hits = 0;
   g_globals.format_trans_misses = 0;
-  g_globals.format_csr_conversions = 0;
   // trace_events / trace_dropped reset with the trace buffer, and the
   // pool_busy live gauge belongs to in-flight parallel_for calls.
   decision_reset();
@@ -1097,10 +1081,8 @@ bool stats_get(const char* name, uint64_t* value) {
       {"fusion.chains", &g_globals.fusion_chains},
       {"fusion.ops_fused", &g_globals.fusion_ops_fused},
       {"fusion.dead_writes_eliminated", &g_globals.fusion_dead_writes},
-      {"format.switches", &g_globals.format_switches},
       {"format.transpose_cache_hits", &g_globals.format_trans_hits},
       {"format.transpose_cache_misses", &g_globals.format_trans_misses},
-      {"format.csr_conversions", &g_globals.format_csr_conversions},
   };
   for (const auto& g : globals) {
     if (std::strcmp(name, g.name) == 0) {
@@ -1345,21 +1327,13 @@ std::string stats_json(bool trim_zero_rows) {
                 static_cast<unsigned long long>(
                     ld(g_globals.fusion_dead_writes)));
   out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"format.switches\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.format_switches)));
-  out.append(buf);
   std::snprintf(buf, sizeof buf, "\"format.transpose_cache_hits\":%llu,",
                 static_cast<unsigned long long>(
                     ld(g_globals.format_trans_hits)));
   out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"format.transpose_cache_misses\":%llu,",
+  std::snprintf(buf, sizeof buf, "\"format.transpose_cache_misses\":%llu",
                 static_cast<unsigned long long>(
                     ld(g_globals.format_trans_misses)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"format.csr_conversions\":%llu",
-                static_cast<unsigned long long>(
-                    ld(g_globals.format_csr_conversions)));
   out.append(buf);
   // Memory-attribution, flight-recorder and watchdog gauges
   // (function-backed).
@@ -1652,10 +1626,6 @@ std::string stats_prometheus() {
              "trace buffer.\n"
              "# TYPE grb_trace_dropped_total counter\n");
   series("grb_trace_dropped_total", "", ld(g_globals.trace_dropped));
-  out.append("# HELP grb_format_switches_total Publish-time storage-"
-             "format conversions.\n"
-             "# TYPE grb_format_switches_total counter\n");
-  series("grb_format_switches_total", "", ld(g_globals.format_switches));
   out.append("# HELP grb_format_transpose_cache_total Descriptor-"
              "transpose reads by cache outcome.\n"
              "# TYPE grb_format_transpose_cache_total counter\n");
@@ -1663,11 +1633,6 @@ std::string stats_prometheus() {
          ld(g_globals.format_trans_hits));
   series("grb_format_transpose_cache_total", "outcome=\"miss\"",
          ld(g_globals.format_trans_misses));
-  out.append("# HELP grb_format_csr_conversions_total Lazy canonical-"
-             "view expansions of non-CSR blocks.\n"
-             "# TYPE grb_format_csr_conversions_total counter\n");
-  series("grb_format_csr_conversions_total", "",
-         ld(g_globals.format_csr_conversions));
   decision_prometheus(out);
   prof_prometheus(out);
   return out;

@@ -206,16 +206,11 @@ void fusion_plan(uint64_t chains, uint64_t ops_fused, uint64_t dead_writes);
 // taken when the phase began.
 void fusion_span(const char* name, uint64_t t0);
 
-// Storage-format layer (containers/format.cpp).  format_switch counts a
-// publish that stored a block in a different format than it arrived in
-// ("format.switches"); format_transpose_cache counts descriptor-
-// transpose reads served from / missing the per-snapshot cached CSC
-// view ("format.transpose_cache_hits" / "format.transpose_cache_
-// misses"); format_csr_convert counts lazy canonical-view expansions of
-// non-CSR blocks ("format.csr_conversions").  All stats-gated.
-void format_switch();
+// Transpose cache (ops/transpose.cpp): counts descriptor-transpose reads
+// served from / missing the per-snapshot cached transpose
+// ("format.transpose_cache_hits" / "format.transpose_cache_misses").
+// Stats-gated.
 void format_transpose_cache(bool hit);
-void format_csr_convert();
 
 // --- Causal flow linking ---------------------------------------------------
 // Chrome flow events tie the API span that enqueued a deferred method to
@@ -306,9 +301,8 @@ void stats_reset();
 // "pool.parks", "pool.park_ns", "pool.busy_high_water", "trace.events",
 // "trace.dropped", "spgemm.rows_hash", "spgemm.rows_dense",
 // "spgemm.flops_estimated", "fusion.chains", "fusion.ops_fused",
-// "fusion.dead_writes_eliminated", "format.switches",
-// "format.transpose_cache_hits", "format.transpose_cache_misses",
-// "format.csr_conversions", "arena.reuse_hits",
+// "fusion.dead_writes_eliminated", "format.transpose_cache_hits",
+// "format.transpose_cache_misses", "arena.reuse_hits",
 // "arena.reuse_misses", "mem.live_bytes", "mem.peak_bytes",
 // "mem.arena_live_bytes", "mem.arena_peak_bytes", "mem.objects",
 // "flight.events", "flight.overwrites", "flight.capacity",

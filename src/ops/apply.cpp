@@ -208,7 +208,7 @@ Info defer_mat_map(Matrix* c, const Matrix* a, const Matrix* mask,
       [c, a_snap, m_snap, spec, ztype, t0,
        factory = std::move(factory)]() -> Info {
         std::shared_ptr<const MatrixData> base =
-            a_snap != nullptr ? a_snap : c->current_canonical();
+            a_snap != nullptr ? a_snap : c->current_data();
         std::shared_ptr<const MatrixData> av =
             t0 ? format_transpose_view(base) : base;
         auto t = map_matrix(exec_context(c->context(), av->nvals()), *av,

@@ -250,7 +250,7 @@ Info run_matrix_assign(Matrix* c, const Matrix* mask, const BinaryOp* accum,
   return defer_or_run(c, [c, m_snap, accum, updates = std::move(updates),
                           src_vals = std::move(src_vals), src_type,
                           spec]() -> Info {
-    auto c_old = c->current_canonical();
+    auto c_old = c->current_data();
     // Group updates by target row (stable: program order preserved).
     std::vector<std::pair<Index, Update>> ups = updates;
     std::stable_sort(ups.begin(), ups.end(),

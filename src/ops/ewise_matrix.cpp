@@ -54,34 +54,6 @@ void merge_ewise_row(const MatrixData& a, const MatrixData& b, Index r,
   }
 }
 
-// Dense×dense fast path: both operands are full, so union and
-// intersection coincide and every output cell is op(a, b) at the same
-// row-major slot — no merge, no structural pass, one flat loop.  The
-// result is published as a dense block; value order matches the CSR
-// merge exactly (row-major == full-CSR compact order), so downstream
-// canonicalization is bitwise-identical to the generic path.
-std::shared_ptr<MatrixData> compute_ewise_dense(Context* ctx,
-                                                const MatrixData& a,
-                                                const MatrixData& b,
-                                                const BinaryOp* op) {
-  auto t = std::make_shared<MatrixData>(op->ztype(), a.nrows, a.ncols,
-                                        MatFormat::kDense);
-  Index cells = a.nrows * a.ncols;
-  t->full_nvals = cells;
-  t->vals.resize(cells);
-  Index cols = a.ncols;
-  ctx->parallel_for(0, a.nrows, [&](Index lo, Index hi) {
-    BinRunner run(op, a.type, b.type);
-    for (Index r = lo; r < hi; ++r) {
-      for (Index j = 0; j < cols; ++j) {
-        size_t k = r * cols + j;
-        run.run(t->vals.at(k), a.vals.at(k), b.vals.at(k));
-      }
-    }
-  });
-  return t;
-}
-
 template <bool kUnion>
 std::shared_ptr<MatrixData> compute_ewise_m(Context* ctx,
                                             const MatrixData& a,
@@ -131,11 +103,9 @@ Info ewise_m(Matrix* c, const Matrix* mask, const BinaryOp* accum,
              const Descriptor* desc) {
   const Descriptor& d = resolve_desc(desc);
   GRB_RETURN_IF_ERROR(validate_ewise_m(c, mask, accum, op, a, b, d));
-  // Native snapshots: dense×dense inputs take the flat-loop fast path
-  // below without expanding to CSR first.
   std::shared_ptr<const MatrixData> a_snap, b_snap, m_snap;
-  GRB_RETURN_IF_ERROR(const_cast<Matrix*>(a)->snapshot_native(&a_snap));
-  GRB_RETURN_IF_ERROR(const_cast<Matrix*>(b)->snapshot_native(&b_snap));
+  GRB_RETURN_IF_ERROR(const_cast<Matrix*>(a)->snapshot(&a_snap));
+  GRB_RETURN_IF_ERROR(const_cast<Matrix*>(b)->snapshot(&b_snap));
   if (mask != nullptr)
     GRB_RETURN_IF_ERROR(const_cast<Matrix*>(mask)->snapshot(&m_snap));
   WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
@@ -154,21 +124,10 @@ Info ewise_m(Matrix* c, const Matrix* mask, const BinaryOp* accum,
       [c, a_snap, b_snap, m_snap, op, spec, t0, t1]() -> Info {
         Context* ectx = exec_context(
             c->context(), a_snap->nvals() + b_snap->nvals());
-        // Dense×dense whose write-back publishes T unchanged: the
-        // flat-loop result needs no CSR merge.
-        if (!t0 && !t1 && a_snap->format == MatFormat::kDense &&
-            b_snap->format == MatFormat::kDense &&
-            writeback_is_identity(spec, c->type(), op->ztype(),
-                                  /*t_in_mask=*/false, /*c_empty=*/false)) {
-          publish_result(c, c->context(),
-                         compute_ewise_dense(ectx, *a_snap, *b_snap, op),
-                         m_snap.get(), spec);
-          return Info::kSuccess;
-        }
         std::shared_ptr<const MatrixData> av =
-            t0 ? format_transpose_view(a_snap) : format_csr_view(a_snap);
+            t0 ? format_transpose_view(a_snap) : a_snap;
         std::shared_ptr<const MatrixData> bv =
-            t1 ? format_transpose_view(b_snap) : format_csr_view(b_snap);
+            t1 ? format_transpose_view(b_snap) : b_snap;
         auto t = compute_ewise_m<kUnion>(ectx, *av, *bv, op);
         publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;

@@ -312,7 +312,7 @@ Info run_fused_vector_group(Vector* w, std::vector<Deferred>& batch,
 
 Info run_fused_matrix_group(Matrix* c, std::vector<Deferred>& batch,
                             size_t b, size_t e) {
-  const Type* ctype = c->current_canonical()->type;
+  const Type* ctype = c->current_data()->type;
   std::shared_ptr<const MatrixData> cur;
   std::vector<Stage> stages;
   for (size_t k = b; k < e; ++k) {
@@ -327,7 +327,7 @@ Info run_fused_matrix_group(Matrix* c, std::vector<Deferred>& batch,
     if (nd.msrc != nullptr)
       cur = nd.msrc;
     else if (cur == nullptr)
-      cur = c->current_canonical();
+      cur = c->current_data();
     stages.push_back(Stage{&nd.make_mapper, nd.ztype});
     if (k + 1 == e) {
       Context* ectx = exec_context(c->context(), cur->nvals());

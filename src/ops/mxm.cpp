@@ -1,7 +1,6 @@
 // GrB_mxm: C<M,r> = C (+) A*B over a semiring.
 #include <algorithm>
 
-#include "containers/format.hpp"
 #include "obs/decision.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
@@ -189,10 +188,6 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
           // symbolic total, not a second scan.
           obs::add_flops(row_costs().total);
         }
-        // Hand the symbolic flop total to the format cost model: the
-        // publish below re-evaluates c's storage format, and the
-        // already-paid symbolic pass is a free density signal.
-        if (costs != nullptr) format_hint_flops(costs->total);
         // A masked kernel's T lies inside M, which lets the write-back
         // publish it directly under replace or into an empty C.
         publish_result(c, ctx, std::move(t), m_snap.get(), spec, t_in_mask);

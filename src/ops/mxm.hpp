@@ -103,9 +103,6 @@ class DotAcc<TypedSemiringRunner<T, Add, Mul>> {
 // takes (u value, A value)), which folds each output in ascending row
 // index of A — exactly the order of the serial SPA kernel, so the two
 // vxm paths are bitwise-identical even under floating-point rounding.
-// A hypersparse m (MatFormat::kHyper, ptr compacted to hrow.size()+1)
-// visits only its listed rows, in ascending row id, so the result equals
-// the run on its expanded CSR view.
 //
 // One pass folds the rows of each block and writes the rows that
 // received a product packed at the block's start, in row order; closing
@@ -119,8 +116,7 @@ std::shared_ptr<VectorData> row_dot_kernel(Context* ctx, const MatrixData& m,
                                            MakeRunner&& make_runner) {
   auto t = std::make_shared<VectorData>(ztype, m.nrows);
   const size_t zsize = ztype->size();
-  const bool hyper = m.format == MatFormat::kHyper;
-  const Index nr = hyper ? static_cast<Index>(m.hrow.size()) : m.nrows;
+  const Index nr = m.nrows;
   if (nr == 0) return t;
   VecProbe probe;
   probe.init(u);
@@ -154,7 +150,7 @@ std::shared_ptr<VectorData> row_dot_kernel(Context* ctx, const MatrixData& m,
         }
         if (first) continue;
         acc.finish();
-        t->ind[n++] = hyper ? m.hrow[r] : r;
+        t->ind[n++] = r;
       }
       counts[b] = n - rlo;
     }

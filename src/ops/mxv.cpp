@@ -23,11 +23,9 @@ Info mxv(Vector* w, const Vector* mask, const BinaryOp* accum,
   GRB_RETURN_IF_ERROR(check_cast(w->type(), s->mul()->ztype()));
   GRB_RETURN_IF_ERROR(check_accum(accum, w->type(), s->mul()->ztype()));
 
-  // Native snapshot: a hypersparse A runs the compact-row kernel below
-  // without ever expanding to full CSR.
   std::shared_ptr<const MatrixData> a_snap;
   std::shared_ptr<const VectorData> u_snap, m_snap;
-  GRB_RETURN_IF_ERROR(const_cast<Matrix*>(a)->snapshot_native(&a_snap));
+  GRB_RETURN_IF_ERROR(const_cast<Matrix*>(a)->snapshot(&a_snap));
   GRB_RETURN_IF_ERROR(const_cast<Vector*>(u)->snapshot(&u_snap));
   if (mask != nullptr)
     GRB_RETURN_IF_ERROR(const_cast<Vector*>(mask)->snapshot(&m_snap));
@@ -45,24 +43,14 @@ Info mxv(Vector* w, const Vector* mask, const BinaryOp* accum,
   return defer_or_run(w, [w, a_snap, u_snap, m_snap, s, spec, t0]() -> Info {
     Context* ctx =
         exec_context(w->context(), a_snap->nvals() + u_snap->nvals());
-    std::shared_ptr<VectorData> t;
-    std::shared_ptr<const MatrixData> av;
-    if (!t0 && a_snap->format == MatFormat::kHyper) {
-      // Hypersparse fast path: visit only the nonempty rows.  Bitwise-
-      // identical to the CSR kernel (same per-row fold order).
-      av = a_snap;
+    std::shared_ptr<const MatrixData> av =
+        t0 ? format_transpose_view(a_snap) : a_snap;
+    std::shared_ptr<VectorData> t = fastpath_mxv(ctx, *av, *u_snap, s);
+    if (t == nullptr) {
+      // mul's x comes from the matrix, y from the vector.
       t = row_dot_kernel<false>(ctx, *av, *u_snap, s->mul()->ztype(), [&] {
         return SemiringRunner(s, av->type, u_snap->type);
       });
-    } else {
-      av = t0 ? format_transpose_view(a_snap) : format_csr_view(a_snap);
-      t = fastpath_mxv(ctx, *av, *u_snap, s);
-      if (t == nullptr) {
-        // mul's x comes from the matrix, y from the vector.
-        t = row_dot_kernel<false>(ctx, *av, *u_snap, s->mul()->ztype(), [&] {
-          return SemiringRunner(s, av->type, u_snap->type);
-        });
-      }
     }
     // SpMV flop metric: one multiply-add per stored A entry (upper
     // bound; sparse u skips some).

@@ -132,8 +132,7 @@ void publish_result(Matrix* c, Context* ctx,
                     std::shared_ptr<const MatrixData> t,
                     const MatrixData* mask, const WritebackSpec& spec,
                     bool t_in_mask) {
-  // c's queue is FIFO: predecessors have published by now.  The native
-  // block answers the bypass test without a CSR expansion.
+  // c's queue is FIFO: predecessors have published by now.
   std::shared_ptr<const MatrixData> c_old = c->current_data();
   if (writeback_is_identity(spec, c_old->type, t->type, t_in_mask,
                             c_old->nvals() == 0)) {
@@ -141,7 +140,6 @@ void publish_result(Matrix* c, Context* ctx,
     c->publish(std::move(t));
     return;
   }
-  c_old = format_csr_view(std::move(c_old));
   c->publish(writeback_matrix(ctx, *c_old, *t, mask, spec));
 }
 

@@ -1,15 +1,13 @@
-// Storage formats (DESIGN.md §15): per-object matrix pins via
-// GxB_Matrix_Option_set, the vector pins (one layout, so each is a
-// no-op), the global GxB_Format policy, format introspection,
-// conversion round-trips, format-aware element access, and the cost
-// model's direct choices.
+// Storage formats (DESIGN.md §15): a matrix is always CSR and a vector a
+// sorted coordinate list.  The GxB format options stay source-compatible:
+// every accepted value is a no-op, the getters report CSR, and
+// out-of-range values are rejected.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
 #include "algorithms/algorithms.hpp"
-#include "containers/format.hpp"
 #include "tests/grb_test_util.hpp"
 #include "util/generator.hpp"
 
@@ -17,13 +15,6 @@ namespace {
 
 using testutil::random_mat;
 using testutil::random_vec;
-
-// Restores the global policy (tests here force it).
-struct PolicyGuard {
-  grb::FormatPolicy saved;
-  PolicyGuard() : saved(grb::format_policy()) {}
-  ~PolicyGuard() { grb::set_format_policy(saved); }
-};
 
 GxB_Format matrix_format(GrB_Matrix a) {
   GxB_Format f = GxB_FORMAT_AUTO;
@@ -37,44 +28,109 @@ GxB_Format vector_format(GrB_Vector v) {
   return f;
 }
 
+// A matrix's stored tuples, compared bitwise (values by memcmp).
+struct MatTuples {
+  std::vector<GrB_Index> rows, cols;
+  std::vector<double> vals;
+  bool operator==(const MatTuples& o) const {
+    return rows == o.rows && cols == o.cols &&
+           vals.size() == o.vals.size() &&
+           std::memcmp(vals.data(), o.vals.data(),
+                       vals.size() * sizeof(double)) == 0;
+  }
+};
+
+MatTuples tuples_of(GrB_Matrix a) {
+  MatTuples t;
+  GrB_Index nv = 0;
+  EXPECT_EQ(GrB_Matrix_nvals(&nv, a), GrB_SUCCESS);
+  t.rows.resize(nv);
+  t.cols.resize(nv);
+  t.vals.resize(nv);
+  EXPECT_EQ(GrB_Matrix_extractTuples(t.rows.data(), t.cols.data(),
+                                     t.vals.data(), &nv, a),
+            GrB_SUCCESS);
+  EXPECT_EQ(nv, t.rows.size());
+  return t;
+}
+
+// Every accepted value succeeds on the global and the per-matrix setter,
+// both getters keep reporting CSR, the tuples stay bitwise unchanged,
+// and an out-of-range value is rejected by both setters.
+TEST(FormatTest, MatrixOptionsAreAcceptedNoOps) {
+  ref::Mat rm(12, 9);
+  grb::Prng rng(157);
+  for (auto& c : rm.cells)
+    if (rng.uniform() < 0.5) c = rng.uniform() * 1e3 - 500.0;
+  GrB_Matrix a = testutil::make_matrix(rm);
+  ASSERT_EQ(GrB_wait(a, GrB_MATERIALIZE), GrB_SUCCESS);
+  const MatTuples before = tuples_of(a);
+  ASSERT_FALSE(before.rows.empty());
+  GxB_Format got = GxB_FORMAT_AUTO;
+  for (GxB_Format f : {GxB_FORMAT_CSR, GxB_FORMAT_HYPER, GxB_FORMAT_BITMAP,
+                       GxB_FORMAT_DENSE, GxB_FORMAT_AUTO}) {
+    ASSERT_EQ(GxB_Format_set(f), GrB_SUCCESS);
+    ASSERT_EQ(GxB_Format_get(&got), GrB_SUCCESS);
+    EXPECT_EQ(got, GxB_FORMAT_CSR);
+    ASSERT_EQ(GxB_Matrix_Option_set(a, GxB_FORMAT, f), GrB_SUCCESS);
+    EXPECT_EQ(matrix_format(a), GxB_FORMAT_CSR);
+    EXPECT_TRUE(tuples_of(a) == before);
+  }
+  // A matrix published after the settings is CSR too.
+  GrB_Matrix b = testutil::make_matrix(random_mat(8, 8, 1.1, 152));
+  ASSERT_EQ(GrB_wait(b, GrB_MATERIALIZE), GrB_SUCCESS);
+  EXPECT_EQ(matrix_format(b), GxB_FORMAT_CSR);
+
+  EXPECT_EQ(GxB_Format_set(static_cast<GxB_Format>(99)), GrB_INVALID_VALUE);
+  EXPECT_EQ(GxB_Matrix_Option_set(a, GxB_FORMAT,
+                                  static_cast<GxB_Format>(99)),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(GxB_Format_get(&got), GrB_SUCCESS);
+  EXPECT_EQ(got, GxB_FORMAT_CSR);
+  EXPECT_TRUE(tuples_of(a) == before);
+  GrB_free(&a);
+  GrB_free(&b);
+}
+
+// A matrix is always CSR: every per-matrix pin succeeds, the getter
+// keeps reporting CSR, and the contents survive every pin unchanged.
 TEST(FormatTest, MatrixPinRoundTripsEveryFormat) {
-  PolicyGuard guard;  // env-independent: assert the auto policy
-  grb::set_format_policy(grb::FormatPolicy::kAuto);
   ref::Mat rm = random_mat(20, 16, 0.3, 151);
   GrB_Matrix a = testutil::make_matrix(rm);
   ASSERT_EQ(GrB_wait(a, GrB_MATERIALIZE), GrB_SUCCESS);
-  EXPECT_EQ(matrix_format(a), GxB_FORMAT_CSR);  // small blocks stay csr
+  EXPECT_EQ(matrix_format(a), GxB_FORMAT_CSR);
+  const MatTuples before = tuples_of(a);
+  ASSERT_FALSE(before.rows.empty());
 
-  for (GxB_Format f : {GxB_FORMAT_HYPER, GxB_FORMAT_BITMAP,
-                       GxB_FORMAT_CSR, GxB_FORMAT_HYPER}) {
+  for (GxB_Format f : {GxB_FORMAT_HYPER, GxB_FORMAT_BITMAP, GxB_FORMAT_CSR,
+                       GxB_FORMAT_DENSE, GxB_FORMAT_HYPER,
+                       GxB_FORMAT_AUTO}) {
     ASSERT_EQ(GxB_Matrix_Option_set(a, GxB_FORMAT, f), GrB_SUCCESS);
-    EXPECT_EQ(matrix_format(a), f);
-    EXPECT_MATRIX_EQ(a, rm);  // contents survive every conversion
+    EXPECT_EQ(matrix_format(a), GxB_FORMAT_CSR);
+    EXPECT_MATRIX_EQ(a, rm);
+    EXPECT_TRUE(tuples_of(a) == before);
   }
-  // Unpin: the cost model re-adapts (small block keeps current format).
-  ASSERT_EQ(GxB_Matrix_Option_set(a, GxB_FORMAT, GxB_FORMAT_AUTO),
-            GrB_SUCCESS);
-  EXPECT_MATRIX_EQ(a, rm);
   GrB_free(&a);
 }
 
+// CSR holds a full block and one with holes alike, so the DENSE pin is
+// an accepted no-op on both: it reports CSR and keeps the contents.
 TEST(FormatTest, MatrixDensePinNeedsFullBlock) {
-  // Full block: dense sticks.
   ref::Mat full = random_mat(8, 8, 1.1, 152);
+  ASSERT_EQ(full.nvals(), 64u);
   GrB_Matrix a = testutil::make_matrix(full);
   ASSERT_EQ(GxB_Matrix_Option_set(a, GxB_FORMAT, GxB_FORMAT_DENSE),
             GrB_SUCCESS);
-  EXPECT_EQ(matrix_format(a), GxB_FORMAT_DENSE);
+  EXPECT_EQ(matrix_format(a), GxB_FORMAT_CSR);
   EXPECT_MATRIX_EQ(a, full);
   GrB_free(&a);
 
-  // Partial block: dense cannot represent a hole; degrades to bitmap.
   ref::Mat part = random_mat(8, 8, 0.5, 153);
   ASSERT_LT(part.nvals(), 64u);
   GrB_Matrix b = testutil::make_matrix(part);
   ASSERT_EQ(GxB_Matrix_Option_set(b, GxB_FORMAT, GxB_FORMAT_DENSE),
             GrB_SUCCESS);
-  EXPECT_EQ(matrix_format(b), GxB_FORMAT_BITMAP);
+  EXPECT_EQ(matrix_format(b), GxB_FORMAT_CSR);
   EXPECT_MATRIX_EQ(b, part);
   GrB_free(&b);
 }
@@ -139,12 +195,10 @@ TEST(FormatTest, VectorPinRoundTripsEveryFormat) {
   GrB_free(&u);
 }
 
-// PageRank's vectors are full, the case a density-driven vector format
-// would store dense.  With one vector layout no publish or read of them
-// converts (n = 2048 is past any small-block work gate), and the ranks
-// match a forced-CSR run bitwise.
+// PageRank's vectors are full, the case a density-driven format would
+// store dense.  The removed format counters stay out of the stats
+// surface, and the ranks are bitwise equal whatever format value is set.
 TEST(FormatTest, PagerankVectorsNeverSwitchFormat) {
-  PolicyGuard guard;
   GrB_Matrix a = nullptr;
   ASSERT_EQ(grb::rmat_matrix(&a, 11, 8, grb::RmatParams{}, nullptr),
             grb::Info::kSuccess);
@@ -155,44 +209,24 @@ TEST(FormatTest, PagerankVectorsNeverSwitchFormat) {
     GrB_free(&r);
     return t;
   };
-  auto counter = [](const char* name) {
-    uint64_t v = ~uint64_t{0};
-    EXPECT_EQ(GxB_Stats_get(name, &v), GrB_SUCCESS) << name;
-    return v;
-  };
-
   ASSERT_EQ(GxB_Format_set(GxB_FORMAT_AUTO), GrB_SUCCESS);
   ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
   ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
   const Tuples by_auto = ranks();
-  EXPECT_EQ(counter("format.switches"), 0u);
-  EXPECT_EQ(counter("format.csr_conversions"), 0u);
+  for (const char* gone : {"format.switches", "format.csr_conversions"}) {
+    uint64_t v = 0;
+    EXPECT_EQ(GxB_Stats_get(gone, &v), GrB_NO_VALUE) << gone;
+  }
   EXPECT_EQ(GxB_Stats_enable(0), GrB_SUCCESS);
   EXPECT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
   EXPECT_EQ(by_auto.ind.size(), GrB_Index{2048});
 
-  ASSERT_EQ(GxB_Format_set(GxB_FORMAT_CSR), GrB_SUCCESS);
-  EXPECT_TRUE(ranks() == by_auto);
-  GrB_free(&a);
-}
-
-TEST(FormatTest, GlobalPolicyForcesPublishedFormat) {
-  PolicyGuard guard;
-  GxB_Format got = GxB_FORMAT_AUTO;
-  ASSERT_EQ(GxB_Format_set(GxB_FORMAT_BITMAP), GrB_SUCCESS);
-  ASSERT_EQ(GxB_Format_get(&got), GrB_SUCCESS);
-  EXPECT_EQ(got, GxB_FORMAT_BITMAP);
-
-  ref::Mat rm = random_mat(10, 10, 0.4, 156);
-  GrB_Matrix a = testutil::make_matrix(rm);
-  ASSERT_EQ(GrB_wait(a, GrB_MATERIALIZE), GrB_SUCCESS);
-  EXPECT_EQ(matrix_format(a), GxB_FORMAT_BITMAP);
-  EXPECT_MATRIX_EQ(a, rm);
-  GrB_free(&a);
-
+  for (GxB_Format f : {GxB_FORMAT_DENSE, GxB_FORMAT_CSR}) {
+    ASSERT_EQ(GxB_Format_set(f), GrB_SUCCESS);
+    EXPECT_TRUE(ranks() == by_auto);
+  }
   ASSERT_EQ(GxB_Format_set(GxB_FORMAT_AUTO), GrB_SUCCESS);
-  ASSERT_EQ(GxB_Format_get(&got), GrB_SUCCESS);
-  EXPECT_EQ(got, GxB_FORMAT_AUTO);
+  GrB_free(&a);
 }
 
 TEST(FormatTest, OptionErrorPaths) {
@@ -220,60 +254,87 @@ TEST(FormatTest, OptionErrorPaths) {
   GrB_free(&u);
 }
 
-// Direct cost-model checks on hand-built blocks: the thresholds the
-// auto policy promises (DESIGN.md §15).
-TEST(FormatTest, CostModelChoices) {
-  // Full 64x64 (nnz = 4096 >= min work): dense.
-  grb::MatrixData full(GrB_FP64, 64, 64);
-  full.vals.resize(64 * 64);
-  full.col.resize(64 * 64);
-  for (grb::Index r = 0; r < 64; ++r) {
-    for (grb::Index j = 0; j < 64; ++j) full.col[r * 64 + j] = j;
-    full.ptr[r + 1] = (r + 1) * 64;
+// The global setting no longer forces a format: every accepted value
+// succeeds, GxB_Format_get reports CSR, a matrix published under any of
+// them is CSR with its contents intact, and 99 is rejected.
+TEST(FormatTest, GlobalPolicyForcesPublishedFormat) {
+  ref::Mat rm = random_mat(10, 10, 0.4, 156);
+  GxB_Format got = GxB_FORMAT_AUTO;
+  for (GxB_Format f : {GxB_FORMAT_BITMAP, GxB_FORMAT_HYPER, GxB_FORMAT_DENSE,
+                       GxB_FORMAT_CSR, GxB_FORMAT_AUTO}) {
+    ASSERT_EQ(GxB_Format_set(f), GrB_SUCCESS);
+    ASSERT_EQ(GxB_Format_get(&got), GrB_SUCCESS);
+    EXPECT_EQ(got, GxB_FORMAT_CSR);
+    GrB_Matrix a = testutil::make_matrix(rm);
+    ASSERT_EQ(GrB_wait(a, GrB_MATERIALIZE), GrB_SUCCESS);
+    EXPECT_EQ(matrix_format(a), GxB_FORMAT_CSR);
+    EXPECT_MATRIX_EQ(a, rm);
+    GrB_free(&a);
   }
-  EXPECT_EQ(grb::choose_matrix_format(full, 0), grb::MatFormat::kDense);
-
-  // Three of four cells present: memory-smaller as bitmap than CSR.
-  grb::MatrixData most(GrB_FP64, 64, 64);
-  for (grb::Index r = 0; r < 64; ++r) {
-    for (grb::Index j = 0; j < 64; ++j) {
-      if ((r * 64 + j) % 4 == 3) continue;
-      most.col.push_back(j);
-    }
-    most.ptr[r + 1] = most.col.size();
-  }
-  most.vals.resize(most.col.size());
-  EXPECT_EQ(grb::choose_matrix_format(most, 0), grb::MatFormat::kBitmap);
-
-  // 8192 rows, entries confined to 512 of them: hypersparse.
-  grb::MatrixData hyper(GrB_FP64, 8192, 8192);
-  for (grb::Index r = 0; r < 8192; ++r) {
-    if (r % 16 == 0) {
-      for (grb::Index j = 0; j < 4; ++j) hyper.col.push_back(j * 97);
-    }
-    hyper.ptr[r + 1] = hyper.col.size();
-  }
-  hyper.vals.resize(hyper.col.size());
-  EXPECT_EQ(grb::choose_matrix_format(hyper, 0), grb::MatFormat::kHyper);
-
-  // Tiny block (below min work): keeps its current format.
-  grb::MatrixData tiny(GrB_FP64, 10, 10);
-  EXPECT_EQ(grb::choose_matrix_format(tiny, 0), grb::MatFormat::kCsr);
+  EXPECT_EQ(GxB_Format_set(static_cast<GxB_Format>(99)), GrB_INVALID_VALUE);
+  ASSERT_EQ(GxB_Format_get(&got), GrB_SUCCESS);
+  EXPECT_EQ(got, GxB_FORMAT_CSR);
 }
 
-// Conversions are exact: values round-trip bitwise through every format
-// (checked via extractTuples equality on irrational-ish doubles).
+// The format a block gets at publish: with the cost model gone every
+// shape it used to send elsewhere (full -> dense, three quarters full ->
+// bitmap, rows confined to a sixteenth of a tall matrix -> hypersparse)
+// is published CSR, as is a tiny block, and stores its tuples exactly.
+TEST(FormatTest, CostModelChoices) {
+  // An n x n block whose row r holds column j * stride for each
+  // j < width that present(r, j) keeps.
+  struct Shape {
+    const char* name;
+    GrB_Index n, width, stride;
+    bool (*present)(GrB_Index r, GrB_Index j);
+  };
+  const Shape shapes[] = {
+      {"full", 64, 64, 1, [](GrB_Index, GrB_Index) { return true; }},
+      {"three-quarters", 64, 64, 1,
+       [](GrB_Index r, GrB_Index j) { return (r * 64 + j) % 4 != 3; }},
+      {"hypersparse", 8192, 4, 97,
+       [](GrB_Index r, GrB_Index) { return r % 16 == 0; }},
+      {"tiny", 10, 10, 1, [](GrB_Index r, GrB_Index j) { return r == j; }},
+  };
+  for (const Shape& sh : shapes) {
+    MatTuples want;
+    for (GrB_Index r = 0; r < sh.n; ++r) {
+      for (GrB_Index j = 0; j < sh.width; ++j) {
+        if (!sh.present(r, j)) continue;
+        want.rows.push_back(r);
+        want.cols.push_back(j * sh.stride);
+        want.vals.push_back(static_cast<double>(want.vals.size()) * 0.37 -
+                            11.0);
+      }
+    }
+    GrB_Matrix a = nullptr;
+    ASSERT_EQ(GrB_Matrix_new(&a, GrB_FP64, sh.n, sh.n), GrB_SUCCESS);
+    ASSERT_EQ(GrB_Matrix_build(a, want.rows.data(), want.cols.data(),
+                               want.vals.data(), want.vals.size(), GrB_NULL),
+              GrB_SUCCESS);
+    ASSERT_EQ(GrB_wait(a, GrB_MATERIALIZE), GrB_SUCCESS);
+    EXPECT_EQ(matrix_format(a), GxB_FORMAT_CSR) << sh.name;
+    EXPECT_TRUE(tuples_of(a) == want) << sh.name;
+    GrB_free(&a);
+  }
+}
+
+// Pins convert nothing, so values come back bitwise after every one
+// (checked by extractTuples equality on irrational-ish doubles).
 TEST(FormatTest, ConversionRoundTripIsExact) {
   ref::Mat rm(12, 9);
   grb::Prng rng(157);
   for (auto& c : rm.cells)
     if (rng.uniform() < 0.5) c = rng.uniform() * 1e3 - 500.0;
   GrB_Matrix a = testutil::make_matrix(rm);
-  ref::Mat before = testutil::to_ref(a);
+  const MatTuples before = tuples_of(a);
+  ASSERT_FALSE(before.rows.empty());
+  ref::Mat ref_before = testutil::to_ref(a);
   for (GxB_Format f : {GxB_FORMAT_BITMAP, GxB_FORMAT_HYPER,
                        GxB_FORMAT_BITMAP, GxB_FORMAT_CSR}) {
     ASSERT_EQ(GxB_Matrix_Option_set(a, GxB_FORMAT, f), GrB_SUCCESS);
-    EXPECT_TRUE(testutil::mats_equal(before, testutil::to_ref(a)));
+    EXPECT_TRUE(testutil::mats_equal(ref_before, testutil::to_ref(a)));
+    EXPECT_TRUE(tuples_of(a) == before);
   }
   GrB_free(&a);
 }

@@ -5,8 +5,8 @@
 // within a batch (the last write wins), deletes of present and absent
 // entries, a row emptied by deletes, inserts into empty rows, the
 // prefix-split fold (a deferred op that reads the object between two
-// setElement bursts), and a hypersparse base over 2^40 columns, whose
-// keys need every radix digit.  Every case frees its objects and checks
+// setElement bursts), and a base over 2^40 columns, whose keys need
+// every radix digit.  Every case frees its objects and checks
 // that mem.live_bytes is back at its baseline.
 #include <gtest/gtest.h>
 
@@ -132,18 +132,6 @@ class Obj {
   Obj& operator=(const Obj&) = delete;
 
   GrB_Index nrows() const { return nrows_; }
-
-  // Pins the matrix to hypersparse storage, so every fold reads a
-  // hypersparse base (through its cached CSR view).
-  void pin_hyper() {
-    ASSERT_EQ(GxB_Matrix_Option_set(m_, GxB_FORMAT, GxB_FORMAT_HYPER),
-              GrB_SUCCESS);
-  }
-  void expect_hyper() {
-    GxB_Format f = GxB_FORMAT_AUTO;
-    ASSERT_EQ(GxB_Matrix_Option_get(m_, GxB_FORMAT, &f), GrB_SUCCESS);
-    EXPECT_EQ(f, GxB_FORMAT_HYPER);
-  }
 
   void build(const Ref& ref) {
     std::vector<GrB_Index> ri, ci;
@@ -300,7 +288,7 @@ class Fold {
 };
 
 void run_case(bool is_matrix, Dom d, GrB_Index nrows, GrB_Index ncols,
-              uint64_t seed, bool hyper = false) {
+              uint64_t seed) {
   const uint64_t base_live = live_bytes();
   {
     Domain dom(d);
@@ -315,9 +303,7 @@ void run_case(bool is_matrix, Dom d, GrB_Index nrows, GrB_Index ncols,
       const GrB_Index i = rows > 2 ? 1 + base_rng.below(rows - 2) : 0;
       base[{i, base_rng.below(ncols)}] = dom.value(base_rng);
     }
-    if (hyper) obj.pin_hyper();
     obj.build(base);
-    if (hyper) obj.expect_hyper();
     f.ref() = base;
     obj.expect_equals(f.ref());
 
@@ -355,7 +341,6 @@ void run_case(bool is_matrix, Dom d, GrB_Index nrows, GrB_Index ncols,
     f.set(f.present_key());
     ASSERT_EQ(obj.wait(), GrB_SUCCESS);
     obj.expect_equals(f.ref());
-    if (hyper) obj.expect_hyper();
   }
   EXPECT_EQ(live_bytes(), base_live);
 }
@@ -365,8 +350,8 @@ constexpr GrB_Index kWide = GrB_Index{1} << 40;
 TEST(PendingFoldDiff, MatrixFp64) { run_case(true, Dom::kFp64, 40, 50, 1); }
 TEST(PendingFoldDiff, MatrixBool) { run_case(true, Dom::kBool, 40, 50, 2); }
 TEST(PendingFoldDiff, MatrixUdt24) { run_case(true, Dom::kUdt24, 40, 50, 3); }
-TEST(PendingFoldDiff, MatrixHypersparseWideColumns) {
-  run_case(true, Dom::kFp64, 200, kWide, 4, /*hyper=*/true);
+TEST(PendingFoldDiff, MatrixWideColumns) {
+  run_case(true, Dom::kFp64, 200, kWide, 4);
 }
 TEST(PendingFoldDiff, VectorFp64) { run_case(false, Dom::kFp64, 1, 700, 5); }
 TEST(PendingFoldDiff, VectorBool) { run_case(false, Dom::kBool, 1, 700, 6); }

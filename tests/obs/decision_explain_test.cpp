@@ -1,7 +1,7 @@
 // Decision-audit explain surface and hardware-profiler degradation.
 //
 // GxB_Explain must return a non-empty, accurate plan for GrB_mxm under
-// every storage format x SpGEMM mode combination — the audit is only
+// every SpGEMM mode — the audit is only
 // useful if it never goes dark when the execution strategy changes
 // under it.  The profiler tests pin GRB_PERF_EVENTS=0 to prove the
 // mandatory graceful-degradation path: perf_event_open denied must
@@ -29,7 +29,6 @@ class ExplainTest : public ::testing::Test {
     ASSERT_EQ(GrB_init(GrB_NONBLOCKING), GrB_SUCCESS);
   }
   void TearDown() override {
-    EXPECT_EQ(GxB_Format_set(GxB_FORMAT_AUTO), GrB_SUCCESS);
     EXPECT_EQ(GxB_Stats_enable(0), GrB_SUCCESS);
     EXPECT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
     EXPECT_EQ(GrB_finalize(), GrB_SUCCESS);
@@ -56,50 +55,44 @@ GrB_Matrix path_matrix(GrB_Index n) {
 }
 
 TEST_F(ExplainTest, RoundTripAcrossFormatsAndSpgemmModes) {
-  const GxB_Format formats[] = {GxB_FORMAT_CSR, GxB_FORMAT_HYPER,
-                                GxB_FORMAT_BITMAP, GxB_FORMAT_DENSE};
   const grb::SpgemmMode modes[] = {grb::SpgemmMode::kHash,
                                    grb::SpgemmMode::kDense};
   grb::SpgemmMode saved_mode = grb::spgemm_mode();
-  for (GxB_Format fmt : formats) {
-    for (grb::SpgemmMode mode : modes) {
-      SCOPED_TRACE(::testing::Message()
-                   << "format=" << (int)fmt << " mode=" << (int)mode);
-      ASSERT_EQ(GxB_Format_set(fmt), GrB_SUCCESS);
-      grb::set_spgemm_mode(mode);
-      ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
-      ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+  for (grb::SpgemmMode mode : modes) {
+    SCOPED_TRACE(::testing::Message() << "mode=" << (int)mode);
+    grb::set_spgemm_mode(mode);
+    ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
+    ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
 
-      GrB_Matrix a = path_matrix(8);
-      GrB_Matrix c = nullptr;
-      ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, 8, 8), GrB_SUCCESS);
-      ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL,
-                        GrB_PLUS_TIMES_SEMIRING_FP64, a, a, GrB_NULL),
-                GrB_SUCCESS);
-      ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
+    GrB_Matrix a = path_matrix(8);
+    GrB_Matrix c = nullptr;
+    ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, 8, 8), GrB_SUCCESS);
+    ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL,
+                      GrB_PLUS_TIMES_SEMIRING_FP64, a, a, GrB_NULL),
+              GrB_SUCCESS);
+    ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
 
-      // The plan names the op, the accumulator site, and the strategy
-      // the pinned mode forced — accurate, not merely non-empty.
-      std::string text = explain("GrB_mxm");
-      EXPECT_NE(text.find("decision audit:"), std::string::npos) << text;
-      EXPECT_NE(text.find("GrB_mxm spgemm_accum"), std::string::npos)
-          << text;
-      const char* strategy =
-          mode == grb::SpgemmMode::kDense ? "chose dense" : "chose hash";
-      EXPECT_NE(text.find(strategy), std::string::npos) << text;
-      // Perfect prediction on the path product: 6 flops in, 6 entries
-      // out — the plan must not cry mispredict.
-      EXPECT_EQ(text.find("MISPREDICT"), std::string::npos) << text;
+    // The plan names the op, the accumulator site, and the strategy
+    // the pinned mode forced — accurate, not merely non-empty.
+    std::string text = explain("GrB_mxm");
+    EXPECT_NE(text.find("decision audit:"), std::string::npos) << text;
+    EXPECT_NE(text.find("GrB_mxm spgemm_accum"), std::string::npos)
+        << text;
+    const char* strategy =
+        mode == grb::SpgemmMode::kDense ? "chose dense" : "chose hash";
+    EXPECT_NE(text.find(strategy), std::string::npos) << text;
+    // Perfect prediction on the path product: 6 flops in, 6 entries
+    // out — the plan must not cry mispredict.
+    EXPECT_EQ(text.find("MISPREDICT"), std::string::npos) << text;
 
-      // The op filter is real: an op that never ran matches nothing.
-      std::string other = explain("GrB_vxm");
-      EXPECT_NE(other.find("no ring records match the filter"),
-                std::string::npos)
-          << other;
+    // The op filter is real: an op that never ran matches nothing.
+    std::string other = explain("GrB_vxm");
+    EXPECT_NE(other.find("no ring records match the filter"),
+              std::string::npos)
+        << other;
 
-      GrB_free(&a);
-      GrB_free(&c);
-    }
+    GrB_free(&a);
+    GrB_free(&c);
   }
   grb::set_spgemm_mode(saved_mode);
 }

@@ -95,11 +95,11 @@ import sys
 # ---------------------------------------------------------------------------
 
 # Files whose critical sections are no-alloc zones: the hot kernel paths
-# named by the contract (spgemm / fused_exec / ewise) plus the deferred-
-# drain machinery that every nonblocking completion runs through.
+# named by the contract (spgemm / fused_exec / ewise), the per-snapshot
+# transpose cache, plus the deferred-drain machinery that every
+# nonblocking completion runs through.
 LOCK_ZONE_FILES = (
-    "src/containers/format.cpp",
-    "src/containers/format.hpp",
+    "src/ops/transpose.cpp",
     "src/ops/spgemm.cpp",
     "src/ops/spgemm.hpp",
     "src/ops/fused_exec.cpp",
@@ -119,7 +119,6 @@ READ_BARRIER_FILES = (
     "src/containers/vector.cpp",
     "src/containers/matrix.cpp",
     "src/containers/scalar.cpp",
-    "src/containers/format.cpp",
     "src/io/import_export.cpp",
     "src/io/serialize.cpp",
 )
@@ -130,8 +129,7 @@ WRITE_NAME_RE = re.compile(r"import|deserialize|build|set_element")
 
 # Barrier functions: draining the deferred queue (complete runs the
 # fusion planner; snapshot calls complete before publishing).
-BARRIER_FNS = {"snapshot", "snapshot_native", "complete", "flush_pending",
-               "wait"}
+BARRIER_FNS = {"snapshot", "complete", "flush_pending", "wait"}
 
 # Published container data (the snapshot payload or the raw arrays).
 ACCESS_RE = re.compile(

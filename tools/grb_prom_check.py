@@ -54,7 +54,7 @@ DECISION_FAMILIES = ("grb_decision_records_total",
                      "grb_decision_measured_total",
                      "grb_decision_mispredicts_total")
 DECISION_SITES = ("exec_path", "spgemm_accum", "masked_dot",
-                  "format_adapt", "transpose_cache", "fusion_plan")
+                  "transpose_cache", "fusion_plan")
 PROF_BACKENDS = ("perf", "thread-cputime", "getrusage")
 # The only escapes the text format (version 0.0.4) defines inside a
 # quoted label value.
