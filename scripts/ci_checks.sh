@@ -6,7 +6,10 @@
 # Stages (in order; the final summary names each stage PASS/FAIL/SKIP so
 # a failed stage is identifiable from the last lines of CI output):
 #
-#    1. grb_lint       — fast regex spec-conformance tier (pure Python)
+#    1. grb_lint       — fast regex spec-conformance tier (pure Python):
+#                        veneers, null checks, info strings, descriptors,
+#                        validate-first, poison messages (the GxB
+#                        registry parity is grb_analyze's, stage 2)
 #    2. grb_analyze    — AST/call-graph conformance tier: no-alloc-under-
 #                        lock zones, barrier-before-read, fusion grant
 #                        coverage, atomic memory-order explicitness,

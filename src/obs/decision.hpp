@@ -59,15 +59,15 @@ constexpr int kDecisionSiteCount = 5;
 
 const char* decision_site_name(DecisionSite site);
 
-// A completed audit record as readers see it.  Cost units are
-// site-specific (flops for the kernels, entries for the transpose
-// cache, node counts for fusion) — predicted and alternative share units within one
-// site, which is all the mispredict test needs.
+// A completed audit record as readers see it, and the audit ring's
+// payload (so no padding: see SeqRing).  Cost units are site-specific
+// (flops for the kernels, entries for the transpose cache, node counts
+// for fusion) — predicted and alternative share units within one site,
+// which is all the mispredict test needs.
 struct DecisionRecord {
   uint64_t seq = 0;          // global emission sequence (1-based)
   uint64_t ts_ns = 0;        // now_ns() at decision time
   uint64_t ctx = 0;          // owning obs context id (0 = unattributed)
-  DecisionSite site = DecisionSite::kExecPath;
   const char* op = nullptr;      // attributed GrB op (static string)
   const char* chosen = nullptr;  // strategy taken (static string)
   const char* rejected = nullptr;  // strategy passed over (static string)
@@ -75,8 +75,10 @@ struct DecisionRecord {
   double alternative_cost = 0;   // model's cost for the rejected one
   uint64_t measured_ns = 0;      // wall time of the governed region
   uint64_t measured_units = 0;   // actual work done, in predicted units
+  DecisionSite site = DecisionSite::kExecPath;
   bool measured = false;         // decision_measure completed the record
   bool mispredict = false;       // measured work off by >2x from predicted
+  uint8_t pad[5] = {};
 };
 
 // Handle returned by decision_record so the site can complete the
@@ -123,21 +125,12 @@ int decision_snapshot(DecisionRecord* out, int max_records, const char* op,
 // there is nothing to show.
 std::string decision_explain(const char* op, uint64_t ctx);
 
-// Counter lookup for names under "decision."  (see stats_get):
-// "decision.records" / ".measured" / ".mispredicts" totals, and
-// "decision.<site>.records" / ".measured" / ".mispredicts" /
-// ".predicted_units" / ".measured_units" per site.
+// The audit's part of stats_get ("decision.<site>.<field>" and the
+// audit-wide totals), of the stats JSON ("decisions" block) and of the
+// exposition: walks of its metric tables (decision.cpp).
 bool decision_stats_get(const char* name, uint64_t* value);
-
-// The "decisions" object embedded in stats_json (enabled flag, ring
-// occupancy, per-site aggregates).
 std::string decision_json();
-
-// Appends the decision.* Prometheus families (records/mispredicts per
-// site) to `out`, matching the exposition style of stats_prometheus.
 void decision_prometheus(std::string& out);
-
-uint64_t decision_ring_capacity();
 
 // GRB_DECISIONS=1 enables the audit at init (GxB_Stats_enable also
 // turns it on: counters without their why are half an answer).

@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/info.hpp"
+#include "obs/seq_ring.hpp"
 #include "obs/telemetry.hpp"
 
 namespace grb {
@@ -18,24 +20,14 @@ namespace obs {
 
 namespace {
 
-// One ring slot.  All fields are relaxed atomics so concurrent writers
-// that lap the ring (two threads landing on the same slot) stay data-
-// race-free; `seq` brackets the payload (0 = in progress, seq+1 = done)
-// so readers can detect and skip torn entries.
-struct Slot {
-  std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> ts{0};
-  std::atomic<const char*> op{nullptr};
-  std::atomic<uint64_t> meta{0};  // info<<32 | kind<<24 | tid
-  std::atomic<uint64_t> ext{0};   // ctx<<32 | flow (32-bit truncated)
+// One recorded event (SeqRing payload).
+struct Event {
+  uint64_t ts;
+  const char* op;
+  uint64_t meta;  // info<<32 | kind<<24 | tid
+  uint64_t ext;   // ctx<<32 | flow (32-bit truncated)
 };
-
-struct Ring {
-  explicit Ring(uint64_t cap) : slots(new Slot[cap]), mask(cap - 1) {}
-  std::unique_ptr<Slot[]> slots;
-  uint64_t mask;
-  std::atomic<uint64_t> head{0};
-};
+using Ring = SeqRing<Event>;
 
 std::atomic<Ring*> g_ring{nullptr};
 
@@ -117,28 +109,23 @@ std::vector<DecodedEvent> snapshot_events(uint64_t max_events) {
   std::vector<DecodedEvent> out;
   Ring* r = g_ring.load(std::memory_order_acquire);
   if (r == nullptr) return out;
-  const uint64_t cap = r->mask + 1;
-  const uint64_t head = r->head.load(std::memory_order_acquire);
-  uint64_t start = head > cap ? head - cap : 0;
+  const uint64_t head = r->head();
+  uint64_t start = head - std::min(head, r->capacity());
   if (max_events != 0 && head - start > max_events)
     start = head - max_events;
   out.reserve(static_cast<size_t>(head - start));
-  for (uint64_t seq = start; seq < head; ++seq) {
-    Slot& s = r->slots[seq & r->mask];
-    if (s.seq.load(std::memory_order_acquire) != seq + 1) continue;
+  for (uint64_t seq = start + 1; seq <= head; ++seq) {
+    Event ev;
+    if (!r->read(seq, &ev) || ev.op == nullptr) continue;
     DecodedEvent e;
-    e.seq = seq;
-    e.ts = s.ts.load(std::memory_order_relaxed);
-    e.op = s.op.load(std::memory_order_relaxed);
-    uint64_t meta = s.meta.load(std::memory_order_relaxed);
-    uint64_t ext = s.ext.load(std::memory_order_relaxed);
-    if (s.seq.load(std::memory_order_acquire) != seq + 1) continue;
-    e.info = static_cast<int32_t>(static_cast<uint32_t>(meta >> 32));
-    e.kind = static_cast<uint8_t>((meta >> 24) & 0xffu);
-    e.tid = static_cast<uint32_t>(meta & 0xffffffu);
-    e.ctx = static_cast<uint32_t>(ext >> 32);
-    e.flow = static_cast<uint32_t>(ext & 0xffffffffu);
-    if (e.op == nullptr) continue;
+    e.seq = seq - 1;
+    e.ts = ev.ts;
+    e.op = ev.op;
+    e.info = static_cast<int32_t>(static_cast<uint32_t>(ev.meta >> 32));
+    e.kind = static_cast<uint8_t>((ev.meta >> 24) & 0xffu);
+    e.tid = static_cast<uint32_t>(ev.meta & 0xffffffu);
+    e.ctx = static_cast<uint32_t>(ev.ext >> 32);
+    e.flow = static_cast<uint32_t>(ev.ext & 0xffffffffu);
     out.push_back(e);
   }
   return out;
@@ -157,7 +144,7 @@ void fr_resize(uint64_t capacity) {
   uint64_t cap = round_up_pow2(capacity > kMaxCapacity ? kMaxCapacity
                                                        : capacity);
   Ring* cur = g_ring.load(std::memory_order_acquire);
-  if (cur == nullptr || cur->mask + 1 != cap) {
+  if (cur == nullptr || cur->capacity() != cap) {
     Ring* next = new Ring(cap);
     Ring* old = g_ring.exchange(next, std::memory_order_acq_rel);
     if (old != nullptr) retired().emplace_back(old);
@@ -167,34 +154,25 @@ void fr_resize(uint64_t capacity) {
 
 uint64_t fr_capacity() {
   Ring* r = g_ring.load(std::memory_order_acquire);
-  return r == nullptr ? 0 : r->mask + 1;
+  return r == nullptr ? 0 : r->capacity();
 }
 
 uint64_t fr_event_count() {
   Ring* r = g_ring.load(std::memory_order_acquire);
-  return r == nullptr ? 0 : r->head.load(std::memory_order_relaxed);
+  return r == nullptr ? 0 : r->head();
 }
 
 uint64_t fr_overwrites() {
   Ring* r = g_ring.load(std::memory_order_acquire);
-  if (r == nullptr) return 0;
-  uint64_t head = r->head.load(std::memory_order_relaxed);
-  uint64_t cap = r->mask + 1;
-  return head > cap ? head - cap : 0;
+  return r == nullptr ? 0 : r->overwrites();
 }
 
 void fr_record(FrKind kind, const char* op, int32_t info, uint64_t ctx,
                uint64_t flow) {
   Ring* r = g_ring.load(std::memory_order_acquire);
   if (r == nullptr) return;
-  uint64_t seq = r->head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = r->slots[seq & r->mask];
-  s.seq.store(0, std::memory_order_release);  // invalidate for readers
-  s.ts.store(now_ns(), std::memory_order_relaxed);
-  s.op.store(op, std::memory_order_relaxed);
-  s.meta.store(pack_meta(kind, info, fr_tid()), std::memory_order_relaxed);
-  s.ext.store((ctx << 32) | (flow & 0xffffffffu), std::memory_order_relaxed);
-  s.seq.store(seq + 1, std::memory_order_release);
+  r->push({now_ns(), op, pack_meta(kind, info, fr_tid()),
+           (ctx << 32) | (flow & 0xffffffffu)});
 }
 
 void fr_api_result(const char* op, int32_t info) {

@@ -1,8 +1,6 @@
 #include "obs/profiler.hpp"
 
 #include <atomic>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
@@ -10,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
 #define GRB_HAVE_PERF_EVENT 1
@@ -21,6 +20,8 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+
+#include "obs/metric_table.hpp"
 
 namespace grb {
 namespace obs {
@@ -47,6 +48,43 @@ struct Agg {
   uint64_t wall_ns = 0;
 };
 using AggKey = std::tuple<uint64_t, std::string, std::string>;
+
+// The per-(context, op, strategy) fields, in JSON order.
+const Field<Agg> kRegionFields[] = {
+    {"count", &Agg::count, nullptr,
+     {"grb_prof_regions_total", "Profiled kernel regions.", "counter"}},
+    {"cycles", &Agg::cycles, nullptr,
+     {"grb_prof_cycles_total", "CPU cycles in profiled regions.",
+      "counter"}},
+    {"instructions", &Agg::instructions, nullptr,
+     {"grb_prof_instructions_total",
+      "Instructions retired in profiled regions.", "counter"}},
+    {"cache_misses", &Agg::cache_misses, nullptr,
+     {"grb_prof_cache_misses_total", "Cache misses in profiled regions.",
+      "counter"}},
+    {"branch_misses", &Agg::branch_misses, nullptr,
+     {"grb_prof_branch_misses_total", "Branch misses in profiled regions.",
+      "counter"}},
+    {"cpu_ns", &Agg::cpu_ns, nullptr,
+     {"grb_prof_cpu_ns_total", "Thread CPU nanoseconds in profiled regions.",
+      "counter"}},
+    {"wall_ns", &Agg::wall_ns, nullptr, {}},
+};
+
+// Process totals across every key; the JSON block carries the region
+// count.  "prof.backend" is the ProfBackend number.
+const Scalar kProfTotals[] = {
+    {"prof.regions", "regions_total", &g_regions, nullptr,
+     {"grb_prof_process_regions_total",
+      "Profiled kernel regions across every key.", "counter"}},
+    {"prof.backend", "", nullptr,
+     [] { return uint64_t{g_backend.load(std::memory_order_relaxed)}; }, {}},
+    {"prof.cycles", "", &g_cycles, nullptr, {}},
+    {"prof.instructions", "", &g_instructions, nullptr, {}},
+    {"prof.cache_misses", "", &g_cache_misses, nullptr, {}},
+    {"prof.branch_misses", "", &g_branch_misses, nullptr, {}},
+    {"prof.cpu_ns", "", &g_cpu_ns, nullptr, {}},
+};
 
 std::mutex& agg_mu() {
   static std::mutex mu;
@@ -219,12 +257,7 @@ void prof_set_enabled(bool on) {
 void prof_reset() {
   std::lock_guard<std::mutex> lock(agg_mu());
   agg_map().clear();
-  g_regions.store(0, std::memory_order_relaxed);
-  g_cycles.store(0, std::memory_order_relaxed);
-  g_instructions.store(0, std::memory_order_relaxed);
-  g_cache_misses.store(0, std::memory_order_relaxed);
-  g_branch_misses.store(0, std::memory_order_relaxed);
-  g_cpu_ns.store(0, std::memory_order_relaxed);
+  scalar_reset(kProfTotals);
 }
 
 namespace detail {
@@ -298,100 +331,50 @@ void prof_end(const ProfStart& st, const char* op, const char* strategy) {
 
 bool prof_stats_get(const char* name, uint64_t* value) {
   *value = 0;
-  if (std::strncmp(name, "prof.", 5) != 0) return false;
-  const char* rest = name + 5;
-  if (std::strcmp(rest, "regions") == 0)
-    *value = g_regions.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "backend") == 0)
-    *value = g_backend.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "cycles") == 0)
-    *value = g_cycles.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "instructions") == 0)
-    *value = g_instructions.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "cache_misses") == 0)
-    *value = g_cache_misses.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "branch_misses") == 0)
-    *value = g_branch_misses.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "cpu_ns") == 0)
-    *value = g_cpu_ns.load(std::memory_order_relaxed);
-  else
-    return false;
-  return true;
+  return scalar_get(kProfTotals, name, value);
 }
 
 std::string prof_json() {
   std::string out = "{";
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "\"backend\":\"%s\",\"enabled\":%s,\"regions_total\":%" PRIu64
-                ",\"regions\":[",
-                prof_backend_name(), prof_enabled() ? "true" : "false",
-                g_regions.load(std::memory_order_relaxed));
-  out.append(buf);
+  json_str(&out, "backend", prof_backend_name());
+  out.append(prof_enabled() ? "\"enabled\":true," : "\"enabled\":false,");
+  scalar_json(&out, kProfTotals);
+  out.append("\"regions\":[");
   std::lock_guard<std::mutex> lock(agg_mu());
-  bool first = true;
   for (const auto& [key, a] : agg_map()) {
-    if (!first) out.push_back(',');
-    first = false;
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"ctx\":%" PRIu64 ",\"op\":\"%s\",\"strategy\":\"%s\","
-        "\"count\":%" PRIu64 ",\"cycles\":%" PRIu64
-        ",\"instructions\":%" PRIu64 ",\"cache_misses\":%" PRIu64
-        ",\"branch_misses\":%" PRIu64 ",\"cpu_ns\":%" PRIu64
-        ",\"wall_ns\":%" PRIu64 "}",
-        std::get<0>(key), std::get<1>(key).c_str(), std::get<2>(key).c_str(),
-        a.count, a.cycles, a.instructions, a.cache_misses, a.branch_misses,
-        a.cpu_ns, a.wall_ns);
-    out.append(buf);
+    out.push_back('{');
+    json_u64(&out, "ctx", std::get<0>(key));
+    json_str(&out, "op", std::get<1>(key).c_str());
+    json_str(&out, "strategy", std::get<2>(key).c_str());
+    json_fields(&out, kRegionFields, a);
+    json_close(&out, '}');
+    out.push_back(',');
   }
-  out.append("]}");
+  json_close(&out, ']');
+  out.push_back('}');
   return out;
 }
 
 void prof_prometheus(std::string& out) {
-  char buf[320];
-  out.append(
-      "# HELP grb_prof_backend_info Live hardware-profiler backend "
-      "(1 = active).\n# TYPE grb_prof_backend_info gauge\n");
-  std::snprintf(buf, sizeof buf, "grb_prof_backend_info{backend=\"%s\"} 1\n",
-                prof_backend_name());
-  out.append(buf);
-
-  std::lock_guard<std::mutex> lock(agg_mu());
-  const auto& m = agg_map();
-  if (m.empty()) return;
-  struct Family {
-    const char* name;
-    const char* help;
-    uint64_t Agg::* field;
-  };
-  static constexpr Family kFamilies[] = {
-      {"grb_prof_regions_total", "Profiled kernel regions.", &Agg::count},
-      {"grb_prof_cycles_total", "CPU cycles in profiled regions.",
-       &Agg::cycles},
-      {"grb_prof_instructions_total",
-       "Instructions retired in profiled regions.", &Agg::instructions},
-      {"grb_prof_cache_misses_total", "Cache misses in profiled regions.",
-       &Agg::cache_misses},
-      {"grb_prof_branch_misses_total", "Branch misses in profiled regions.",
-       &Agg::branch_misses},
-      {"grb_prof_cpu_ns_total", "Thread CPU nanoseconds in profiled regions.",
-       &Agg::cpu_ns},
-  };
-  for (const Family& fam : kFamilies) {
-    std::snprintf(buf, sizeof buf, "# HELP %s %s\n# TYPE %s counter\n",
-                  fam.name, fam.help, fam.name);
-    out.append(buf);
-    for (const auto& [key, a] : m) {
-      std::snprintf(buf, sizeof buf,
-                    "%s{op=\"%s\",strategy=\"%s\",context=\"%" PRIu64
-                    "\"} %" PRIu64 "\n",
-                    fam.name, std::get<1>(key).c_str(),
-                    std::get<2>(key).c_str(), std::get<0>(key), a.*fam.field);
-      out.append(buf);
-    }
+  static constexpr Prom kBackendInfo{
+      "grb_prof_backend_info",
+      "Live hardware-profiler backend (1 = active).", "gauge"};
+  prom_header(&out, kBackendInfo);
+  prom_sample(&out, kBackendInfo, prom_label("backend", prof_backend_name()),
+              1);
+  scalar_prom(&out, kProfTotals);
+  std::vector<Keyed<Agg>> rows;
+  {
+    std::lock_guard<std::mutex> lock(agg_mu());
+    for (const auto& [key, a] : agg_map())
+      rows.push_back(
+          {"",
+           prom_label("op", std::get<1>(key)) + "," +
+               prom_label("strategy", std::get<2>(key)) + "," +
+               prom_label("context", std::to_string(std::get<0>(key))),
+           a});
   }
+  if (!rows.empty()) prom_rows(&out, kRegionFields, rows);
 }
 
 void prof_env_activate() {

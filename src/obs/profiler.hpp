@@ -88,18 +88,12 @@ class ProfScope {
 };
 
 // --- Introspection --------------------------------------------------------
-// "prof.regions", "prof.backend" (ProfBackend numeric), "prof.cycles",
-// "prof.instructions", "prof.cache_misses", "prof.branch_misses",
-// "prof.cpu_ns" — process totals across all keys.
+// The profiler's part of stats_get (the "prof.*" process totals), of the
+// stats JSON ("prof" block: backend, totals and the per-(context, op,
+// strategy) table — the profiler half of the grb_prof_report.py join)
+// and of the exposition: walks of its metric tables (profiler.cpp).
 bool prof_stats_get(const char* name, uint64_t* value);
-
-// The "prof" object embedded in stats_json: live backend, region totals
-// and the per-(context, op, strategy) aggregate table — the profiler
-// half of the grb_prof_report.py join.
 std::string prof_json();
-
-// Appends grb_prof_backend_info plus per-key region/cycle/instruction/
-// miss families to a Prometheus exposition.
 void prof_prometheus(std::string& out);
 
 // GRB_PROF=1 enables at init; GRB_PERF_EVENTS=0 forces the degraded

@@ -1,5 +1,6 @@
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include "obs/decision.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/memory.hpp"
+#include "obs/metric_table.hpp"
 #include "obs/profiler.hpp"
 
 namespace grb {
@@ -84,17 +86,53 @@ uint64_t ld(const std::atomic<uint64_t>& v) {
 }
 
 // --- counters -------------------------------------------------------------
+// Each keyed family declares its cells once, as a template over the
+// cell type: the bump sites' atomics and the read side's merged values
+// are two instantiations, and the family's Field table links the two.
 
-struct OpCounters {
-  std::atomic<uint64_t> calls{0};
-  std::atomic<uint64_t> ns{0};
-  std::atomic<uint64_t> errors{0};
-  std::atomic<uint64_t> scalars{0};
-  std::atomic<uint64_t> flops{0};
-  std::atomic<uint64_t> serial{0};
-  std::atomic<uint64_t> parallel{0};
-  std::atomic<uint64_t> deferred{0};
-  std::atomic<uint64_t> deferred_ns{0};
+// A log2 histogram merged across shards, cells and contexts, and the
+// numbers the exporters derive from it.
+struct HistAgg {
+  uint64_t counts[kHistBuckets] = {};
+  uint64_t max_ns = 0;
+  uint64_t count = 0;  // count and the quantiles are set by finish()
+  uint64_t p50 = 0;
+  uint64_t p90 = 0;
+  uint64_t p99 = 0;
+
+  // `this->` keeps the plain store from pattern-matching as an implicit-
+  // order access to the same-named atomic in grb_analyze.
+  void add_buckets(const std::atomic<uint64_t>* buckets, uint64_t max) {
+    for (int b = 0; b < kHistBuckets; ++b) counts[b] += ld(buckets[b]);
+    if (max > this->max_ns) this->max_ns = max;
+  }
+  // A percentile is the inclusive upper bound of the bucket holding the
+  // ceil-rank sample.
+  void finish() {
+    for (uint64_t c : counts) count += c;
+    auto quantile = [&](uint64_t pct) -> uint64_t {
+      const uint64_t target = (count * pct + 99) / 100;
+      uint64_t cum = 0;
+      for (int b = 0; b < kHistBuckets; ++b) {
+        cum += counts[b];
+        if (cum >= target) return hist_bucket_upper(b);
+      }
+      return hist_bucket_upper(kHistBuckets - 1);
+    };
+    if (count == 0) return;
+    p50 = quantile(50);
+    p90 = quantile(90);
+    p99 = quantile(99);
+  }
+};
+
+template <class T>
+struct OpCells {
+  T calls{}, ns{}, errors{}, scalars{}, flops{}, serial{}, parallel{},
+      deferred{}, deferred_ns{};
+};
+
+struct OpCounters : OpCells<std::atomic<uint64_t>> {
   std::atomic<uint64_t> max_ns{0};
   std::atomic<uint64_t> hist[kHistShards][kHistBuckets] = {};
 
@@ -103,128 +141,112 @@ struct OpCounters {
         1, std::memory_order_relaxed);
     bump_high_water(max_ns, dur_ns);
   }
-
-  void reset() {
-    // Explicit relaxed stores: the chained-assignment form is a silent
-    // seq_cst store per counter (and a seq_cst load per link of the
-    // chain).  Reset needs no ordering — readers tolerate torn resets
-    // the same way they tolerate concurrent bumps.
-    for (std::atomic<uint64_t>* c :
-         {&calls, &ns, &errors, &scalars, &flops, &serial, &parallel,
-          &deferred, &deferred_ns, &max_ns})
-      c->store(0, std::memory_order_relaxed);
-    for (auto& shard : hist)
-      for (auto& bucket : shard) bucket.store(0, std::memory_order_relaxed);
-  }
-
-  // Context rollup on free: exchange-based drain so a bump racing the
-  // drain lands either in the source (moved now) or the destination
-  // (arriving after the exchange) — never lost, never double-counted.
-  // The object itself stays alive (registry entries are never deleted),
-  // so a late bump against a retired context still has a home and is
-  // folded into the ancestor at read time.
-  void drain_into(OpCounters& dst) {
-    struct Pair {
-      std::atomic<uint64_t>* from;
-      std::atomic<uint64_t>* to;
-    };
-    for (Pair p : {Pair{&calls, &dst.calls}, Pair{&ns, &dst.ns},
-                   Pair{&errors, &dst.errors}, Pair{&scalars, &dst.scalars},
-                   Pair{&flops, &dst.flops}, Pair{&serial, &dst.serial},
-                   Pair{&parallel, &dst.parallel},
-                   Pair{&deferred, &dst.deferred},
-                   Pair{&deferred_ns, &dst.deferred_ns}})
-      p.to->fetch_add(p.from->exchange(0, std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    for (int sh = 0; sh < kHistShards; ++sh)
-      for (int b = 0; b < kHistBuckets; ++b)
-        dst.hist[sh][b].fetch_add(
-            hist[sh][b].exchange(0, std::memory_order_relaxed),
-            std::memory_order_relaxed);
-    bump_high_water(dst.max_ns, max_ns.exchange(0, std::memory_order_relaxed));
-  }
 };
-
-// Shard-merged histogram view with the percentile upper bounds.
-struct HistSummary {
-  uint64_t count = 0;
-  uint64_t p50 = 0, p90 = 0, p99 = 0, max = 0;
-};
-
-HistSummary summarize_counts(const uint64_t counts[kHistBuckets],
-                             uint64_t max) {
-  HistSummary s;
-  s.max = max;
-  for (int b = 0; b < kHistBuckets; ++b) s.count += counts[b];
-  if (s.count == 0) return s;
-  auto quantile = [&](uint64_t pct) -> uint64_t {
-    uint64_t target = (s.count * pct + 99) / 100;  // ceil rank
-    uint64_t cum = 0;
-    for (int b = 0; b < kHistBuckets; ++b) {
-      cum += counts[b];
-      if (cum >= target) return hist_bucket_upper(b);
-    }
-    return hist_bucket_upper(kHistBuckets - 1);
-  };
-  s.p50 = quantile(50);
-  s.p90 = quantile(90);
-  s.p99 = quantile(99);
-  return s;
-}
 
 // Relaxed-merged snapshot of one (context, op) cell — or of several,
 // when dead contexts fold into a live ancestor at read time.
-struct OpAgg {
-  uint64_t calls = 0;
-  uint64_t ns = 0;
-  uint64_t errors = 0;
-  uint64_t scalars = 0;
-  uint64_t flops = 0;
-  uint64_t serial = 0;
-  uint64_t parallel = 0;
-  uint64_t deferred = 0;
-  uint64_t deferred_ns = 0;
-  uint64_t max_ns = 0;
-  uint64_t counts[kHistBuckets] = {};
-
-  // Members mirror the atomics' names; `this->` keeps the plain += from
-  // pattern-matching as an implicit-order atomic access in grb_analyze.
-  void add(const OpCounters& c) {
-    this->calls += ld(c.calls);
-    this->ns += ld(c.ns);
-    this->errors += ld(c.errors);
-    this->scalars += ld(c.scalars);
-    this->flops += ld(c.flops);
-    this->serial += ld(c.serial);
-    this->parallel += ld(c.parallel);
-    this->deferred += ld(c.deferred);
-    this->deferred_ns += ld(c.deferred_ns);
-    uint64_t m = ld(c.max_ns);
-    if (m > this->max_ns) this->max_ns = m;
-    for (int sh = 0; sh < kHistShards; ++sh)
-      for (int b = 0; b < kHistBuckets; ++b)
-        counts[b] += c.hist[sh][b].load(std::memory_order_relaxed);
-  }
-
-  HistSummary summarize() const { return summarize_counts(counts, max_ns); }
+struct OpAgg : OpCells<uint64_t>, HistAgg {
+  uint64_t latency_ns = 0;  // ns + deferred_ns: the latency summary's sum
 };
 
-struct PoolCounters {
-  std::atomic<uint64_t> submitted{0};   // chunks handed to parallel_for
-  std::atomic<uint64_t> chunks{0};      // chunks executed (any lane)
-  std::atomic<uint64_t> steals{0};      // chunks executed by worker lanes
-  std::atomic<uint64_t> parks{0};       // cv-wait episodes
-  std::atomic<uint64_t> park_ns{0};     // total cv-wait duration
-  std::atomic<uint64_t> busy{0};        // currently-running lanes (gauge)
-  std::atomic<uint64_t> busy_hw{0};     // high-water of busy
+// The per-op fields, in JSON order.
+const Field<OpAgg, OpCounters> kOpFields[] = {
+    {"calls", &OpAgg::calls, &OpCounters::calls,
+     {"grb_op_calls_total", "C API entry-point invocations.", "counter"}},
+    {"ns", &OpAgg::ns, &OpCounters::ns, {}},
+    {"errors", &OpAgg::errors, &OpCounters::errors,
+     {"grb_op_errors_total", "Entry points returning an error.", "counter"}},
+    {"scalars", &OpAgg::scalars, &OpCounters::scalars,
+     {"grb_op_scalars_total", "Scalars written back by each op.", "counter"}},
+    {"flops", &OpAgg::flops, &OpCounters::flops,
+     {"grb_op_flops_total", "Semiring multiplies by each op.", "counter"}},
+    {"serial", &OpAgg::serial, &OpCounters::serial,
+     {"grb_op_serial_total", "Serial-fallback gates that ran serial.",
+      "counter"}},
+    {"parallel", &OpAgg::parallel, &OpCounters::parallel,
+     {"grb_op_parallel_total", "Serial-fallback gates that ran parallel.",
+      "counter"}},
+    {"deferred", &OpAgg::deferred, &OpCounters::deferred,
+     {"grb_op_deferred_total", "Deferred executions of each op.", "counter"}},
+    {"deferred_ns", &OpAgg::deferred_ns, &OpCounters::deferred_ns, {}},
+    {"p50_ns", &OpAgg::p50, nullptr,
+     {"grb_op_latency_ns",
+      "Per-op latency by context (log2-bucket quantile upper bounds).",
+      "summary", "quantile=\"0.5\""}},
+    {"p90_ns", &OpAgg::p90, nullptr,
+     {"grb_op_latency_ns", nullptr, nullptr, "quantile=\"0.9\""}},
+    {"p99_ns", &OpAgg::p99, nullptr,
+     {"grb_op_latency_ns", nullptr, nullptr, "quantile=\"0.99\""}},
+    {nullptr, &OpAgg::latency_ns, nullptr, {"grb_op_latency_ns_sum"}},
+    {nullptr, &OpAgg::count, nullptr, {"grb_op_latency_ns_count"}},
+    {"max_ns", &OpAgg::max_ns, nullptr,
+     {"grb_op_latency_max_ns", "Exact worst-case latency.", "gauge"}},
+};
 
-  void reset() {
-    // busy is a live gauge; leave it to its owners.  Relaxed stores for
-    // the rest: reset carries no ordering obligation.
-    for (std::atomic<uint64_t>* c :
-         {&submitted, &chunks, &steals, &parks, &park_ns, &busy_hw})
-      c->store(0, std::memory_order_relaxed);
-  }
+void op_add(OpAgg* a, const OpCounters& c) {
+  add_live(kOpFields, c, a);
+  for (const auto& shard : c.hist) a->add_buckets(shard, ld(c.max_ns));
+}
+
+void op_finish(OpAgg* a) {
+  a->finish();
+  a->latency_ns = a->ns + a->deferred_ns;
+}
+
+// Relaxed stores: reset carries no ordering obligation — readers
+// tolerate torn resets the same way they tolerate concurrent bumps.
+void op_reset(OpCounters* c) {
+  reset_live(kOpFields, c);
+  c->max_ns.store(0, std::memory_order_relaxed);
+  for (auto& shard : c->hist)
+    for (auto& bucket : shard) bucket.store(0, std::memory_order_relaxed);
+}
+
+// Context rollup on free (see drain_live).  The source object itself
+// stays alive (registry entries are never deleted), so a late bump
+// against a retired context still has a home and is folded into the
+// ancestor at read time.
+void op_drain(OpCounters* from, OpCounters* to) {
+  drain_live(kOpFields, from, to);
+  for (int sh = 0; sh < kHistShards; ++sh)
+    for (int b = 0; b < kHistBuckets; ++b)
+      to->hist[sh][b].fetch_add(
+          from->hist[sh][b].exchange(0, std::memory_order_relaxed),
+          std::memory_order_relaxed);
+  bump_high_water(to->max_ns,
+                  from->max_ns.exchange(0, std::memory_order_relaxed));
+}
+
+// submitted: chunks handed to parallel_for; chunks: executed on any
+// lane; steals: executed by worker lanes; parks / park_ns: cv-wait
+// episodes and their duration; busy_hw: high-water of running lanes.
+template <class T>
+struct PoolCells {
+  T submitted{}, chunks{}, steals{}, parks{}, park_ns{}, busy_hw{};
+};
+
+struct PoolCounters : PoolCells<std::atomic<uint64_t>> {
+  // Currently-running lanes: a live gauge owned by in-flight
+  // parallel_for calls, never reset.
+  std::atomic<uint64_t> busy{0};
+};
+using PoolAgg = PoolCells<uint64_t>;
+
+const Field<PoolAgg, PoolCounters> kPoolFields[] = {
+    {"submitted", &PoolAgg::submitted, &PoolCounters::submitted,
+     {"grb_pool_submitted_total", "Chunks handed to parallel_for.",
+      "counter"}},
+    {"chunks", &PoolAgg::chunks, &PoolCounters::chunks,
+     {"grb_pool_chunks_total", "Chunks executed on any lane.", "counter"}},
+    {"steals", &PoolAgg::steals, &PoolCounters::steals,
+     {"grb_pool_steals_total", "Chunks executed by worker lanes.",
+      "counter"}},
+    {"parks", &PoolAgg::parks, &PoolCounters::parks,
+     {"grb_pool_parks_total", "Worker park episodes.", "counter"}},
+    {"park_ns", &PoolAgg::park_ns, &PoolCounters::park_ns,
+     {"grb_pool_park_ns_total", "Time workers spent parked.", "counter"}},
+    {"busy_high_water", &PoolAgg::busy_hw, &PoolCounters::busy_hw,
+     {"grb_pool_busy_high_water", "Most lanes running at once.", "gauge"}},
 };
 
 struct Globals {
@@ -315,30 +337,52 @@ PoolCounters& pool_counters(int pool_id) {
   return *slot;
 }
 
-// Aggregate one op across every context (the ungrouped stats_get view).
-// Caller holds reg_mu.
-bool agg_op(const char* op, OpAgg* out) {
-  bool found = false;
-  for (auto& ckv : ctx_registry()) {
-    auto it = ckv.second.ops.find(op);
-    if (it != ckv.second.ops.end()) {
-      out->add(*it->second);
-      found = true;
-    }
-  }
-  return found;
-}
-
 // Resolved per-context view: every entry folded into its nearest live
-// ancestor.  Caller holds reg_mu.
+// ancestor, finished.  Caller holds reg_mu.
 std::map<uint64_t, std::map<std::string, OpAgg>> ctx_view() {
   std::map<uint64_t, std::map<std::string, OpAgg>> view;
   for (auto& ckv : ctx_registry()) {
     if (ckv.second.ops.empty()) continue;
     uint64_t target = resolve_live(ckv.first);
-    for (auto& okv : ckv.second.ops) view[target][okv.first].add(*okv.second);
+    for (auto& okv : ckv.second.ops)
+      op_add(&view[target][okv.first], *okv.second);
+  }
+  for (auto& ckv : view)
+    for (auto& okv : ckv.second) op_finish(&okv.second);
+  return view;
+}
+
+// Memory slices summed into their home's nearest live ancestor.  Caller
+// holds reg_mu.
+std::map<uint64_t, CtxMemSlice> mem_view(
+    const std::vector<CtxMemSlice>& slices) {
+  std::map<uint64_t, CtxMemSlice> view;
+  for (const CtxMemSlice& sl : slices) {
+    CtxMemSlice& dst = view[resolve_live(sl.ctx)];
+    dst.live_bytes += sl.live_bytes;
+    dst.peak_bytes += sl.peak_bytes;
+    dst.objects += sl.objects;
   }
   return view;
+}
+
+// "<op>.<field>" over the registry cells whose context id `pick`
+// accepts, merged.  Caller holds reg_mu.
+template <class Pick>
+bool op_get(const std::string& op, const char* field, uint64_t* value,
+            Pick pick) {
+  OpAgg agg;
+  bool found = false;
+  for (auto& ckv : ctx_registry()) {
+    if (!pick(ckv.first)) continue;
+    auto it = ckv.second.ops.find(op);
+    if (it == ckv.second.ops.end()) continue;
+    op_add(&agg, *it->second);
+    found = true;
+  }
+  if (!found) return false;
+  op_finish(&agg);
+  return field_get(kOpFields, agg, field, value);
 }
 
 // --- lock-contention profiler ---------------------------------------------
@@ -350,11 +394,13 @@ std::map<uint64_t, std::map<std::string, OpAgg>> ctx_view() {
 // slots; read paths merge by strcmp.  Hist is unsharded: contended
 // acquisitions are orders of magnitude rarer than op bumps.
 
-struct LockSiteSlot {
+template <class T>
+struct LockCells {
+  T acquires{}, contended{}, wait_ns{};
+};
+
+struct LockSiteSlot : LockCells<std::atomic<uint64_t>> {
   std::atomic<const char*> name{nullptr};
-  std::atomic<uint64_t> acquires{0};
-  std::atomic<uint64_t> contended{0};
-  std::atomic<uint64_t> wait_ns{0};
   std::atomic<uint64_t> max_wait_ns{0};
   std::atomic<uint64_t> hist[kHistBuckets] = {};
 };
@@ -380,40 +426,51 @@ LockSiteSlot* lock_site_slot(const char* site) {
   return nullptr;  // table full: drop the sample (bounded by design)
 }
 
-struct LockAgg {
-  uint64_t acquires = 0;
-  uint64_t contended = 0;
-  uint64_t wait_ns = 0;
-  uint64_t max_ns = 0;
-  uint64_t counts[kHistBuckets] = {};
+struct LockAgg : LockCells<uint64_t>, HistAgg {};
 
-  HistSummary summarize() const { return summarize_counts(counts, max_ns); }
+// The per-site fields, in JSON order.
+const Field<LockAgg, LockSiteSlot> kLockFields[] = {
+    {"acquires", &LockAgg::acquires, &LockSiteSlot::acquires,
+     {"grb_lock_acquisitions_total", "Scoped-lock acquisitions by site.",
+      "counter"}},
+    {"contended", &LockAgg::contended, &LockSiteSlot::contended,
+     {"grb_lock_contended_total", "Acquisitions that blocked.", "counter"}},
+    {"wait_ns", &LockAgg::wait_ns, &LockSiteSlot::wait_ns, {}},
+    {"p50_ns", &LockAgg::p50, nullptr,
+     {"grb_lock_wait_ns",
+      "Blocked-acquisition wait time by site (log2-bucket quantile upper "
+      "bounds).",
+      "summary", "quantile=\"0.5\""}},
+    {"p90_ns", &LockAgg::p90, nullptr,
+     {"grb_lock_wait_ns", nullptr, nullptr, "quantile=\"0.9\""}},
+    {"p99_ns", &LockAgg::p99, nullptr,
+     {"grb_lock_wait_ns", nullptr, nullptr, "quantile=\"0.99\""}},
+    {nullptr, &LockAgg::wait_ns, nullptr, {"grb_lock_wait_ns_sum"}},
+    {nullptr, &LockAgg::count, nullptr, {"grb_lock_wait_ns_count"}},
+    {"max_ns", &LockAgg::max_ns, nullptr,
+     {"grb_lock_wait_max_ns", "Exact worst blocked wait by site.", "gauge"}},
 };
 
-// Name-merged read view of the site table (no lock needed: slots are
-// all-atomic and never deleted).
+// Name-merged, finished read view of the site table (no lock needed:
+// slots are all-atomic and never deleted).
 std::map<std::string, LockAgg> lock_view() {
   std::map<std::string, LockAgg> view;
   for (const LockSiteSlot& s : g_lock_sites) {
     const char* name = s.name.load(std::memory_order_acquire);
     if (name == nullptr) continue;
     LockAgg& a = view[name];
-    a.acquires += ld(s.acquires);
-    a.contended += ld(s.contended);
-    a.wait_ns += ld(s.wait_ns);
-    uint64_t m = ld(s.max_wait_ns);
-    if (m > a.max_ns) a.max_ns = m;
-    for (int b = 0; b < kHistBuckets; ++b) a.counts[b] += ld(s.hist[b]);
+    add_live(kLockFields, s, &a);
+    a.add_buckets(s.hist, ld(s.max_wait_ns));
   }
+  for (auto& kv : view) kv.second.finish();
   return view;
 }
 
 void lock_sites_reset() {
   for (LockSiteSlot& s : g_lock_sites) {
     if (s.name.load(std::memory_order_acquire) == nullptr) continue;
-    for (std::atomic<uint64_t>* c :
-         {&s.acquires, &s.contended, &s.wait_ns, &s.max_wait_ns})
-      c->store(0, std::memory_order_relaxed);
+    reset_live(kLockFields, &s);
+    s.max_wait_ns.store(0, std::memory_order_relaxed);
     for (auto& b : s.hist) b.store(0, std::memory_order_relaxed);
   }
 }
@@ -649,7 +706,7 @@ void ctx_retire(uint64_t ctx_id) {
   for (auto& okv : e.ops) {
     auto& slot = reg[target].ops[okv.first];
     if (slot == nullptr) slot = std::make_unique<OpCounters>();
-    okv.second->drain_into(*slot);
+    op_drain(okv.second.get(), slot.get());
   }
 }
 
@@ -941,497 +998,351 @@ void stats_set_enabled(bool on) {
   set_flag(kDecisionFlag, on);
 }
 
-void stats_reset() {
-  std::lock_guard<std::mutex> lock(reg_mu());
-  for (auto& ckv : ctx_registry())
-    for (auto& okv : ckv.second.ops) okv.second->reset();
-  for (auto& kv : pool_registry()) kv.second->reset();
-  lock_sites_reset();
-  g_watchdog_trips.store(0, std::memory_order_relaxed);
-  g_globals.queue_enqueued = 0;
-  g_globals.queue_hw = 0;
-  g_globals.queue_drained = 0;
-  g_globals.pending_hw = 0;
-  g_globals.spgemm_rows_hash = 0;
-  g_globals.spgemm_rows_dense = 0;
-  g_globals.spgemm_flops_est = 0;
-  g_globals.arena_hits = 0;
-  g_globals.arena_misses = 0;
-  g_globals.fusion_chains = 0;
-  g_globals.fusion_ops_fused = 0;
-  g_globals.fusion_dead_writes = 0;
-  g_globals.format_trans_hits = 0;
-  g_globals.format_trans_misses = 0;
-  // trace_events / trace_dropped reset with the trace buffer, and the
-  // pool_busy live gauge belongs to in-flight parallel_for calls.
-  decision_reset();
-  prof_reset();
-}
-
 namespace {
-
-struct AggField {
-  const char* name;
-  uint64_t value;
-};
-
-// The per-op fields, in stats_json order.
-std::vector<AggField> agg_fields(const OpAgg& a) {
-  return {{"calls", a.calls},       {"ns", a.ns},
-          {"errors", a.errors},     {"scalars", a.scalars},
-          {"flops", a.flops},       {"serial", a.serial},
-          {"parallel", a.parallel}, {"deferred", a.deferred},
-          {"deferred_ns", a.deferred_ns}};
-}
-
-struct FieldRef {
-  const char* name;
-  const std::atomic<uint64_t>* value;
-};
-
-std::vector<FieldRef> pool_fields(const PoolCounters& c) {
-  return {{"submitted", &c.submitted},
-          {"chunks", &c.chunks},
-          {"steals", &c.steals},
-          {"parks", &c.parks},
-          {"park_ns", &c.park_ns},
-          {"busy_high_water", &c.busy_hw}};
-}
-
-// Memory / flight-recorder / watchdog gauges are function-backed, not
-// stored atomics; one table serves stats_get, stats_json and the
-// exposition.
-struct FnGauge {
-  const char* name;
-  uint64_t (*value)();
-};
 
 uint64_t watchdog_deadline_ms_now() {
   return g_watchdog_deadline_ns.load(std::memory_order_relaxed) / 1000000u;
 }
 
-const FnGauge kFnGauges[] = {
-    {"mem.live_bytes", &mem_live_total},
-    {"mem.peak_bytes", &mem_peak_total},
-    {"mem.arena_live_bytes", &mem_arena_live},
-    {"mem.arena_peak_bytes", &mem_arena_peak},
-    {"mem.objects", &mem_object_count},
-    {"flight.events", &fr_event_count},
-    {"flight.overwrites", &fr_overwrites},
-    {"flight.capacity", &fr_capacity},
-    {"watchdog.trips", &watchdog_trips},
-    {"watchdog.deadline_ms", &watchdog_deadline_ms_now},
+// The names the per-context memory rows share with the global totals.
+constexpr char kMemLive[] = "mem.live_bytes";
+constexpr char kMemPeak[] = "mem.peak_bytes";
+constexpr char kMemObjects[] = "mem.objects";
+
+// The global numbers, in JSON order.
+const Scalar kGlobals[] = {
+    {"queue.enqueued", nullptr, &g_globals.queue_enqueued, nullptr,
+     {"grb_queue_enqueued_total", "Methods deferred onto an object's queue.",
+      "counter"}},
+    {"queue.high_water", nullptr, &g_globals.queue_hw, nullptr,
+     {"grb_queue_high_water", "Deepest deferred queue seen at an enqueue.",
+      "gauge"}},
+    {"queue.drained", nullptr, &g_globals.queue_drained, nullptr,
+     {"grb_queue_drained_total", "Deferred methods drained by completion.",
+      "counter"}},
+    {"pending.high_water", nullptr, &g_globals.pending_hw, nullptr,
+     {"grb_pending_high_water", "Most pending tuples seen on one object.",
+      "gauge"}},
+    // The trace counters restart with the trace buffer, not stats_reset.
+    {"trace.events", nullptr, nullptr,
+     [] { return ld(g_globals.trace_events); },
+     {"grb_trace_events_total", "Spans recorded into the trace buffer.",
+      "counter"}},
+    {"trace.dropped", nullptr, nullptr,
+     [] { return ld(g_globals.trace_dropped); },
+     {"grb_trace_dropped_total", "Spans dropped by the capped trace buffer.",
+      "counter"}},
+    {"spgemm.rows_hash", nullptr, &g_globals.spgemm_rows_hash, nullptr,
+     {"grb_spgemm_rows_total", "SpGEMM output rows by accumulator.",
+      "counter", "accumulator=\"hash\""}},
+    {"spgemm.rows_dense", nullptr, &g_globals.spgemm_rows_dense, nullptr,
+     {"grb_spgemm_rows_total", nullptr, nullptr, "accumulator=\"dense\""}},
+    {"spgemm.flops_estimated", nullptr, &g_globals.spgemm_flops_est, nullptr,
+     {"grb_spgemm_flops_estimated_total",
+      "Symbolic-pass SpGEMM flop estimates.", "counter"}},
+    {"arena.reuse_hits", nullptr, &g_globals.arena_hits, nullptr,
+     {"grb_arena_requests_total", "Scratch-arena requests by reuse outcome.",
+      "counter", "outcome=\"hit\""}},
+    {"arena.reuse_misses", nullptr, &g_globals.arena_misses, nullptr,
+     {"grb_arena_requests_total", nullptr, nullptr, "outcome=\"miss\""}},
+    {"fusion.chains", nullptr, &g_globals.fusion_chains, nullptr,
+     {"grb_fusion_chains_total", "Fused chains the planner selected.",
+      "counter"}},
+    {"fusion.ops_fused", nullptr, &g_globals.fusion_ops_fused, nullptr,
+     {"grb_fusion_ops_fused_total", "Deferred methods run in fused chains.",
+      "counter"}},
+    {"fusion.dead_writes_eliminated", nullptr, &g_globals.fusion_dead_writes,
+     nullptr,
+     {"grb_fusion_dead_writes_eliminated_total",
+      "Deferred writes the planner dropped as dead.", "counter"}},
+    {"format.transpose_cache_hits", nullptr, &g_globals.format_trans_hits,
+     nullptr,
+     {"grb_format_transpose_cache_total",
+      "Descriptor-transpose reads by cache outcome.", "counter",
+      "outcome=\"hit\""}},
+    {"format.transpose_cache_misses", nullptr, &g_globals.format_trans_misses,
+     nullptr,
+     {"grb_format_transpose_cache_total", nullptr, nullptr,
+      "outcome=\"miss\""}},
+    {kMemLive, nullptr, nullptr, &mem_live_total,
+     {"grb_memory_live_bytes", "Tracked bytes currently allocated.",
+      "gauge"}},
+    {kMemPeak, nullptr, nullptr, &mem_peak_total,
+     {"grb_memory_peak_bytes", "High-water mark of tracked bytes.", "gauge"}},
+    {"mem.arena_live_bytes", nullptr, nullptr, &mem_arena_live,
+     {"grb_arena_live_bytes", "Scratch-arena bytes currently held.",
+      "gauge"}},
+    {"mem.arena_peak_bytes", nullptr, nullptr, &mem_arena_peak,
+     {"grb_arena_peak_bytes", "Scratch-arena high-water mark.", "gauge"}},
+    {kMemObjects, nullptr, nullptr, &mem_object_count,
+     {"grb_objects", "Live GrB containers.", "gauge"}},
+    {"flight.events", nullptr, nullptr, &fr_event_count,
+     {"grb_flight_recorder_events_total",
+      "Flight-recorder events ever recorded.", "counter"}},
+    {"flight.overwrites", nullptr, nullptr, &fr_overwrites,
+     {"grb_flight_recorder_overwrites_total", "Events lost to ring wrap.",
+      "counter"}},
+    {"flight.capacity", nullptr, nullptr, &fr_capacity,
+     {"grb_flight_recorder_capacity", "Flight-recorder ring slots (0 = off).",
+      "gauge"}},
+    {"watchdog.trips", nullptr, &g_watchdog_trips, nullptr,
+     {"grb_watchdog_trips_total",
+      "Stall-watchdog deadline violations detected.", "counter"}},
+    {"watchdog.deadline_ms", nullptr, nullptr, &watchdog_deadline_ms_now,
+     {"grb_watchdog_deadline_ms", "Armed stall-watchdog deadline (0 = off).",
+      "gauge"}},
 };
 
-// Histogram-derived per-op field names share one decoder.
-bool pick_hist_field(const char* field, const HistSummary& s,
-                     uint64_t* value) {
-  if (std::strcmp(field, "p50_ns") == 0) {
-    *value = s.p50;
-  } else if (std::strcmp(field, "p90_ns") == 0) {
-    *value = s.p90;
-  } else if (std::strcmp(field, "p99_ns") == 0) {
-    *value = s.p99;
-  } else if (std::strcmp(field, "max_ns") == 0) {
-    *value = s.max;
-  } else {
-    return false;
-  }
-  return true;
+// Memory homed in each context (stats_get_ctx "mem.*").
+const Field<CtxMemSlice> kCtxMemFields[] = {
+    {kMemLive, &CtxMemSlice::live_bytes, nullptr,
+     {"grb_context_memory_live_bytes", "Tracked bytes homed in each context.",
+      "gauge"}},
+    {kMemPeak, &CtxMemSlice::peak_bytes, nullptr,
+     {"grb_context_memory_peak_bytes",
+      "Sum of the peak tracked bytes of each context's containers.",
+      "gauge"}},
+    {kMemObjects, &CtxMemSlice::objects, nullptr,
+     {"grb_context_objects", "Live GrB containers homed in each context.",
+      "gauge"}},
+};
+
+uint64_t scalar_value(const Scalar& s) {
+  return s.counter != nullptr ? ld(*s.counter) : s.gauge();
 }
 
-bool agg_field_get(const OpAgg& a, const char* field, uint64_t* value) {
-  for (const AggField& f : agg_fields(a)) {
-    if (std::strcmp(field, f.name) == 0) {
-      *value = f.value;
-      return true;
-    }
+// One context's op cells, keyed by op and labelled by op and context.
+std::vector<Keyed<OpAgg>> op_rows(uint64_t ctx,
+                                  const std::map<std::string, OpAgg>& ops) {
+  std::vector<Keyed<OpAgg>> rows;
+  const std::string ctx_label = prom_label("context", std::to_string(ctx));
+  for (const auto& kv : ops)
+    rows.push_back({kv.first, prom_label("op", kv.first) + "," + ctx_label,
+                    kv.second});
+  return rows;
+}
+
+// Caller holds reg_mu.
+std::vector<Keyed<PoolAgg>> pool_rows() {
+  std::vector<Keyed<PoolAgg>> rows;
+  for (const auto& kv : pool_registry()) {
+    const std::string id = std::to_string(kv.first);
+    rows.push_back({id, prom_label("pool", id), {}});
+    add_live(kPoolFields, *kv.second, &rows.back().agg);
   }
-  return pick_hist_field(field, a.summarize(), value);
+  return rows;
+}
+
+std::vector<Keyed<LockAgg>> lock_rows() {
+  std::vector<Keyed<LockAgg>> rows;
+  for (const auto& kv : lock_view())
+    rows.push_back({kv.first, prom_label("site", kv.first), kv.second});
+  return rows;
 }
 
 }  // namespace
 
+bool scalar_get(std::span<const Scalar> rows, const char* name,
+                uint64_t* value) {
+  for (const Scalar& s : rows) {
+    if (std::strcmp(s.name, name) == 0) {
+      *value = scalar_value(s);
+      return true;
+    }
+  }
+  return false;
+}
+
+void scalar_json(std::string* out, std::span<const Scalar> rows) {
+  for (const Scalar& s : rows)
+    if (s.json == nullptr || s.json[0] != '\0')
+      json_u64(out, s.json != nullptr ? s.json : s.name, scalar_value(s));
+}
+
+void scalar_prom(std::string* out, std::span<const Scalar> rows) {
+  for (const Scalar& s : rows) {
+    if (s.prom.family == nullptr) continue;
+    if (s.prom.help != nullptr) prom_header(out, s.prom);
+    prom_sample(out, s.prom, "", scalar_value(s));
+  }
+}
+
+void scalar_reset(std::span<const Scalar> rows) {
+  for (const Scalar& s : rows)
+    if (s.counter != nullptr) s.counter->store(0, std::memory_order_relaxed);
+}
+
+void json_key(std::string* out, const char* key) {
+  out->push_back('"');
+  json_append_escaped(out, key);
+  out->append("\":");
+}
+
+void json_u64(std::string* out, const char* key, uint64_t v) {
+  json_key(out, key);
+  out->append(std::to_string(v));
+  out->push_back(',');
+}
+
+void json_str(std::string* out, const char* key, const char* v) {
+  json_key(out, key);
+  out->push_back('"');
+  json_append_escaped(out, v);
+  out->append("\",");
+}
+
+void json_close(std::string* out, char bracket) {
+  if (out->back() == ',') {
+    out->back() = bracket;
+  } else {
+    out->push_back(bracket);
+  }
+}
+
+std::string prom_label(const char* name, const std::string& value) {
+  std::string l = name;
+  l.append("=\"");
+  prom_append_escaped(&l, value.c_str());
+  l.push_back('"');
+  return l;
+}
+
+void prom_header(std::string* out, const Prom& p) {
+  out->append("# HELP ").append(p.family).append(" ").append(p.help);
+  out->append("\n# TYPE ").append(p.family).append(" ").append(p.type);
+  out->push_back('\n');
+}
+
+void prom_sample(std::string* out, const Prom& p, const std::string& labels,
+                 uint64_t v) {
+  out->append(p.family);
+  if (!labels.empty() || p.label != nullptr) {
+    out->push_back('{');
+    out->append(labels);
+    if (!labels.empty() && p.label != nullptr) out->push_back(',');
+    if (p.label != nullptr) out->append(p.label);
+    out->push_back('}');
+  }
+  out->push_back(' ');
+  out->append(std::to_string(v));
+  out->push_back('\n');
+}
+
+void stats_reset() {
+  std::lock_guard<std::mutex> lock(reg_mu());
+  for (auto& ckv : ctx_registry())
+    for (auto& okv : ckv.second.ops) op_reset(okv.second.get());
+  for (auto& kv : pool_registry()) reset_live(kPoolFields, kv.second.get());
+  lock_sites_reset();
+  scalar_reset(kGlobals);
+  decision_reset();
+  prof_reset();
+}
+
 bool stats_get(const char* name, uint64_t* value) {
   *value = 0;
   if (name == nullptr) return false;
-  for (const auto& g : kFnGauges) {
-    if (std::strcmp(name, g.name) == 0) {
-      *value = g.value();
-      return true;
-    }
-  }
-  // Globals first.
-  struct GlobalRef {
-    const char* name;
-    const std::atomic<uint64_t>* value;
-  };
-  const GlobalRef globals[] = {
-      {"queue.enqueued", &g_globals.queue_enqueued},
-      {"queue.high_water", &g_globals.queue_hw},
-      {"queue.drained", &g_globals.queue_drained},
-      {"pending.high_water", &g_globals.pending_hw},
-      {"trace.events", &g_globals.trace_events},
-      {"trace.dropped", &g_globals.trace_dropped},
-      {"spgemm.rows_hash", &g_globals.spgemm_rows_hash},
-      {"spgemm.rows_dense", &g_globals.spgemm_rows_dense},
-      {"spgemm.flops_estimated", &g_globals.spgemm_flops_est},
-      {"arena.reuse_hits", &g_globals.arena_hits},
-      {"arena.reuse_misses", &g_globals.arena_misses},
-      {"fusion.chains", &g_globals.fusion_chains},
-      {"fusion.ops_fused", &g_globals.fusion_ops_fused},
-      {"fusion.dead_writes_eliminated", &g_globals.fusion_dead_writes},
-      {"format.transpose_cache_hits", &g_globals.format_trans_hits},
-      {"format.transpose_cache_misses", &g_globals.format_trans_misses},
-  };
-  for (const auto& g : globals) {
-    if (std::strcmp(name, g.name) == 0) {
-      *value = ld(*g.value);
-      return true;
-    }
-  }
-  // Per-site lock contention: "lock.<site>.<field>" (site may itself
-  // contain "::" but never a dot; the last dot splits the field).
-  if (std::strncmp(name, "lock.", 5) == 0) {
-    const char* dot = std::strrchr(name + 5, '.');
-    if (dot == nullptr || dot == name + 5) return false;
-    std::string site(name + 5, static_cast<size_t>(dot - (name + 5)));
-    auto view = lock_view();
-    auto it = view.find(site);
-    if (it == view.end()) return false;
-    const char* field = dot + 1;
-    const LockAgg& a = it->second;
-    if (std::strcmp(field, "acquires") == 0) {
-      *value = a.acquires;
-      return true;
-    }
-    if (std::strcmp(field, "contended") == 0) {
-      *value = a.contended;
-      return true;
-    }
-    if (std::strcmp(field, "wait_ns") == 0) {
-      *value = a.wait_ns;
-      return true;
-    }
-    return pick_hist_field(field, a.summarize(), value);
-  }
+  if (scalar_get(kGlobals, name, value)) return true;
   // Decision-audit and profiler counters live in their own modules;
   // forward by prefix before the per-op fallback can mistake
   // "decision.exec_path.records" for an op named "decision.exec_path".
   if (std::strncmp(name, "decision.", 9) == 0)
     return decision_stats_get(name, value);
   if (std::strncmp(name, "prof.", 5) == 0) return prof_stats_get(name, value);
-  std::lock_guard<std::mutex> lock(reg_mu());
-  // Pool aggregates: "pool.<field>" sums over every pool.
-  if (std::strncmp(name, "pool.", 5) == 0) {
-    const char* field = name + 5;
-    bool known = false;
-    uint64_t sum = 0;
-    for (auto& kv : pool_registry()) {
-      for (const auto& f : pool_fields(*kv.second)) {
-        if (std::strcmp(field, f.name) == 0) {
-          sum += ld(*f.value);
-          known = true;
-        }
-      }
-    }
-    if (!known) {
-      // Field-name check against a throwaway instance, so "pool.parks"
-      // resolves (to 0) even before any pool exists.
-      static const PoolCounters probe;
-      for (const auto& f : pool_fields(probe)) {
-        if (std::strcmp(field, f.name) == 0) known = true;
-      }
-    }
-    *value = sum;
-    return known;
-  }
-  // Per-op: "<op>.<field>", summed across every context.
+  // "<key>.<field>": a lock site ("lock.<site>"; a site may contain "::"
+  // but never a dot), the pool totals ("pool"), or an op summed over
+  // every context.
   const char* dot = std::strrchr(name, '.');
   if (dot == nullptr || dot == name) return false;
-  std::string op(name, static_cast<size_t>(dot - name));
-  OpAgg agg;
-  if (!agg_op(op.c_str(), &agg)) return false;
-  return agg_field_get(agg, dot + 1, value);
+  const std::string key(name, static_cast<size_t>(dot - name));
+  const char* field = dot + 1;
+  if (key.rfind("lock.", 0) == 0) {
+    const auto view = lock_view();
+    const auto it = view.find(key.substr(5));
+    return it != view.end() &&
+           field_get(kLockFields, it->second, field, value);
+  }
+  std::lock_guard<std::mutex> lock(reg_mu());
+  if (key == "pool") {
+    PoolAgg sum;  // every field resolves, to 0 before any pool exists
+    for (const auto& kv : pool_registry())
+      add_live(kPoolFields, *kv.second, &sum);
+    return field_get(kPoolFields, sum, field, value);
+  }
+  return op_get(key, field, value, [](uint64_t) { return true; });
 }
 
 bool stats_get_ctx(uint64_t ctx_id, const char* name, uint64_t* value) {
   *value = 0;
   if (name == nullptr) return false;
-  // Per-context memory: group raw object slices, then resolve dead home
-  // contexts to their nearest live ancestor.  mem_by_ctx takes obj_mu;
-  // keep it strictly before reg_mu (same order as everywhere else).
   if (std::strncmp(name, "mem.", 4) == 0) {
+    // mem_by_ctx takes obj_mu; keep it strictly before reg_mu.
     auto slices = mem_by_ctx();
-    uint64_t live = 0, peak = 0, objects = 0;
-    {
-      std::lock_guard<std::mutex> lock(reg_mu());
-      for (const auto& sl : slices) {
-        if (resolve_live(sl.ctx) != ctx_id) continue;
-        live += sl.live_bytes;
-        peak += sl.peak_bytes;
-        objects += sl.objects;
-      }
-    }
-    if (std::strcmp(name, "mem.live_bytes") == 0) {
-      *value = live;
-      return true;
-    }
-    if (std::strcmp(name, "mem.peak_bytes") == 0) {
-      *value = peak;
-      return true;
-    }
-    if (std::strcmp(name, "mem.objects") == 0) {
-      *value = objects;
-      return true;
-    }
-    return false;
+    std::lock_guard<std::mutex> lock(reg_mu());
+    const auto view = mem_view(slices);
+    const auto it = view.find(ctx_id);
+    return field_get(kCtxMemFields,
+                     it != view.end() ? it->second : CtxMemSlice{}, name,
+                     value);
   }
   // Per-op within the context subtree (entries resolving here).
   const char* dot = std::strrchr(name, '.');
   if (dot == nullptr || dot == name) return false;
-  std::string op(name, static_cast<size_t>(dot - name));
   std::lock_guard<std::mutex> lock(reg_mu());
-  OpAgg agg;
-  bool found = false;
-  for (auto& ckv : ctx_registry()) {
-    if (resolve_live(ckv.first) != ctx_id) continue;
-    auto it = ckv.second.ops.find(op);
-    if (it == ckv.second.ops.end()) continue;
-    agg.add(*it->second);
-    found = true;
-  }
-  if (!found) return false;
-  return agg_field_get(agg, dot + 1, value);
+  return op_get(std::string(name, static_cast<size_t>(dot - name)), dot + 1,
+                value,
+                [&](uint64_t id) { return resolve_live(id) == ctx_id; });
 }
-
-namespace {
-
-void json_append_op_agg(std::string* out, const OpAgg& a) {
-  char buf[96];
-  out->push_back('{');
-  bool first = true;
-  for (const AggField& f : agg_fields(a)) {
-    if (!first) out->push_back(',');
-    first = false;
-    std::snprintf(buf, sizeof buf, "\"%s\":%llu", f.name,
-                  static_cast<unsigned long long>(f.value));
-    out->append(buf);
-  }
-  HistSummary hs = a.summarize();
-  std::snprintf(buf, sizeof buf,
-                ",\"p50_ns\":%llu,\"p90_ns\":%llu,\"p99_ns\":%llu,"
-                "\"max_ns\":%llu",
-                static_cast<unsigned long long>(hs.p50),
-                static_cast<unsigned long long>(hs.p90),
-                static_cast<unsigned long long>(hs.p99),
-                static_cast<unsigned long long>(hs.max));
-  out->append(buf);
-  out->push_back('}');
-}
-
-// Row-trim predicate for stats_json(trim_zero_rows): an op aggregate
-// with no calls and no deferred residue carries no information, only
-// bytes (bench JSON lines grew past review-ability; see bench_util).
-bool op_agg_all_zero(const OpAgg& a) {
-  return a.calls == 0 && a.ns == 0 && a.errors == 0 && a.scalars == 0 &&
-         a.flops == 0 && a.serial == 0 && a.parallel == 0 &&
-         a.deferred == 0 && a.deferred_ns == 0 && a.max_ns == 0;
-}
-
-}  // namespace
 
 std::string stats_json(bool trim_zero_rows) {
   // Memory slices first: obj_mu strictly before reg_mu.
   auto mem_slices = mem_by_ctx();
   std::lock_guard<std::mutex> lock(reg_mu());
-  auto view = ctx_view();
-  // Merge the per-context view into the flat per-op map the "ops"
-  // section has always reported.
+  const auto view = ctx_view();
+  const auto mem = mem_view(mem_slices);
+  // The "ops" section: every registry cell of an op, summed.
   std::map<std::string, OpAgg> flat;
-  for (auto& ckv : view)
-    for (auto& okv : ckv.second) {
-      OpAgg& dst = flat[okv.first];
-      // OpAgg::add wants an OpCounters; merge the already-aggregated
-      // values directly instead.
-      dst.calls += okv.second.calls;
-      dst.ns += okv.second.ns;
-      dst.errors += okv.second.errors;
-      dst.scalars += okv.second.scalars;
-      dst.flops += okv.second.flops;
-      dst.serial += okv.second.serial;
-      dst.parallel += okv.second.parallel;
-      dst.deferred += okv.second.deferred;
-      dst.deferred_ns += okv.second.deferred_ns;
-      if (okv.second.max_ns > dst.max_ns) dst.max_ns = okv.second.max_ns;
-      for (int b = 0; b < kHistBuckets; ++b)
-        dst.counts[b] += okv.second.counts[b];
-    }
-  std::string out = "{\"ops\":{";
-  bool first = true;
-  char buf[96];
-  for (auto& kv : flat) {
-    if (trim_zero_rows && op_agg_all_zero(kv.second)) continue;
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    json_append_escaped(&out, kv.first.c_str());
-    out.append("\":");
-    json_append_op_agg(&out, kv.second);
-  }
-  out.append("},\"global\":{");
-  std::snprintf(buf, sizeof buf, "\"queue.enqueued\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.queue_enqueued)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"queue.high_water\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.queue_hw)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"queue.drained\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.queue_drained)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"pending.high_water\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.pending_hw)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"trace.events\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.trace_events)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"trace.dropped\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.trace_dropped)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"spgemm.rows_hash\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.spgemm_rows_hash)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"spgemm.rows_dense\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.spgemm_rows_dense)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"spgemm.flops_estimated\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.spgemm_flops_est)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"arena.reuse_hits\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.arena_hits)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"arena.reuse_misses\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.arena_misses)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"fusion.chains\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.fusion_chains)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"fusion.ops_fused\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.fusion_ops_fused)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"fusion.dead_writes_eliminated\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.fusion_dead_writes)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"format.transpose_cache_hits\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.format_trans_hits)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"format.transpose_cache_misses\":%llu",
-                static_cast<unsigned long long>(
-                    ld(g_globals.format_trans_misses)));
-  out.append(buf);
-  // Memory-attribution, flight-recorder and watchdog gauges
-  // (function-backed).
-  for (const auto& g : kFnGauges) {
-    std::snprintf(buf, sizeof buf, ",\"%s\":%llu", g.name,
-                  static_cast<unsigned long long>(g.value()));
-    out.append(buf);
-  }
-  out.append("},\"pools\":{");
-  first = true;
-  for (auto& kv : pool_registry()) {
-    if (!first) out.push_back(',');
-    first = false;
-    std::snprintf(buf, sizeof buf, "\"%d\":{", kv.first);
-    out.append(buf);
-    bool ffirst = true;
-    for (const auto& f : pool_fields(*kv.second)) {
-      if (!ffirst) out.push_back(',');
-      ffirst = false;
-      std::snprintf(buf, sizeof buf, "\"%s\":%llu", f.name,
-                    static_cast<unsigned long long>(ld(*f.value)));
-      out.append(buf);
-    }
-    out.push_back('}');
-  }
+  for (auto& ckv : ctx_registry())
+    for (auto& okv : ckv.second.ops) op_add(&flat[okv.first], *okv.second);
+  for (auto& kv : flat) op_finish(&kv.second);
+  std::string out = "{\"ops\":";
+  json_rows(&out, kOpFields, op_rows(0, flat), trim_zero_rows);
+  out.append(",\"global\":{");
+  scalar_json(&out, kGlobals);
+  json_close(&out, '}');
+  out.append(",\"pools\":");
+  json_rows(&out, kPoolFields, pool_rows());
   // Per-context breakdown: ops attributed to each live context (dead
   // contexts already folded into their nearest live ancestor) plus the
   // memory currently homed there.
-  out.append("},\"contexts\":{");
-  first = true;
-  for (auto& ckv : view) {
-    uint64_t parent = 0;
-    bool live = true;
-    auto rit = ctx_registry().find(ckv.first);
-    if (rit != ctx_registry().end()) {
-      parent = rit->second.parent;
-      live = !rit->second.dead;
-    }
-    uint64_t mem_live = 0, mem_objects = 0;
-    for (const auto& sl : mem_slices) {
-      if (resolve_live(sl.ctx) != ckv.first) continue;
-      mem_live += sl.live_bytes;
-      mem_objects += sl.objects;
-    }
-    if (trim_zero_rows && mem_live == 0 && mem_objects == 0) {
-      bool any = false;
-      for (auto& okv : ckv.second)
-        if (!op_agg_all_zero(okv.second)) any = true;
-      if (!any) continue;
-    }
-    if (!first) out.push_back(',');
-    first = false;
-    std::snprintf(buf, sizeof buf,
-                  "\"%llu\":{\"parent\":%llu,\"live\":%s,"
-                  "\"mem.live_bytes\":%llu,\"mem.objects\":%llu,\"ops\":{",
-                  static_cast<unsigned long long>(ckv.first),
-                  static_cast<unsigned long long>(parent),
-                  live ? "true" : "false",
-                  static_cast<unsigned long long>(mem_live),
-                  static_cast<unsigned long long>(mem_objects));
-    out.append(buf);
-    bool ofirst = true;
-    for (auto& okv : ckv.second) {
-      if (trim_zero_rows && op_agg_all_zero(okv.second)) continue;
-      if (!ofirst) out.push_back(',');
-      ofirst = false;
-      out.push_back('"');
-      json_append_escaped(&out, okv.first.c_str());
-      out.append("\":");
-      json_append_op_agg(&out, okv.second);
-    }
-    out.append("}}");
+  out.append(",\"contexts\":{");
+  for (const auto& ckv : view) {
+    const auto mit = mem.find(ckv.first);
+    const CtxMemSlice m = mit != mem.end() ? mit->second : CtxMemSlice{};
+    const auto rows = op_rows(ckv.first, ckv.second);
+    if (trim_zero_rows && m.live_bytes == 0 && m.objects == 0 &&
+        std::all_of(rows.begin(), rows.end(), [](const Keyed<OpAgg>& r) {
+          return all_zero(kOpFields, r.agg);
+        }))
+      continue;
+    const auto rit = ctx_registry().find(ckv.first);
+    const bool known = rit != ctx_registry().end();
+    json_key(&out, std::to_string(ckv.first).c_str());
+    out.push_back('{');
+    json_u64(&out, "parent", known ? rit->second.parent : 0);
+    out.append(known && rit->second.dead ? "\"live\":false,"
+                                         : "\"live\":true,");
+    json_fields(&out, kCtxMemFields, m);
+    out.append("\"ops\":");
+    json_rows(&out, kOpFields, rows, trim_zero_rows);
+    out.append("},");
   }
-  // Per-site lock contention.
-  out.append("},\"locks\":{");
-  first = true;
-  for (auto& lkv : lock_view()) {
-    if (!first) out.push_back(',');
-    first = false;
-    HistSummary hs = lkv.second.summarize();
-    out.push_back('"');
-    json_append_escaped(&out, lkv.first.c_str());
-    char lbuf[192];
-    std::snprintf(lbuf, sizeof lbuf,
-                  "\":{\"acquires\":%llu,\"contended\":%llu,"
-                  "\"wait_ns\":%llu,\"p50_ns\":%llu,\"p99_ns\":%llu,"
-                  "\"max_ns\":%llu}",
-                  static_cast<unsigned long long>(lkv.second.acquires),
-                  static_cast<unsigned long long>(lkv.second.contended),
-                  static_cast<unsigned long long>(lkv.second.wait_ns),
-                  static_cast<unsigned long long>(hs.p50),
-                  static_cast<unsigned long long>(hs.p99),
-                  static_cast<unsigned long long>(hs.max));
-    out.append(lbuf);
-  }
+  json_close(&out, '}');
+  out.append(",\"locks\":");
+  json_rows(&out, kLockFields, lock_rows());
   // Decision-audit and hardware-profiler blocks (DESIGN.md §16): the
   // two halves of the grb_prof_report.py join, shipped side by side.
-  out.append("},\"decisions\":");
+  out.append(",\"decisions\":");
   out.append(decision_json());
   out.append(",\"prof\":");
   out.append(prof_json());
@@ -1443,196 +1354,20 @@ std::string stats_prometheus() {
   // Memory slices first: obj_mu strictly before reg_mu.
   auto mem_slices = mem_by_ctx();
   std::lock_guard<std::mutex> lock(reg_mu());
-  auto view = ctx_view();
+  std::vector<Keyed<OpAgg>> ops;
+  for (const auto& ckv : ctx_view())
+    for (auto& row : op_rows(ckv.first, ckv.second))
+      ops.push_back(std::move(row));
+  std::vector<Keyed<CtxMemSlice>> mem;
+  for (const auto& kv : mem_view(mem_slices))
+    mem.push_back({"", prom_label("context", std::to_string(kv.first)),
+                   kv.second});
   std::string out;
-  char buf[128];
-  // series emitter: metric name, then a fully-formed label body (no
-  // braces; may be empty), then the value.
-  auto series = [&](const char* metric, const std::string& labels,
-                    uint64_t v) {
-    out.append(metric);
-    if (!labels.empty()) {
-      out.push_back('{');
-      out.append(labels);
-      out.push_back('}');
-    }
-    std::snprintf(buf, sizeof buf, " %llu\n",
-                  static_cast<unsigned long long>(v));
-    out.append(buf);
-  };
-  auto op_ctx_labels = [&](const char* op, uint64_t ctx,
-                           const char* extra) -> std::string {
-    std::string l = "op=\"";
-    prom_append_escaped(&l, op);
-    std::snprintf(buf, sizeof buf, "\",context=\"%llu\"",
-                  static_cast<unsigned long long>(ctx));
-    l.append(buf);
-    if (extra[0] != '\0') {
-      l.push_back(',');
-      l.append(extra);
-    }
-    return l;
-  };
-  auto ctx_labels = [&](uint64_t ctx) -> std::string {
-    std::snprintf(buf, sizeof buf, "context=\"%llu\"",
-                  static_cast<unsigned long long>(ctx));
-    return std::string(buf);
-  };
-  out.append("# HELP grb_op_calls_total C API entry-point invocations.\n"
-             "# TYPE grb_op_calls_total counter\n");
-  for (auto& ckv : view)
-    for (auto& okv : ckv.second)
-      series("grb_op_calls_total",
-             op_ctx_labels(okv.first.c_str(), ckv.first, ""),
-             okv.second.calls);
-  out.append("# HELP grb_op_errors_total Entry points returning an error.\n"
-             "# TYPE grb_op_errors_total counter\n");
-  for (auto& ckv : view)
-    for (auto& okv : ckv.second)
-      series("grb_op_errors_total",
-             op_ctx_labels(okv.first.c_str(), ckv.first, ""),
-             okv.second.errors);
-  // Per-(op, context) latency as a Prometheus summary: quantile series
-  // from the log2 histograms (upper-bound estimates), exact
-  // sum/count/max.
-  out.append("# HELP grb_op_latency_ns Per-op latency by context "
-             "(log2-bucket quantile upper bounds).\n"
-             "# TYPE grb_op_latency_ns summary\n");
-  for (auto& ckv : view) {
-    for (auto& okv : ckv.second) {
-      const char* op = okv.first.c_str();
-      HistSummary hs = okv.second.summarize();
-      series("grb_op_latency_ns",
-             op_ctx_labels(op, ckv.first, "quantile=\"0.5\""), hs.p50);
-      series("grb_op_latency_ns",
-             op_ctx_labels(op, ckv.first, "quantile=\"0.9\""), hs.p90);
-      series("grb_op_latency_ns",
-             op_ctx_labels(op, ckv.first, "quantile=\"0.99\""), hs.p99);
-      series("grb_op_latency_ns_sum", op_ctx_labels(op, ckv.first, ""),
-             okv.second.ns + okv.second.deferred_ns);
-      series("grb_op_latency_ns_count", op_ctx_labels(op, ckv.first, ""),
-             hs.count);
-    }
-  }
-  out.append("# HELP grb_op_latency_max_ns Exact worst-case latency.\n"
-             "# TYPE grb_op_latency_max_ns gauge\n");
-  for (auto& ckv : view)
-    for (auto& okv : ckv.second)
-      series("grb_op_latency_max_ns",
-             op_ctx_labels(okv.first.c_str(), ckv.first, ""),
-             okv.second.max_ns);
-  // Per-context memory attribution (dead home contexts resolved to
-  // their nearest live ancestor at read time).
-  out.append("# HELP grb_context_memory_live_bytes Tracked bytes homed in "
-             "each context.\n"
-             "# TYPE grb_context_memory_live_bytes gauge\n");
-  {
-    std::map<uint64_t, CtxMemSlice> by_ctx;
-    for (const auto& sl : mem_slices) {
-      CtxMemSlice& dst = by_ctx[resolve_live(sl.ctx)];
-      dst.live_bytes += sl.live_bytes;
-      dst.peak_bytes += sl.peak_bytes;
-      dst.objects += sl.objects;
-    }
-    for (auto& kv : by_ctx)
-      series("grb_context_memory_live_bytes", ctx_labels(kv.first),
-             kv.second.live_bytes);
-    out.append("# HELP grb_context_objects Live GrB containers homed in "
-               "each context.\n"
-               "# TYPE grb_context_objects gauge\n");
-    for (auto& kv : by_ctx)
-      series("grb_context_objects", ctx_labels(kv.first),
-             kv.second.objects);
-  }
-  out.append("# HELP grb_memory_live_bytes Tracked bytes currently "
-             "allocated.\n"
-             "# TYPE grb_memory_live_bytes gauge\n");
-  series("grb_memory_live_bytes", "", mem_live_total());
-  out.append("# HELP grb_memory_peak_bytes High-water mark of tracked "
-             "bytes.\n"
-             "# TYPE grb_memory_peak_bytes gauge\n");
-  series("grb_memory_peak_bytes", "", mem_peak_total());
-  out.append("# HELP grb_arena_live_bytes Scratch-arena bytes currently "
-             "held.\n"
-             "# TYPE grb_arena_live_bytes gauge\n");
-  series("grb_arena_live_bytes", "", mem_arena_live());
-  out.append("# HELP grb_arena_peak_bytes Scratch-arena high-water mark.\n"
-             "# TYPE grb_arena_peak_bytes gauge\n");
-  series("grb_arena_peak_bytes", "", mem_arena_peak());
-  out.append("# HELP grb_objects Live GrB containers.\n"
-             "# TYPE grb_objects gauge\n");
-  series("grb_objects", "", mem_object_count());
-  // Per-site lock contention.
-  {
-    auto locks = lock_view();
-    auto site_labels = [&](const std::string& site,
-                           const char* extra) -> std::string {
-      std::string l = "site=\"";
-      prom_append_escaped(&l, site.c_str());
-      l.push_back('"');
-      if (extra[0] != '\0') {
-        l.push_back(',');
-        l.append(extra);
-      }
-      return l;
-    };
-    out.append("# HELP grb_lock_acquisitions_total Scoped-lock "
-               "acquisitions by site.\n"
-               "# TYPE grb_lock_acquisitions_total counter\n");
-    for (auto& kv : locks)
-      series("grb_lock_acquisitions_total", site_labels(kv.first, ""),
-             kv.second.acquires);
-    out.append("# HELP grb_lock_contended_total Acquisitions that "
-               "blocked.\n"
-               "# TYPE grb_lock_contended_total counter\n");
-    for (auto& kv : locks)
-      series("grb_lock_contended_total", site_labels(kv.first, ""),
-             kv.second.contended);
-    out.append("# HELP grb_lock_wait_ns Blocked-acquisition wait time by "
-               "site (log2-bucket quantile upper bounds).\n"
-               "# TYPE grb_lock_wait_ns summary\n");
-    for (auto& kv : locks) {
-      HistSummary hs = kv.second.summarize();
-      series("grb_lock_wait_ns", site_labels(kv.first, "quantile=\"0.5\""),
-             hs.p50);
-      series("grb_lock_wait_ns", site_labels(kv.first, "quantile=\"0.9\""),
-             hs.p90);
-      series("grb_lock_wait_ns", site_labels(kv.first, "quantile=\"0.99\""),
-             hs.p99);
-      series("grb_lock_wait_ns_sum", site_labels(kv.first, ""),
-             kv.second.wait_ns);
-      series("grb_lock_wait_ns_count", site_labels(kv.first, ""), hs.count);
-    }
-    out.append("# HELP grb_lock_wait_max_ns Exact worst blocked wait by "
-               "site.\n"
-               "# TYPE grb_lock_wait_max_ns gauge\n");
-    for (auto& kv : locks)
-      series("grb_lock_wait_max_ns", site_labels(kv.first, ""),
-             kv.second.max_ns);
-  }
-  out.append("# HELP grb_watchdog_trips_total Stall-watchdog deadline "
-             "violations detected.\n"
-             "# TYPE grb_watchdog_trips_total counter\n");
-  series("grb_watchdog_trips_total", "", watchdog_trips());
-  out.append("# HELP grb_flight_recorder_events_total Flight-recorder "
-             "events ever recorded.\n"
-             "# TYPE grb_flight_recorder_events_total counter\n");
-  series("grb_flight_recorder_events_total", "", fr_event_count());
-  out.append("# HELP grb_flight_recorder_overwrites_total Events lost to "
-             "ring wrap.\n"
-             "# TYPE grb_flight_recorder_overwrites_total counter\n");
-  series("grb_flight_recorder_overwrites_total", "", fr_overwrites());
-  out.append("# HELP grb_trace_dropped_total Spans dropped by the capped "
-             "trace buffer.\n"
-             "# TYPE grb_trace_dropped_total counter\n");
-  series("grb_trace_dropped_total", "", ld(g_globals.trace_dropped));
-  out.append("# HELP grb_format_transpose_cache_total Descriptor-"
-             "transpose reads by cache outcome.\n"
-             "# TYPE grb_format_transpose_cache_total counter\n");
-  series("grb_format_transpose_cache_total", "outcome=\"hit\"",
-         ld(g_globals.format_trans_hits));
-  series("grb_format_transpose_cache_total", "outcome=\"miss\"",
-         ld(g_globals.format_trans_misses));
+  prom_rows(&out, kOpFields, ops);
+  prom_rows(&out, kCtxMemFields, mem);
+  scalar_prom(&out, kGlobals);
+  prom_rows(&out, kPoolFields, pool_rows());
+  prom_rows(&out, kLockFields, lock_rows());
   decision_prometheus(out);
   prof_prometheus(out);
   return out;

@@ -290,47 +290,30 @@ uint64_t watchdog_trips();
 void stats_set_enabled(bool on);
 void stats_reset();
 
-// Dotted-name counter lookup.  Per-op (summed across contexts):
-// "<op>.calls", ".ns", ".errors", ".scalars", ".flops", ".serial",
-// ".parallel", ".deferred", ".deferred_ns", plus the histogram-derived
-// ".p50_ns", ".p90_ns", ".p99_ns", ".max_ns" (log2-bucket upper bounds;
-// max is exact).  Per-site lock contention: "lock.<site>.acquires",
-// ".contended", ".wait_ns", ".p50_ns", ".p90_ns", ".p99_ns", ".max_ns".
-// Globals: "queue.enqueued", "queue.high_water", "queue.drained",
-// "pending.high_water", "pool.submitted", "pool.chunks", "pool.steals",
-// "pool.parks", "pool.park_ns", "pool.busy_high_water", "trace.events",
-// "trace.dropped", "spgemm.rows_hash", "spgemm.rows_dense",
-// "spgemm.flops_estimated", "fusion.chains", "fusion.ops_fused",
-// "fusion.dead_writes_eliminated", "format.transpose_cache_hits",
-// "format.transpose_cache_misses", "arena.reuse_hits",
-// "arena.reuse_misses", "mem.live_bytes", "mem.peak_bytes",
-// "mem.arena_live_bytes", "mem.arena_peak_bytes", "mem.objects",
-// "flight.events", "flight.overwrites", "flight.capacity",
-// "watchdog.trips", "watchdog.deadline_ms".  Names under "decision."
-// forward to decision_stats_get (obs/decision.hpp) and names under
-// "prof." to prof_stats_get (obs/profiler.hpp).  Returns false (and
-// *value = 0) for unknown names.
+// The three exporters below and stats_reset walk the metric tables in
+// telemetry.cpp, decision.cpp and profiler.cpp (obs/metric_table.hpp),
+// so every number has one name, one JSON key and one Prometheus series.
+//
+// stats_get: a global by its dotted name ("queue.enqueued"); a per-op
+// field summed over contexts ("<op>.calls", "<op>.p99_ns"); a lock-site
+// field ("lock.<site>.wait_ns"); a pool field summed over pools
+// ("pool.steals"); "decision.*" and "prof.*" forward to the audit and
+// the profiler.  Returns false (and *value = 0) for unknown names.
 bool stats_get(const char* name, uint64_t* value);
 
-// Per-context counter lookup (backs GxB_Context_stats): same per-op
-// names as stats_get but restricted to one context subtree — entries
-// whose nearest live ancestor is `ctx_id` — plus "mem.live_bytes",
-// "mem.peak_bytes" (sum of per-object peaks) and "mem.objects" for the
-// containers currently homed there.
+// Per-context lookup (backs GxB_Context_stats): the per-op names of
+// stats_get restricted to one context subtree — entries whose nearest
+// live ancestor is `ctx_id` — plus the "mem.*" fields of the containers
+// homed there.
 bool stats_get_ctx(uint64_t ctx_id, const char* name, uint64_t* value);
 
-// Full counter dump as a JSON object (ops, globals, per-pool breakdown,
-// per-context breakdown, per-site lock contention, decision-audit and
-// profiler blocks).  `trim_zero_rows` drops per-op and per-context
-// entries whose counters are all zero — bench artifacts embed the dump
-// and were dominated by zero rows — without changing the schema of the
-// rows that remain.
+// Full dump as a JSON object (ops, globals, pools, contexts, locks,
+// decisions, prof).  `trim_zero_rows` drops per-op and per-context
+// entries whose counters are all zero — bench artifacts embed the dump —
+// without changing the schema of the rows that remain.
 std::string stats_json(bool trim_zero_rows = false);
 
-// Prometheus text exposition (version 0.0.4): per-(op, context) call /
-// error counters and latency summaries (quantile series from the
-// histograms), per-context memory gauges, per-site lock-wait summaries,
-// and the global memory / flight-recorder / watchdog families.  Backs
+// Prometheus text exposition (version 0.0.4).  Backs
 // GxB_Stats_prometheus and the GRB_METRICS finalize dump.
 std::string stats_prometheus();
 

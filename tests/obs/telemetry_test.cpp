@@ -10,18 +10,24 @@
 // initializes once per process, which would pin the env state).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graphblas/GraphBLAS.h"
+#include "exec/context.hpp"
 #include "exec/fusion.hpp"
 #include "obs/decision.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/seq_ring.hpp"
 #include "ops/mxm.hpp"
 #include "ops/spgemm.hpp"
 #include "util/prng.hpp"
@@ -94,6 +100,161 @@ GrB_Vector ones_vector(GrB_Index n) {
     EXPECT_EQ(GrB_Vector_setElement(v, 1.0, i), GrB_SUCCESS);
   EXPECT_EQ(GrB_wait(v, GrB_MATERIALIZE), GrB_SUCCESS);
   return v;
+}
+
+// One JSON scalar or container key, in document order.  `path` joins
+// the keys (and array indices) from the root with '/'; `value` is the
+// raw token for scalars and empty for objects and arrays.
+struct JsonEntry {
+  std::string path;
+  std::string value;
+};
+
+// Minimal reader for the stats JSON (objects, arrays, strings without
+// escapes beyond \" and \\, numbers, true/false/null).
+class JsonFlattener {
+ public:
+  explicit JsonFlattener(const std::string& text) : s_(text) {}
+  std::vector<JsonEntry> run() {
+    value("");
+    return out_;
+  }
+
+ private:
+  void ws() {
+    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_])))
+      ++i_;
+  }
+  std::string str() {
+    std::string r;
+    ++i_;  // opening quote
+    while (i_ < s_.size() && s_[i_] != '"') {
+      if (s_[i_] == '\\') ++i_;
+      r.push_back(s_[i_++]);
+    }
+    ++i_;
+    return r;
+  }
+  void value(const std::string& path) {
+    ws();
+    const char c = s_[i_];
+    if (c == '{' || c == '[') {
+      if (!path.empty()) out_.push_back({path, ""});
+      ++i_;
+      int index = 0;
+      for (ws(); s_[i_] != (c == '{' ? '}' : ']'); ws()) {
+        std::string key = c == '{' ? str() : std::to_string(index++);
+        if (c == '{') {
+          ws();
+          ++i_;  // ':'
+        }
+        value(path.empty() ? key : path + "/" + key);
+        ws();
+        if (s_[i_] == ',') ++i_;
+      }
+      ++i_;
+      return;
+    }
+    size_t start = i_;
+    if (c == '"') {
+      str();
+    } else {
+      while (i_ < s_.size() && s_[i_] != ',' && s_[i_] != '}' &&
+             s_[i_] != ']')
+        ++i_;
+    }
+    out_.push_back({path, s_.substr(start, i_ - start)});
+  }
+
+  const std::string& s_;
+  size_t i_ = 0;
+  std::vector<JsonEntry> out_;
+};
+
+// The scripted sequence the parity test and its fixture share: on a
+// one-thread context, with stats (and so the decision audit) on, an
+// mxm, a setElement folded by wait, a vxm reading A' and a masked mxm.  Stats are
+// switched off again before returning so that reading the exporters
+// moves no counter.
+void run_parity_script(GrB_Context ctx) {
+  constexpr GrB_Index kN = 8;
+  GrB_Matrix a = nullptr, c = nullptr, m = nullptr;
+  GrB_Vector u = nullptr, w = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, GrB_FP64, kN, kN, ctx), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, kN, kN, ctx), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_new(&m, GrB_BOOL, kN, kN, ctx), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_new(&u, GrB_FP64, kN, ctx), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_new(&w, GrB_FP64, kN, ctx), GrB_SUCCESS);
+  for (GrB_Index i = 0; i < kN; ++i) {
+    if (i + 1 < kN) {
+      ASSERT_EQ(GrB_Matrix_setElement(a, 1.0, i, i + 1), GrB_SUCCESS);
+    }
+    ASSERT_EQ(GrB_Matrix_setElement(m, true, i, (i + 2) % kN), GrB_SUCCESS);
+    ASSERT_EQ(GrB_Vector_setElement(u, 1.0, i), GrB_SUCCESS);
+  }
+  ASSERT_EQ(GrB_wait(a, GrB_MATERIALIZE), GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(m, GrB_MATERIALIZE), GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(u, GrB_MATERIALIZE), GrB_SUCCESS);
+
+  ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
+  ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+  ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a, a,
+                    GrB_NULL),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_setElement(a, 2.0, kN - 1, 0), GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(a, GrB_MATERIALIZE), GrB_SUCCESS);
+  ASSERT_EQ(GrB_vxm(w, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, u, a,
+                    GrB_DESC_T1),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_mxm(c, m, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a, a,
+                    GrB_DESC_RS),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(w, GrB_MATERIALIZE), GrB_SUCCESS);
+  ASSERT_EQ(GxB_Stats_enable(0), GrB_SUCCESS);
+
+  GrB_free(&a);
+  GrB_free(&c);
+  GrB_free(&m);
+  GrB_free(&u);
+  GrB_free(&w);
+}
+
+// Leaf keys whose values the scripted sequence fixes exactly: call and
+// work counts, queue and fusion tallies, decision-audit counts — no
+// timings, byte sizes or flight-recorder positions.
+bool exact_count(const std::string& path) {
+  static const char* const kPrefixes[] = {
+      "global/queue.", "global/pending.", "global/spgemm.", "global/fusion.",
+      "global/format."};
+  for (const char* p : kPrefixes)
+    if (path.rfind(p, 0) == 0) return true;
+  if (path.rfind("ops/", 0) != 0 && path.rfind("decisions/sites/", 0) != 0)
+    return false;
+  static const char* const kFields[] = {
+      "calls", "errors", "flops", "deferred", "records", "measured",
+      "mispredicts", "predicted_units", "measured_units"};
+  const std::string field = path.substr(path.rfind('/') + 1);
+  for (const char* f : kFields)
+    if (field == f) return true;
+  return false;
+}
+
+// The fixture's lines for one stats JSON document: every key path in
+// document order (the test context's id replaced by "$ctx"), followed
+// by a tab and the value for the exact counts.
+std::vector<std::string> fixture_lines(const std::vector<JsonEntry>& entries,
+                                       uint64_t ctx_id) {
+  const std::string ctx_key = "contexts/" + std::to_string(ctx_id);
+  std::vector<std::string> lines;
+  for (const JsonEntry& e : entries) {
+    std::string path = e.path;
+    if (path.rfind(ctx_key, 0) == 0 &&
+        (path.size() == ctx_key.size() || path[ctx_key.size()] == '/'))
+      path = "contexts/$ctx" + path.substr(ctx_key.size());
+    lines.push_back(exact_count(path) ? path + "\t" + e.value : path);
+  }
+  return lines;
 }
 
 TEST_F(ObsTest, CountersExactForKnownOpSequence) {
@@ -644,6 +805,301 @@ TEST_F(ObsTest, ExtensionRegistryIntrospection) {
   EXPECT_EQ(len2, len);
   EXPECT_EQ(buf[0], '{');
   EXPECT_NE(std::string(buf.data()).find("\"global\""), std::string::npos);
+}
+
+std::vector<std::string> split_path(const std::string& path) {
+  std::vector<std::string> parts;
+  std::stringstream ss(path);
+  for (std::string part; std::getline(ss, part, '/');) parts.push_back(part);
+  return parts;
+}
+
+// Prometheus samples by series ("name{labels}"), each with every value
+// the exposition gave it.
+std::map<std::string, std::vector<std::string>> prom_samples(
+    const std::string& text) {
+  std::map<std::string, std::vector<std::string>> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t sp = line.rfind(' ');
+    out[line.substr(0, sp)].push_back(line.substr(sp + 1));
+  }
+  return out;
+}
+
+// The series each "global" JSON key is exported as.
+const std::map<std::string, std::string> kGlobalSeries = {
+    {"queue.enqueued", "grb_queue_enqueued_total"},
+    {"queue.high_water", "grb_queue_high_water"},
+    {"queue.drained", "grb_queue_drained_total"},
+    {"pending.high_water", "grb_pending_high_water"},
+    {"trace.events", "grb_trace_events_total"},
+    {"trace.dropped", "grb_trace_dropped_total"},
+    {"spgemm.rows_hash", "grb_spgemm_rows_total{accumulator=\"hash\"}"},
+    {"spgemm.rows_dense", "grb_spgemm_rows_total{accumulator=\"dense\"}"},
+    {"spgemm.flops_estimated", "grb_spgemm_flops_estimated_total"},
+    {"arena.reuse_hits", "grb_arena_requests_total{outcome=\"hit\"}"},
+    {"arena.reuse_misses", "grb_arena_requests_total{outcome=\"miss\"}"},
+    {"fusion.chains", "grb_fusion_chains_total"},
+    {"fusion.ops_fused", "grb_fusion_ops_fused_total"},
+    {"fusion.dead_writes_eliminated",
+     "grb_fusion_dead_writes_eliminated_total"},
+    {"format.transpose_cache_hits",
+     "grb_format_transpose_cache_total{outcome=\"hit\"}"},
+    {"format.transpose_cache_misses",
+     "grb_format_transpose_cache_total{outcome=\"miss\"}"},
+    {"mem.live_bytes", "grb_memory_live_bytes"},
+    {"mem.peak_bytes", "grb_memory_peak_bytes"},
+    {"mem.arena_live_bytes", "grb_arena_live_bytes"},
+    {"mem.arena_peak_bytes", "grb_arena_peak_bytes"},
+    {"mem.objects", "grb_objects"},
+    {"flight.events", "grb_flight_recorder_events_total"},
+    {"flight.overwrites", "grb_flight_recorder_overwrites_total"},
+    {"flight.capacity", "grb_flight_recorder_capacity"},
+    {"watchdog.trips", "grb_watchdog_trips_total"},
+    {"watchdog.deadline_ms", "grb_watchdog_deadline_ms"},
+};
+
+// Per-op and per-lock-site fields: series name and extra label.
+using FieldSeries = std::map<std::string, std::pair<std::string, std::string>>;
+const FieldSeries kOpSeries = {
+    {"calls", {"grb_op_calls_total", ""}},
+    {"errors", {"grb_op_errors_total", ""}},
+    {"scalars", {"grb_op_scalars_total", ""}},
+    {"flops", {"grb_op_flops_total", ""}},
+    {"serial", {"grb_op_serial_total", ""}},
+    {"parallel", {"grb_op_parallel_total", ""}},
+    {"deferred", {"grb_op_deferred_total", ""}},
+    {"p50_ns", {"grb_op_latency_ns", ",quantile=\"0.5\""}},
+    {"p90_ns", {"grb_op_latency_ns", ",quantile=\"0.9\""}},
+    {"p99_ns", {"grb_op_latency_ns", ",quantile=\"0.99\""}},
+    {"max_ns", {"grb_op_latency_max_ns", ""}},
+};
+const FieldSeries kLockSeries = {
+    {"acquires", {"grb_lock_acquisitions_total", ""}},
+    {"contended", {"grb_lock_contended_total", ""}},
+    {"wait_ns", {"grb_lock_wait_ns_sum", ""}},
+    {"p50_ns", {"grb_lock_wait_ns", ",quantile=\"0.5\""}},
+    {"p90_ns", {"grb_lock_wait_ns", ",quantile=\"0.9\""}},
+    {"p99_ns", {"grb_lock_wait_ns", ",quantile=\"0.99\""}},
+    {"max_ns", {"grb_lock_wait_max_ns", ""}},
+};
+
+// Keys the change may add to the parent's document: values another
+// exporter already reported at the parent (lock p90_ns through
+// GxB_Stats_get and the 0.9 quantile, a context's mem.peak_bytes through
+// GxB_Context_stats), and whole rows of keyed sections the fixture's
+// fresh process did not have — left zeroed by earlier tests when the
+// suite runs in one process.
+bool allowed_new_key(const std::string& path,
+                     const std::set<std::string>& fixture_paths) {
+  const std::vector<std::string> p = split_path(path);
+  if (p[0] == "locks" && p.size() == 3 && p[2] == "p90_ns") return true;
+  if (p[0] == "contexts" && p.size() == 3 && p[2] == "mem.peak_bytes")
+    return true;
+  const std::set<std::string> keyed = {"ops", "contexts", "locks", "pools"};
+  if (keyed.count(p[0]) == 0 || p.size() < 2) return false;
+  std::string row = p[0] + "/" + p[1];
+  if (p[0] == "contexts" && p.size() >= 4 && p[2] == "ops")
+    row += "/ops/" + p[3];
+  return fixture_paths.count(row) == 0;
+}
+
+// GxB_Stats_get, the stats JSON and the Prometheus exposition report
+// one value for every number, after a scripted sequence on a one-thread
+// context; and the JSON keeps every key the hand-listed exporters
+// emitted for the same sequence, in order, with the same exact counts.
+// The fixture is fixture_lines() of the document commit 5c9950e (the
+// last before the metric tables) emitted for run_parity_script.
+TEST_F(ObsTest, EveryMetricAgreesAcrossExporters) {
+  GrB_ContextConfig cfg;
+  cfg.nthreads = 1;
+  GrB_Context ctx = nullptr;
+  ASSERT_EQ(GrB_Context_new(&ctx, GrB_NONBLOCKING, nullptr, &cfg),
+            GrB_SUCCESS);
+  ASSERT_NO_FATAL_FAILURE(run_parity_script(ctx));
+
+  // The JSON and the exposition are the strings GxB_Stats_json and
+  // GxB_Stats_prometheus copy out, taken without a C API call: every
+  // call appends a flight-recorder event, so the flight.* numbers are
+  // read through stats_get at the same moment, before any GxB_Stats_get.
+  // Stats are off, so nothing else moves.
+  const std::string json = grb::obs::stats_json();
+  const auto prom = prom_samples(grb::obs::stats_prometheus());
+  std::map<std::string, uint64_t> flight;
+  for (const char* name :
+       {"flight.events", "flight.overwrites", "flight.capacity"})
+    ASSERT_TRUE(grb::obs::stats_get(name, &flight[name])) << name;
+  const std::vector<JsonEntry> entries = JsonFlattener(json).run();
+  auto expect_get = [&](const std::string& name, const std::string& v) {
+    uint64_t got = ~0ull;
+    if (flight.count(name) != 0) {
+      got = flight[name];
+    } else {
+      EXPECT_EQ(GxB_Stats_get(name.c_str(), &got), GrB_SUCCESS) << name;
+    }
+    EXPECT_EQ(std::to_string(got), v) << name;
+  };
+  auto expect_prom = [&](const std::string& series, const std::string& v) {
+    const auto it = prom.find(series);
+    ASSERT_NE(it, prom.end()) << "no Prometheus sample " << series;
+    ASSERT_EQ(it->second.size(), 1u) << series;
+    EXPECT_EQ(it->second[0], v) << series;
+  };
+  auto expect_field = [&](const FieldSeries& series, const std::string& field,
+                          const std::string& labels, const std::string& v) {
+    const auto it = series.find(field);
+    if (it == series.end()) return;  // ns, deferred_ns: in the _sum only
+    expect_prom(it->second.first + "{" + labels + it->second.second + "}", v);
+  };
+
+  std::map<std::string, uint64_t> pool_sums;
+  int checked = 0;
+  for (const JsonEntry& e : entries) {
+    if (e.value.empty() || e.value[0] == '"' || e.value == "true" ||
+        e.value == "false")
+      continue;  // containers and the non-numeric fields
+    const std::vector<std::string> p = split_path(e.path);
+    const std::string& v = e.value;
+    ++checked;
+    if (p[0] == "global") {
+      expect_get(p[1], v);
+      ASSERT_EQ(kGlobalSeries.count(p[1]), 1u) << e.path;
+      expect_prom(kGlobalSeries.at(p[1]), v);
+    } else if (p[0] == "pools") {
+      pool_sums[p[2]] += std::stoull(v);
+      expect_prom("grb_pool_" + p[2] +
+                      (p[2] == "busy_high_water" ? "" : "_total") +
+                      "{pool=\"" + p[1] + "\"}",
+                  v);
+    } else if (p[0] == "locks") {
+      expect_get("lock." + p[1] + "." + p[2], v);
+      expect_field(kLockSeries, p[2], "site=\"" + p[1] + "\"", v);
+    } else if (p[0] == "decisions" && p[1] == "sites") {
+      expect_get("decision." + p[2] + "." + p[3], v);
+      expect_prom("grb_decision_" + p[3] + "_total{site=\"" + p[2] + "\"}",
+                  v);
+    } else if (p[0] == "decisions") {
+      expect_get("decision." + p[1], v);
+      if (p[1] == "ring_capacity") expect_prom("grb_decision_ring_capacity", v);
+    } else if (p[0] == "prof" && p[1] == "regions_total") {
+      expect_get("prof.regions", v);
+      expect_prom("grb_prof_process_regions_total", v);
+    } else if (p[0] == "ops") {
+      expect_get(p[1] + "." + p[2], v);
+    } else if (p[0] == "contexts" && p.size() == 5) {
+      expect_field(kOpSeries, p[4],
+                   "op=\"" + p[3] + "\",context=\"" + p[1] + "\"", v);
+      if (p[1] == std::to_string(ctx->obs_id())) {
+        uint64_t got = ~0ull;
+        EXPECT_EQ(GxB_Context_stats(ctx, (p[3] + "." + p[4]).c_str(), &got),
+                  GrB_SUCCESS);
+        EXPECT_EQ(std::to_string(got), v) << e.path;
+      }
+    } else {
+      --checked;
+    }
+  }
+  EXPECT_GT(checked, 200);
+  for (const auto& [field, sum] : pool_sums) {
+    uint64_t got = ~0ull;
+    EXPECT_EQ(GxB_Stats_get(("pool." + field).c_str(), &got), GrB_SUCCESS);
+    EXPECT_EQ(got, sum) << field;
+  }
+
+  std::ifstream fixture(std::string(GRB_OBS_FIXTURE_DIR) +
+                        "/stats_keys_parent.txt");
+  ASSERT_TRUE(fixture.good());
+  std::vector<std::string> want;
+  std::set<std::string> fixture_paths;
+  for (std::string line; std::getline(fixture, line);) {
+    want.push_back(line);
+    fixture_paths.insert(line.substr(0, line.find('\t')));
+  }
+  size_t matched = 0;
+  for (const std::string& line : fixture_lines(entries, ctx->obs_id())) {
+    if (matched < want.size() && line == want[matched]) {
+      ++matched;
+      continue;
+    }
+    EXPECT_TRUE(allowed_new_key(line.substr(0, line.find('\t')),
+                                fixture_paths))
+        << "key not emitted at the parent, or a changed count: " << line;
+  }
+  EXPECT_EQ(matched, want.size())
+      << "first parent key missing or out of order: "
+      << (matched < want.size() ? want[matched] : "");
+  GrB_free(&ctx);
+}
+
+// Four writers lap a 64-slot ring while a reader reads it: every
+// record the reader gets back is one whole payload, the one pushed
+// under that sequence number — also when a writer preempted between its
+// claim and its stores is lapped and writes into a slot a newer entry
+// already holds.
+TEST_F(ObsTest, SeqRingLappingWritersNeverTearReads) {
+  struct Rec {
+    uint64_t key;
+    uint64_t twice;
+    uint64_t inverse;
+    uint64_t mixed;
+  };
+  constexpr uint64_t kCap = 64;
+  constexpr int kWriters = 4;
+  constexpr uint64_t kPerWriter = 20000;
+  constexpr uint64_t kTotal = kWriters * kPerWriter;
+  grb::obs::SeqRing<Rec> ring(kCap);
+  std::vector<std::atomic<uint64_t>> key_of_seq(kTotal + 1);
+  std::atomic<bool> done{false};
+  std::vector<std::pair<uint64_t, Rec>> seen;
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire) && seen.size() < 200000) {
+      const uint64_t head = ring.head();
+      for (uint64_t seq = head > kCap ? head - kCap + 1 : 1; seq <= head;
+           ++seq) {
+        Rec r;
+        if (ring.read(seq, &r)) seen.push_back({seq, r});
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t i = 0; i < kPerWriter; ++i) {
+        const uint64_t key = (uint64_t(w + 1) << 32) | i;
+        const uint64_t seq =
+            ring.push({key, key * 2, ~key, key ^ 0x9E3779B97F4A7C15ull});
+        key_of_seq[seq].store(key, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(ring.head(), kTotal);
+  EXPECT_EQ(ring.capacity(), kCap);
+  EXPECT_EQ(ring.overwrites(), ring.head() - ring.capacity());
+  // The final window reads back too, save slots a lapped writer
+  // preempted mid-push overwrote after their newer entry landed.
+  size_t last_window = 0;
+  for (uint64_t seq = kTotal - kCap + 1; seq <= kTotal; ++seq) {
+    Rec r;
+    if (!ring.read(seq, &r)) continue;
+    seen.push_back({seq, r});
+    ++last_window;
+  }
+  EXPECT_GT(last_window, kCap / 2);
+  uint64_t torn = 0;
+  for (const auto& [seq, r] : seen) {
+    torn += r.twice != r.key * 2 || r.inverse != ~r.key ||
+            r.mixed != (r.key ^ 0x9E3779B97F4A7C15ull) ||
+            r.key != key_of_seq[seq].load(std::memory_order_relaxed);
+  }
+  EXPECT_EQ(torn, 0u) << "of " << seen.size() << " records read";
+  EXPECT_FALSE(ring.read(kTotal - kCap, nullptr));  // lapped
+  EXPECT_FALSE(ring.read(kTotal + 1, nullptr));     // not yet written
 }
 
 // Env activation needs its own fixture-free tests: the variables must be

@@ -23,15 +23,17 @@ type system cannot express:
   poison-has-message      Every poison()/poison_locked() call site registers
                           a non-empty GrB_error string, and the deferred-
                           execution machinery poisons with info_name() text.
-  gxb-stats-parity        The observability surface is complete: every
-                          required GxB_* stats/memory/flight-recorder entry
-                          point (Stats_enable/get/reset/json/prometheus,
-                          Memory_report, Object_memory, FlightRecorder_dump,
-                          Trace_start/dump) is defined in GraphBLAS.h AND
-                          listed in the GxB_EXTENSIONS registry.
 Retired rules (delegated to the AST tier, tools/grb_analyze.py — see
 DESIGN.md §13; grb_lint stays the fast regex tier and must never
 re-grow a rule the analyzer owns, or the two tools can disagree):
+
+  gxb-extension-registry  Every GxB_* entry point is listed in the
+  gxb-stats-parity        GxB_EXTENSIONS registry, and every listed name
+                          is defined, once.  Now grb_analyze's
+                          `entry-point-parity` rule, which checks the
+                          registry in both directions and rejects
+                          duplicates; a missing stats entry point also
+                          fails to compile the obs tests that call it.
 
   fusion-barrier-coverage Every value-observing read path drains the
                           deferred-op queue before touching published
@@ -67,23 +69,6 @@ DESC_LETTERS = [(1, "R"), (4, "S"), (2, "C"), (8, "T0"), (16, "T1")]
 
 # Helper declarations in ops/common.hpp that are not operations themselves.
 OPS_HELPER_NAMES = {"validate_objects", "check_cast", "check_accum"}
-
-# The observability entry points that must always exist together: a build
-# that exposes counters must also expose the Prometheus exposition, the
-# memory-attribution reports, and the flight-recorder dump (DESIGN.md §11).
-GXB_STATS_SURFACE = (
-    "GxB_Stats_enable",
-    "GxB_Stats_get",
-    "GxB_Stats_reset",
-    "GxB_Stats_json",
-    "GxB_Stats_prometheus",
-    "GxB_Trace_start",
-    "GxB_Trace_dump",
-    "GxB_Memory_report",
-    "GxB_Object_memory",
-    "GxB_FlightRecorder_dump",
-)
-
 
 class Finding:
     def __init__(self, rule, path, line, message):
@@ -323,33 +308,17 @@ class Linter:
                     "nullptr check" % (name, pname))
 
     def check_gxb_extensions(self):
-        """GxB_* extension entry points: guarded veneer + registry parity.
+        """GxB_* extension entry points: guarded veneer + null checks.
 
-        Every `inline GrB_Info GxB_*` function must (a) route through
-        grb_detail::guarded like the GrB_* surface, (b) null-check handle
-        and pointer parameters before dereferencing, and (c) appear in the
-        GxB_EXTENSIONS string table so GxB_Extension_name introspection
-        stays truthful.  Stale or duplicate table entries are flagged too.
+        Every `inline GrB_Info GxB_*` function must route through
+        grb_detail::guarded like the GrB_* surface and null-check handle
+        and pointer parameters before dereferencing.
         """
         path, raw = self.read("include/graphblas/GraphBLAS.h")
         text = self.expand_function_macros(raw)
-
-        m = re.search(r"GxB_EXTENSIONS\[\]\s*=\s*\{(.*?)\};", text, re.S)
-        table = []
-        table_line = 1
-        if m:
-            table_line = text.count("\n", 0, m.start()) + 1
-            table = re.findall(r'"(GxB_\w+)"', m.group(1))
-        else:
-            self.report("gxb-extension-registry", path, 1,
-                        "GxB_EXTENSIONS registry table not found in the "
-                        "C API header")
-
-        defined = set()
         for name, line, params, body in self.parse_functions(text,
                                                              r"GxB_\w+"):
             self.entry_points += 1
-            defined.add(name)
             if not body.strip().startswith(
                     "return grb_detail::guarded([&]() -> GrB_Info {"):
                 self.report(
@@ -357,52 +326,6 @@ class Linter:
                     "%s does not route through grb_detail::guarded(); an "
                     "exception could escape to the C caller" % name)
             self._check_null_before_deref(path, name, line, params, body)
-            if name not in table:
-                self.report(
-                    "gxb-extension-registry", path, line,
-                    "%s is not listed in the GxB_EXTENSIONS registry" % name)
-
-        seen = set()
-        for name in table:
-            if name not in defined:
-                self.report(
-                    "gxb-extension-registry", path, table_line,
-                    "GxB_EXTENSIONS lists %s but no such entry point is "
-                    "defined" % name)
-            if name in seen:
-                self.report("gxb-extension-registry", path, table_line,
-                            "GxB_EXTENSIONS lists %s twice" % name)
-            seen.add(name)
-
-    def check_gxb_stats_parity(self):
-        """The stats/memory/flight-recorder surface ships as one unit.
-
-        Each name in GXB_STATS_SURFACE must be defined as an entry point
-        in GraphBLAS.h and listed in the GxB_EXTENSIONS registry, so no
-        partial observability API (say, counters without the Prometheus
-        exposition, or memory gauges without the report) can land.
-        """
-        path, raw = self.read("include/graphblas/GraphBLAS.h")
-        text = self.expand_function_macros(raw)
-
-        m = re.search(r"GxB_EXTENSIONS\[\]\s*=\s*\{(.*?)\};", text, re.S)
-        table = set(re.findall(r'"(GxB_\w+)"', m.group(1))) if m else set()
-
-        defined = {name for name, _, _, _
-                   in self.parse_functions(text, r"GxB_\w+")}
-        for name in GXB_STATS_SURFACE:
-            if name not in defined:
-                self.report(
-                    "gxb-stats-parity", path, 1,
-                    "%s is missing from GraphBLAS.h; the observability "
-                    "surface (stats + memory + flight recorder) must ship "
-                    "complete" % name)
-            elif name not in table:
-                self.report(
-                    "gxb-stats-parity", path, 1,
-                    "%s is defined but not listed in GxB_EXTENSIONS; "
-                    "introspection would hide part of the observability "
-                    "surface" % name)
 
     def check_info_strings(self):
         hdr_path, hdr = self.read("include/graphblas/GraphBLAS.h")
@@ -648,13 +571,11 @@ class Linter:
 
     RULES = ("no-throw-escape", "null-check-before-deref",
              "info-string-coverage", "descriptor-coverage",
-             "ops-validate-first", "poison-has-message",
-             "gxb-extension-registry", "gxb-stats-parity")
+             "ops-validate-first", "poison-has-message")
 
     def run(self):
         self.check_header()
         self.check_gxb_extensions()
-        self.check_gxb_stats_parity()
         self.check_info_strings()
         self.check_descriptors()
         self.check_ops_validate_first()
