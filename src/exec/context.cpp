@@ -21,9 +21,14 @@ namespace {
 // its only accessor.
 GlobalRegistry& global() { return global_registry(); }
 
+// Read once: every effective_nthreads() (pool(), exec_context,
+// block_count) asks, and each query is a syscall-backed few microseconds.
 int default_hw_threads() {
-  unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : static_cast<int>(hc);
+  static const int hw = [] {
+    unsigned hc = std::thread::hardware_concurrency();
+    return hc == 0 ? 1 : static_cast<int>(hc);
+  }();
+  return hw;
 }
 
 // Telemetry identities for nested contexts.  1 is reserved for the top

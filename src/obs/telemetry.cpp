@@ -94,17 +94,15 @@ uint64_t ld(const std::atomic<uint64_t>& v) {
 // numbers the exporters derive from it.
 struct HistAgg {
   uint64_t counts[kHistBuckets] = {};
-  uint64_t max_ns = 0;
+  uint64_t worst_ns = 0;  // exported as max_ns
   uint64_t count = 0;  // count and the quantiles are set by finish()
   uint64_t p50 = 0;
   uint64_t p90 = 0;
   uint64_t p99 = 0;
 
-  // `this->` keeps the plain store from pattern-matching as an implicit-
-  // order access to the same-named atomic in grb_analyze.
   void add_buckets(const std::atomic<uint64_t>* buckets, uint64_t max) {
     for (int b = 0; b < kHistBuckets; ++b) counts[b] += ld(buckets[b]);
-    if (max > this->max_ns) this->max_ns = max;
+    if (max > worst_ns) worst_ns = max;
   }
   // A percentile is the inclusive upper bound of the bucket holding the
   // ceil-rank sample.
@@ -179,7 +177,7 @@ const Field<OpAgg, OpCounters> kOpFields[] = {
      {"grb_op_latency_ns", nullptr, nullptr, "quantile=\"0.99\""}},
     {nullptr, &OpAgg::latency_ns, nullptr, {"grb_op_latency_ns_sum"}},
     {nullptr, &OpAgg::count, nullptr, {"grb_op_latency_ns_count"}},
-    {"max_ns", &OpAgg::max_ns, nullptr,
+    {"max_ns", &OpAgg::worst_ns, nullptr,
      {"grb_op_latency_max_ns", "Exact worst-case latency.", "gauge"}},
 };
 
@@ -366,6 +364,17 @@ std::map<uint64_t, CtxMemSlice> mem_view(
   return view;
 }
 
+// The per-context memory rows both exporters walk: every live context
+// with homed memory or attributed ops (zeros where it has none), so the
+// JSON and Prometheus report the same contexts.  Caller holds reg_mu.
+std::map<uint64_t, CtxMemSlice> ctx_mem_rows(
+    const std::vector<CtxMemSlice>& slices,
+    const std::map<uint64_t, std::map<std::string, OpAgg>>& ops) {
+  std::map<uint64_t, CtxMemSlice> rows = mem_view(slices);
+  for (const auto& ckv : ops) rows.try_emplace(ckv.first);
+  return rows;
+}
+
 // "<op>.<field>" over the registry cells whose context id `pick`
 // accepts, merged.  Caller holds reg_mu.
 template <class Pick>
@@ -447,7 +456,7 @@ const Field<LockAgg, LockSiteSlot> kLockFields[] = {
      {"grb_lock_wait_ns", nullptr, nullptr, "quantile=\"0.99\""}},
     {nullptr, &LockAgg::wait_ns, nullptr, {"grb_lock_wait_ns_sum"}},
     {nullptr, &LockAgg::count, nullptr, {"grb_lock_wait_ns_count"}},
-    {"max_ns", &LockAgg::max_ns, nullptr,
+    {"max_ns", &LockAgg::worst_ns, nullptr,
      {"grb_lock_wait_max_ns", "Exact worst blocked wait by site.", "gauge"}},
 };
 
@@ -1299,7 +1308,7 @@ std::string stats_json(bool trim_zero_rows) {
   auto mem_slices = mem_by_ctx();
   std::lock_guard<std::mutex> lock(reg_mu());
   const auto view = ctx_view();
-  const auto mem = mem_view(mem_slices);
+  const auto mem = ctx_mem_rows(mem_slices, view);
   // The "ops" section: every registry cell of an op, summed.
   std::map<std::string, OpAgg> flat;
   for (auto& ckv : ctx_registry())
@@ -1316,18 +1325,18 @@ std::string stats_json(bool trim_zero_rows) {
   // contexts already folded into their nearest live ancestor) plus the
   // memory currently homed there.
   out.append(",\"contexts\":{");
-  for (const auto& ckv : view) {
-    const auto mit = mem.find(ckv.first);
-    const CtxMemSlice m = mit != mem.end() ? mit->second : CtxMemSlice{};
-    const auto rows = op_rows(ckv.first, ckv.second);
+  for (const auto& [id, m] : mem) {
+    const auto vit = view.find(id);
+    const auto rows = vit != view.end() ? op_rows(id, vit->second)
+                                        : std::vector<Keyed<OpAgg>>{};
     if (trim_zero_rows && m.live_bytes == 0 && m.objects == 0 &&
         std::all_of(rows.begin(), rows.end(), [](const Keyed<OpAgg>& r) {
           return all_zero(kOpFields, r.agg);
         }))
       continue;
-    const auto rit = ctx_registry().find(ckv.first);
+    const auto rit = ctx_registry().find(id);
     const bool known = rit != ctx_registry().end();
-    json_key(&out, std::to_string(ckv.first).c_str());
+    json_key(&out, std::to_string(id).c_str());
     out.push_back('{');
     json_u64(&out, "parent", known ? rit->second.parent : 0);
     out.append(known && rit->second.dead ? "\"live\":false,"
@@ -1354,12 +1363,13 @@ std::string stats_prometheus() {
   // Memory slices first: obj_mu strictly before reg_mu.
   auto mem_slices = mem_by_ctx();
   std::lock_guard<std::mutex> lock(reg_mu());
+  const auto view = ctx_view();
   std::vector<Keyed<OpAgg>> ops;
-  for (const auto& ckv : ctx_view())
+  for (const auto& ckv : view)
     for (auto& row : op_rows(ckv.first, ckv.second))
       ops.push_back(std::move(row));
   std::vector<Keyed<CtxMemSlice>> mem;
-  for (const auto& kv : mem_view(mem_slices))
+  for (const auto& kv : ctx_mem_rows(mem_slices, view))
     mem.push_back({"", prom_label("context", std::to_string(kv.first)),
                    kv.second});
   std::string out;
@@ -1377,8 +1387,8 @@ bool trace_start(const char* path) {
   std::lock_guard<std::mutex> lock(trace_mu());
   trace_buf().clear();
   trace_path() = path != nullptr ? path : "";
-  g_globals.trace_events = 0;
-  g_globals.trace_dropped = 0;
+  g_globals.trace_events.store(0, std::memory_order_relaxed);
+  g_globals.trace_dropped.store(0, std::memory_order_relaxed);
   set_flag(kTraceFlag, true);
   return true;
 }

@@ -58,6 +58,8 @@ auto dispatch(const Semiring* s, const Type* atype, const Type* btype,
   GRB_TRY_COMBO(int64_t, kPlus, kFirst)
   GRB_TRY_COMBO(double, kPlus, kSecond)
   GRB_TRY_COMBO(int64_t, kPlus, kSecond)
+  GRB_TRY_COMBO(int64_t, kPlus, kOneb)
+  GRB_TRY_COMBO(double, kPlus, kOneb)
   GRB_TRY_COMBO(bool, kLor, kLand)
 #undef GRB_TRY_COMBO
   return R{};  // null shared_ptr: no fast kernel registered

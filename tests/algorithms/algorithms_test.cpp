@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <queue>
 #include <set>
 #include <vector>
@@ -344,6 +345,117 @@ TEST(KtrussTest, TriangleOfTrianglesSurvives) {
   EXPECT_EQ(GrB_Matrix_extractElement(&out, truss, 4, 5), GrB_NO_VALUE);
   GrB_free(&truss);
   GrB_free(&a);
+}
+
+// Edges (u, v, support) of the k-truss of the undirected graph `adj`,
+// row-major, by peeling: support is the number of common neighbours
+// among the surviving edges, and an edge below k-2 is removed until
+// none is.  Self-loops are no edges.
+struct TrussEdges {
+  std::vector<GrB_Index> rows, cols;
+  std::vector<int64_t> support;
+};
+
+TrussEdges brute_force_truss(std::vector<std::vector<GrB_Index>> adj,
+                             uint32_t k) {
+  const GrB_Index n = adj.size();
+  for (GrB_Index u = 0; u < n; ++u) {
+    auto& row = adj[u];
+    row.erase(std::remove(row.begin(), row.end(), u), row.end());
+    std::sort(row.begin(), row.end());
+  }
+  const int64_t need = static_cast<int64_t>(k) - 2;
+  std::vector<std::vector<int64_t>> sup(n);
+  for (bool removed = true; removed;) {
+    for (GrB_Index u = 0; u < n; ++u) {
+      sup[u].assign(adj[u].size(), 0);
+      for (size_t x = 0; x < adj[u].size(); ++x) {
+        const auto& nu = adj[u];
+        const auto& nv = adj[adj[u][x]];
+        std::vector<GrB_Index> common;
+        std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
+                              std::back_inserter(common));
+        sup[u][x] = static_cast<int64_t>(common.size());
+      }
+    }
+    removed = false;
+    for (GrB_Index u = 0; u < n; ++u) {
+      size_t keep = 0;
+      for (size_t x = 0; x < adj[u].size(); ++x) {
+        if (sup[u][x] < need) continue;
+        adj[u][keep] = adj[u][x];
+        sup[u][keep] = sup[u][x];
+        ++keep;
+      }
+      removed |= keep != adj[u].size();
+      adj[u].resize(keep);
+      sup[u].resize(keep);
+    }
+  }
+  TrussEdges t;
+  for (GrB_Index u = 0; u < n; ++u) {
+    for (size_t x = 0; x < adj[u].size(); ++x) {
+      t.rows.push_back(u);
+      t.cols.push_back(adj[u][x]);
+      t.support.push_back(sup[u][x]);
+    }
+  }
+  return t;
+}
+
+TEST(KtrussTest, MatchesBruteForceOnWeightedRmat) {
+  // An undirected R-MAT graph with self-loops, rebuilt with FP64 weights
+  // that are never 1 (negative, zero and fractional, within INT64 range):
+  // ktruss counts support from the pattern alone, so the weights change
+  // nothing, and the truss keeps each edge's support as its value.
+  grb::RmatParams params;
+  params.symmetrize = true;
+  params.remove_self_loops = false;
+  GrB_Matrix rmat = nullptr;
+  ASSERT_EQ(grb::rmat_matrix(&rmat, 8, 8, params, nullptr),
+            grb::Info::kSuccess);
+  GrB_Index n = 0, nv = 0;
+  ASSERT_EQ(GrB_Matrix_nrows(&n, rmat), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_nvals(&nv, rmat), GrB_SUCCESS);
+  std::vector<GrB_Index> ri(nv), ci(nv);
+  std::vector<double> w(nv);
+  ASSERT_EQ(GrB_Matrix_extractTuples(ri.data(), ci.data(), w.data(), &nv,
+                                     rmat),
+            GrB_SUCCESS);
+  size_t loops = 0;
+  for (GrB_Index e = 0; e < nv; ++e) {
+    w[e] = static_cast<double>((ri[e] * 7919 + ci[e] * 104729) % 2001) * 0.75 -
+           750.0;
+    if (w[e] == 1.0) w[e] = -3.5;
+    loops += ri[e] == ci[e];
+  }
+  ASSERT_GT(loops, 0u);
+  GrB_Matrix a = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, GrB_FP64, n, n), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_build(a, ri.data(), ci.data(), w.data(), nv, GrB_NULL),
+            GrB_SUCCESS);
+  const auto adj = adjacency(a);
+  for (uint32_t k : {3u, 4u, 5u}) {
+    const TrussEdges want = brute_force_truss(adj, k);
+    GrB_Matrix truss = nullptr;
+    ASSERT_EQ(grb_algo::ktruss(&truss, a, k), GrB_SUCCESS);
+    GrB_Index got_nv = 0;
+    ASSERT_EQ(GrB_Matrix_nvals(&got_nv, truss), GrB_SUCCESS);
+    TrussEdges got;
+    got.rows.resize(got_nv);
+    got.cols.resize(got_nv);
+    got.support.resize(got_nv);
+    ASSERT_EQ(GrB_Matrix_extractTuples(got.rows.data(), got.cols.data(),
+                                       got.support.data(), &got_nv, truss),
+              GrB_SUCCESS);
+    ASSERT_FALSE(want.rows.empty()) << "k=" << k;
+    EXPECT_EQ(got.rows, want.rows) << "k=" << k;
+    EXPECT_EQ(got.cols, want.cols) << "k=" << k;
+    EXPECT_EQ(got.support, want.support) << "k=" << k;
+    GrB_free(&truss);
+  }
+  GrB_free(&a);
+  GrB_free(&rmat);
 }
 
 TEST(LccTest, TriangleHasCoefficientOne) {

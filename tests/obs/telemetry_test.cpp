@@ -906,19 +906,37 @@ bool allowed_new_key(const std::string& path,
   return fixture_paths.count(row) == 0;
 }
 
+// The series each per-context memory key is exported as.
+const std::map<std::string, std::string> kCtxMemSeries = {
+    {"mem.live_bytes", "grb_context_memory_live_bytes"},
+    {"mem.peak_bytes", "grb_context_memory_peak_bytes"},
+    {"mem.objects", "grb_context_objects"},
+};
+
 // GxB_Stats_get, the stats JSON and the Prometheus exposition report
 // one value for every number, after a scripted sequence on a one-thread
 // context; and the JSON keeps every key the hand-listed exporters
 // emitted for the same sequence, in order, with the same exact counts.
 // The fixture is fixture_lines() of the document commit 5c9950e (the
-// last before the metric tables) emitted for run_parity_script.
+// last before the metric tables) emitted for run_parity_script.  The
+// script's context ends with ops but no containers; a second context
+// homes a matrix built with stats off, so it has containers but no ops.
+// Both exporters report memory for both.
 TEST_F(ObsTest, EveryMetricAgreesAcrossExporters) {
   GrB_ContextConfig cfg;
   cfg.nthreads = 1;
-  GrB_Context ctx = nullptr;
+  GrB_Context ctx = nullptr, home = nullptr;
   ASSERT_EQ(GrB_Context_new(&ctx, GrB_NONBLOCKING, nullptr, &cfg),
             GrB_SUCCESS);
   ASSERT_NO_FATAL_FAILURE(run_parity_script(ctx));
+  ASSERT_EQ(GrB_Context_new(&home, GrB_NONBLOCKING, nullptr, &cfg),
+            GrB_SUCCESS);
+  GrB_Matrix homed = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&homed, GrB_FP64, 4, 4, home), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_setElement(homed, 1.0, 1, 2), GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(homed, GrB_MATERIALIZE), GrB_SUCCESS);
+  const std::string ctx_id = std::to_string(ctx->obs_id());
+  const std::string home_id = std::to_string(home->obs_id());
 
   // The JSON and the exposition are the strings GxB_Stats_json and
   // GxB_Stats_prometheus copy out, taken without a C API call: every
@@ -955,6 +973,7 @@ TEST_F(ObsTest, EveryMetricAgreesAcrossExporters) {
   };
 
   std::map<std::string, uint64_t> pool_sums;
+  std::map<std::string, std::map<std::string, uint64_t>> ctx_mem;
   int checked = 0;
   for (const JsonEntry& e : entries) {
     if (e.value.empty() || e.value[0] == '"' || e.value == "true" ||
@@ -988,6 +1007,17 @@ TEST_F(ObsTest, EveryMetricAgreesAcrossExporters) {
       expect_prom("grb_prof_process_regions_total", v);
     } else if (p[0] == "ops") {
       expect_get(p[1] + "." + p[2], v);
+    } else if (p[0] == "contexts" && p.size() == 3 &&
+               kCtxMemSeries.count(p[2]) != 0) {
+      ctx_mem[p[1]][p[2]] = std::stoull(v);
+      expect_prom(kCtxMemSeries.at(p[2]) + "{context=\"" + p[1] + "\"}", v);
+      if (p[1] == ctx_id || p[1] == home_id) {
+        uint64_t got = ~0ull;
+        EXPECT_EQ(GxB_Context_stats(p[1] == ctx_id ? ctx : home,
+                                    p[2].c_str(), &got),
+                  GrB_SUCCESS);
+        EXPECT_EQ(std::to_string(got), v) << e.path;
+      }
     } else if (p[0] == "contexts" && p.size() == 5) {
       expect_field(kOpSeries, p[4],
                    "op=\"" + p[3] + "\",context=\"" + p[1] + "\"", v);
@@ -1002,6 +1032,25 @@ TEST_F(ObsTest, EveryMetricAgreesAcrossExporters) {
     }
   }
   EXPECT_GT(checked, 200);
+  // Every context either exporter reports memory for, the other does too.
+  for (const auto& [series, values] : prom) {
+    for (const auto& [key, name] : kCtxMemSeries) {
+      const std::string head = name + "{context=\"";
+      if (series.rfind(head, 0) != 0) continue;
+      const std::string id =
+          series.substr(head.size(), series.size() - head.size() - 2);
+      EXPECT_EQ(ctx_mem[id].count(key), 1u) << "JSON lacks " << series;
+    }
+  }
+  ASSERT_EQ(ctx_mem[ctx_id].size(), kCtxMemSeries.size());
+  EXPECT_EQ(ctx_mem[ctx_id]["mem.objects"], 0u);
+  EXPECT_EQ(ctx_mem[ctx_id]["mem.live_bytes"], 0u);
+  ASSERT_EQ(ctx_mem[home_id].size(), kCtxMemSeries.size());
+  EXPECT_EQ(ctx_mem[home_id]["mem.objects"], 1u);
+  EXPECT_GT(ctx_mem[home_id]["mem.live_bytes"], 0u);
+  for (const JsonEntry& e : entries)
+    EXPECT_NE(e.path.rfind("contexts/" + home_id + "/ops/", 0), 0u)
+        << "the homed context ran no op with stats on: " << e.path;
   for (const auto& [field, sum] : pool_sums) {
     uint64_t got = ~0ull;
     EXPECT_EQ(GxB_Stats_get(("pool." + field).c_str(), &got), GrB_SUCCESS);
@@ -1030,6 +1079,8 @@ TEST_F(ObsTest, EveryMetricAgreesAcrossExporters) {
   EXPECT_EQ(matched, want.size())
       << "first parent key missing or out of order: "
       << (matched < want.size() ? want[matched] : "");
+  GrB_free(&homed);
+  GrB_free(&home);
   GrB_free(&ctx);
 }
 

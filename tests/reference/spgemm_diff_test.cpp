@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/global.hpp"
@@ -540,5 +541,138 @@ void check_saxpy_kernel() {
 TEST(SpgemmDiff, SaxpyFilterFoldFp64) { check_saxpy_kernel<double>(); }
 TEST(SpgemmDiff, SaxpyFilterFoldInt64) { check_saxpy_kernel<int64_t>(); }
 TEST(SpgemmDiff, SaxpyFilterFoldBool) { check_saxpy_kernel<bool>(); }
+
+// ---- <PLUS, ONEB> counts ----------------------------------------------
+//
+// <PLUS, ONEB> makes C(i,j) the number of k with A(i,k) and B(k,j) both
+// present; the typed runner's multiply ignores its operands.
+// The masked saxpy and the masked dot (each pinned) and the unmasked
+// Gustavson engine, typed and generic, at 1 and 4 threads, must equal
+// PLUS_TIMES on the ONEB-applied operands and the reference engine bit
+// for bit.  The operands hold the pool values above, never 1 (NaN, Inf,
+// INT64s whose products wrap), so a kernel that read them would show.
+
+template <class T>
+struct Tuples {
+  std::vector<GrB_Index> rows, cols;
+  std::vector<T> vals;
+  bool operator==(const Tuples& o) const {
+    return rows == o.rows && cols == o.cols && vals.size() == o.vals.size() &&
+           std::memcmp(vals.data(), o.vals.data(), vals.size() * sizeof(T)) ==
+               0;
+  }
+};
+
+template <class T>
+Tuples<T> tuples_of(GrB_Matrix c) {
+  Tuples<T> t;
+  GrB_Index n = 0;
+  EXPECT_EQ(GrB_Matrix_nvals(&n, c), GrB_SUCCESS);
+  t.rows.resize(n);
+  t.cols.resize(n);
+  t.vals.resize(n);
+  EXPECT_EQ(GrB_Matrix_extractTuples(t.rows.data(), t.cols.data(),
+                                     t.vals.data(), &n, c),
+            GrB_SUCCESS);
+  return t;
+}
+
+// A copy of `src` homed in `ctx` (a method's objects share a context).
+template <class T>
+GrB_Matrix home_copy(GrB_Context ctx, GrB_Matrix src) {
+  GrB_Index nr = 0, nc = 0;
+  EXPECT_EQ(GrB_Matrix_nrows(&nr, src), GrB_SUCCESS);
+  EXPECT_EQ(GrB_Matrix_ncols(&nc, src), GrB_SUCCESS);
+  Tuples<T> t = tuples_of<T>(src);
+  GrB_Matrix m = nullptr;
+  EXPECT_EQ(GrB_Matrix_new(&m, SaxpyDomain<T>::type(), nr, nc, ctx),
+            GrB_SUCCESS);
+  EXPECT_EQ(GrB_Matrix_build(m, t.rows.data(), t.cols.data(), t.vals.data(),
+                             t.rows.size(), GrB_NULL),
+            GrB_SUCCESS);
+  return m;
+}
+
+// C<M, struct> = A*B (no mask when m is null), every object homed in a
+// fresh nthreads-context.
+template <class T>
+Tuples<T> count_mxm(int nthreads, GrB_Semiring ring, GrB_Matrix a,
+                    GrB_Matrix b, GrB_Matrix m) {
+  GrB_Context ctx = make_ctx(nthreads);
+  GrB_Matrix ca = home_copy<T>(ctx, a), cb = home_copy<T>(ctx, b);
+  GrB_Matrix cm = m != nullptr ? home_copy<T>(ctx, m) : nullptr;
+  GrB_Matrix c = nullptr;
+  EXPECT_EQ(GrB_Matrix_new(&c, SaxpyDomain<T>::type(), kSm, kSn, ctx),
+            GrB_SUCCESS);
+  EXPECT_EQ(GrB_mxm(c, cm, GrB_NULL, ring, ca, cb,
+                    cm != nullptr ? GrB_DESC_S : GrB_NULL),
+            GrB_SUCCESS);
+  Tuples<T> t = tuples_of<T>(c);
+  GrB_free(&c);
+  GrB_free(&ca);
+  GrB_free(&cb);
+  if (cm != nullptr) GrB_free(&cm);
+  GrB_free(&ctx);
+  return t;
+}
+
+template <class T>
+void check_plus_oneb_counts() {
+  constexpr bool kFp = std::is_same_v<T, double>;
+  ThresholdGuard threshold;
+  SaxpyInputs in;
+  make_saxpy_inputs<T>(&in, 5200);
+  GrB_BinaryOp oneb = kFp ? GrB_ONEB_FP64 : GrB_ONEB_INT64;
+  GrB_Semiring plus_times =
+      kFp ? GrB_PLUS_TIMES_SEMIRING_FP64 : GrB_PLUS_TIMES_SEMIRING_INT64;
+  GrB_Semiring plus_oneb = nullptr;
+  ASSERT_EQ(GrB_Semiring_new(&plus_oneb,
+                             kFp ? GrB_PLUS_MONOID_FP64 : GrB_PLUS_MONOID_INT64,
+                             oneb),
+            GrB_SUCCESS);
+  GrB_Matrix a1 = nullptr, b1 = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a1, SaxpyDomain<T>::type(), kSm, kSk),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_new(&b1, SaxpyDomain<T>::type(), kSk, kSn),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_apply(a1, GrB_NULL, GrB_NULL, oneb, in.a, T{1}, GrB_NULL),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_apply(b1, GrB_NULL, GrB_NULL, oneb, in.b, T{1}, GrB_NULL),
+            GrB_SUCCESS);
+  for (GrB_Matrix m : {in.m, static_cast<GrB_Matrix>(nullptr)}) {
+    const std::string what = m != nullptr ? "masked" : "unmasked";
+    Tuples<T> want, reference;
+    {
+      StrategyGuard gustavson(grb::MxmStrategy::kGustavson);
+      want = count_mxm<T>(1, plus_times, a1, b1, m);
+      ModeGuard mode(grb::SpgemmMode::kReference);
+      reference = count_mxm<T>(1, plus_oneb, in.a, in.b, m);
+    }
+    ASSERT_FALSE(want.vals.empty()) << what;
+    EXPECT_TRUE(reference == want) << what << " reference engine";
+    std::vector<grb::MxmStrategy> strategies = {grb::MxmStrategy::kGustavson};
+    if (m != nullptr) strategies.push_back(grb::MxmStrategy::kMaskedDot);
+    for (grb::MxmStrategy strategy : strategies) {
+      StrategyGuard pin(strategy);
+      for (int nthreads : {1, 4}) {
+        for (bool typed : {true, false}) {
+          FastpathGuard fastpath(typed);
+          EXPECT_TRUE(count_mxm<T>(nthreads, plus_oneb, in.a, in.b, m) ==
+                      want)
+              << what << " strategy=" << static_cast<int>(strategy)
+              << " nthreads=" << nthreads << (typed ? " typed" : " generic");
+        }
+      }
+    }
+  }
+  GrB_free(&a1);
+  GrB_free(&b1);
+  GrB_free(&plus_oneb);
+}
+
+TEST(SpgemmDiff, PlusOnebCountsMatchPlusTimesOnOnes) {
+  check_plus_oneb_counts<int64_t>();
+  check_plus_oneb_counts<double>();
+}
 
 }  // namespace

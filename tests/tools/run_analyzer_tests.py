@@ -31,7 +31,7 @@ EXPECT = {
     "barrier_read": ({"barrier-before-read": 1}, 0),
     "fusion_grant": ({"fusion-grant-coverage": 3}, 0),
     "decision_audit": ({"decision-audit-coverage": 2}, 0),
-    "atomic_order": ({"atomic-order-explicit": 1, "stale-suppression": 1}, 1),
+    "atomic_order": ({"atomic-order-explicit": 3, "stale-suppression": 1}, 1),
     "entry_parity": ({"entry-point-parity": 4}, 0),
 }
 

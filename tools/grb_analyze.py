@@ -571,9 +571,6 @@ class TextFrontend:
 
     # -- event scanning -----------------------------------------------------
 
-    COMPOUND_RE_TMPL = (r"(?:(?<![\w.>])%s\s*(?:\+\+|--|[+\-&|^]=|=(?!=))"
-                        r"|(?:\+\+|--)\s*%s\b)")
-
     def _scan_body(self, fn, text, start, end, line_of):
         body = text[start:end]
         events = fn.events
@@ -1268,11 +1265,28 @@ def rule_atomic_order_explicit(prog, repo, rep):
                     "fence cost is visible and intentional"
                     % (fn.qual, ev.receiver or "<atomic>", ev.name),
                     function=fn.qual)
-    # Operator form (++ / -- / += / = on declared atomics).  The name is
+    # Operator form (++ / -- / += / = on declared atomics, bare or
+    # through `obj.` / `p->` member access).  The name is
     # only trusted when the enclosing function does not declare a local
     # of the same name (a `uint64_t head = r->head.load(...)` shadow must
     # not be mistaken for the atomic member), and an identifier directly
-    # before the name means the match is itself a declaration.
+    # before the name means the match is itself a declaration.  The
+    # member form cannot tell `obj.name` of an atomic from a plain
+    # member of the same name, so it skips names that some scanned file
+    # also declares with a non-atomic type outside a function body.
+    plain = set()
+    for rel, text in prog.files.items():
+        if not rel.startswith(ATOMIC_ORDER_DIRS):
+            continue
+        bodies = [(f.body_start, f.body_end) for f in prog.functions
+                  if f.file == rel]
+        for m in re.finditer(r"\b([A-Za-z_][\w:]*(?:<[^;{}]*?>)?)[\s*&]+"
+                             r"(\w+)\s*[{=;\[]", text):
+            if (re.match(r"(?:std::)?atomic\b", m.group(1))
+                    or m.group(1) in ("return", "else", "case", "goto")
+                    or any(lo <= m.start() < hi for lo, hi in bodies)):
+                continue
+            plain.add(m.group(2))
     for rel, text in prog.files.items():
         if not rel.startswith(ATOMIC_ORDER_DIRS):
             continue
@@ -1283,8 +1297,9 @@ def rule_atomic_order_explicit(prog, repo, rep):
             shadow_re = re.compile(
                 r"[\w>*&]\s+%s\s*[=;,)({\[]" % re.escape(name))
             pat = re.compile(
-                r"(?:(?<![\w.>])%s\s*(?:\+\+|--|[+\-&|^]=|=(?!=))"
-                r"|(?:\+\+|--)\s*%s\b)" % (re.escape(name), re.escape(name)))
+                r"(?:(?:(?<![\w>])|(?<=->))%s\s*(?:\+\+|--|[+\-&|^]=|=(?!=))"
+                r"|(?:\+\+|--)\s*(?:\w+\s*(?:\.|->)\s*)*%s\b)"
+                % (re.escape(name), re.escape(name)))
             for m in pat.finditer(text):
                 fn = next((f for f in fns
                            if f.body_start <= m.start() < f.body_end), None)
@@ -1294,8 +1309,14 @@ def rule_atomic_order_explicit(prog, repo, rep):
                 i = m.start() - 1
                 while i >= 0 and text[i] in " \t\n":
                     i -= 1
-                if i >= 0 and (text[i].isalnum() or text[i] in "_>*&"):
+                arrow = i >= 1 and text[i - 1:i + 1] == "->"
+                if i >= 0 and not arrow and (text[i].isalnum() or
+                                             text[i] in "_>*&"):
                     continue  # `type name = ...`: a declaration
+                member = (arrow or (i >= 0 and text[i] == ".")
+                          or re.search(r"\.|->", m.group(0)))
+                if member and name in plain:
+                    continue  # may be a same-named plain member
                 line = text.count("\n", 0, m.start()) + 1
                 rep.report(
                     "atomic-order-explicit", rel, line,
