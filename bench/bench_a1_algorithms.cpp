@@ -159,6 +159,39 @@ void BM_Lcc(benchmark::State& state) {
 }
 BENCHMARK(BM_Lcc)->Arg(9)->Arg(11)->Unit(benchmark::kMillisecond);
 
+// Conjugate gradient on the 27-point stencil of an n^3 grid, a fixed
+// kCgIters iterations per solve (tol = 0).  ms_per_iter is one CG step:
+// an mxv, two dots and three axpys over full vectors.
+constexpr int kCgIters = 20;
+
+void BM_Cg(benchmark::State& state) {
+  const auto side = static_cast<GrB_Index>(state.range(0));
+  GrB_Matrix a = nullptr;
+  BENCH_TRY(grb_algo::stencil27(&a, side, side, side));
+  GrB_Index n, nnz;
+  BENCH_TRY(GrB_Matrix_nrows(&n, a));
+  BENCH_TRY(GrB_Matrix_nvals(&nnz, a));
+  GrB_Vector b = nullptr;
+  BENCH_TRY(GrB_Vector_new(&b, GrB_FP64, n));
+  BENCH_TRY(GrB_assign(b, GrB_NULL, GrB_NULL, 1.0, GrB_ALL, n, GrB_NULL));
+  BENCH_TRY(GrB_wait(b, GrB_MATERIALIZE));
+  int iters = 0;
+  for (auto _ : state) {
+    GrB_Vector x = nullptr;
+    BENCH_TRY(grb_algo::cg(&x, &iters, a, b, kCgIters, 0.0));
+    benchmark::DoNotOptimize(x);
+    GrB_free(&x);
+  }
+  state.SetItemsProcessed(state.iterations() * nnz * iters);
+  state.counters["ms_per_iter"] = benchmark::Counter(
+      1e-3 * static_cast<double>(state.iterations() * iters),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  GrB_free(&b);
+  GrB_free(&a);
+}
+BENCHMARK(BM_Cg)->Arg(64)->Arg(128)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
+
 }  // namespace
 
 GRB_BENCH_MAIN()

@@ -3,9 +3,9 @@
 //
 //   $ ./explain_demo
 //
-// GxB_Explain prints every adaptive choice the library made — storage
-// format adaptation, SpGEMM accumulator selection, masked-dot strategy,
-// fusion planning, serial-vs-parallel dispatch — with the predicted
+// GxB_Explain prints every adaptive choice the library made — SpGEMM
+// accumulator selection, masked-dot strategy, the transpose cache,
+// serial-vs-parallel dispatch — with the predicted
 // cost next to what was actually measured, so a mispredicting
 // heuristic is visible instead of just slow.
 #include <cstdio>

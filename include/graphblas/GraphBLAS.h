@@ -1924,23 +1924,18 @@ inline GrB_Info GxB_FlightRecorder_dump(const char* path) {
   });
 }
 
-// Enables (on != 0) or disables (on == 0) the nonblocking-mode fusion
-// planner (DESIGN.md §12).  On by default; GRB_FUSION=off|0 in the
-// environment selects the eager per-op execution as an ablation
-// baseline.  Disabling never changes results, only how the deferred
-// queue is executed.
-inline GrB_Info GxB_Fusion_set(int on) {
-  return grb_detail::guarded([&]() -> GrB_Info {
-    grb::set_fusion_enabled(on != 0);
-    return GrB_SUCCESS;
-  });
+// Fusion option, kept for source compatibility.  Nonblocking mode
+// defers a method sequence and runs it in program order at completion;
+// there is no fusion planner (DESIGN.md §12), so any value is accepted
+// and ignored, and the getter reports 0.
+inline GrB_Info GxB_Fusion_set(int /*on*/) {
+  return grb_detail::guarded([&]() -> GrB_Info { return GrB_SUCCESS; });
 }
 
-// Reads the current fusion-planner setting (1 = on, 0 = off).
 inline GrB_Info GxB_Fusion_get(int* on) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (on == nullptr) return GrB_NULL_POINTER;
-    *on = grb::fusion_enabled() ? 1 : 0;
+    *on = 0;
     return GrB_SUCCESS;
   });
 }

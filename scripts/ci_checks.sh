@@ -11,10 +11,10 @@
 #                        validate-first, poison messages (the GxB
 #                        registry parity is grb_analyze's, stage 2)
 #    2. grb_analyze    — AST/call-graph conformance tier: no-alloc-under-
-#                        lock zones, barrier-before-read, fusion grant
+#                        lock zones, barrier-before-read, decision-audit
 #                        coverage, atomic memory-order explicitness,
-#                        entry-point parity (libclang when available,
-#                        self-contained text frontend otherwise)
+#                        entry-point parity (self-contained text
+#                        frontend)
 #    3. build+ctest    — default preset, full tier-1 suite
 #    4. telemetry      — obs-labeled tests: counter oracles plus the
 #                        GRB_TRACE → grb_trace_summarize.py pipeline
@@ -200,7 +200,7 @@ cmake --build build -j "$JOBS"
 mkdir -p bench_artifacts
 # Gate benches: 3 repetitions, medians only — these are the trajectories
 # bench_compare.py holds against the baseline.
-gate_benches="bench_m4_masked_mxm bench_m5_spgemm_adaptive bench_m6_fusion"
+gate_benches="bench_m4_masked_mxm bench_m5_spgemm_adaptive"
 for bench in $gate_benches; do
   (cd bench_artifacts && \
    "../build/bench/$bench" --benchmark_repetitions=3 \

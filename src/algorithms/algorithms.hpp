@@ -63,4 +63,14 @@ GrB_Info betweenness_centrality(GrB_Vector* bc, GrB_Matrix a,
                                 const GrB_Index* sources,
                                 GrB_Index num_sources);
 
+// HPCG's operator: the 27-point stencil on an nx*ny*nz grid (FP64; 26 on
+// the diagonal, -1 for each grid neighbour), symmetric positive definite.
+GrB_Info stencil27(GrB_Matrix* a, GrB_Index nx, GrB_Index ny, GrB_Index nz);
+
+// Conjugate gradient for A x = b (A symmetric positive definite, FP64)
+// from x = 0.  Stops once ||r|| <= tol * ||b|| or after max_iters
+// iterations; *iters (if not null) receives the count taken.
+GrB_Info cg(GrB_Vector* x, int* iters, GrB_Matrix a, GrB_Vector b,
+            int max_iters, double tol);
+
 }  // namespace grb_algo

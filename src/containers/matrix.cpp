@@ -88,24 +88,7 @@ Info Matrix::flush_prefix(uint64_t upto) {
   return Info::kSuccess;
 }
 
-Info Matrix::drop_prefix(uint64_t upto) {
-  obs::TrackedVec<PendingTupleIJ> dropped{
-      obs::TrackedAlloc<PendingTupleIJ>(pend_acct_)};
-  ValueArray dropped_vals(type_->size(), pend_acct_);
-  size_t remaining;
-  {
-    MutexLock lock(mu_);
-    const size_t take = prefix_take(upto, pend_consumed_, pend_.size());
-    if (take == 0) return Info::kSuccess;
-    split_pending(&pend_, &pend_vals_, take, &dropped, &dropped_vals);
-    pend_consumed_ += take;
-    remaining = pend_.size();
-  }
-  obs::pending_tuples_sample(remaining);
-  return Info::kSuccess;
-}
-
-void Matrix::enqueue(std::function<Info()> op, FuseNode node) {
+void Matrix::enqueue(std::function<Info()> op) {
   // See Vector::enqueue: tagged prefix fold, batched across consecutive
   // deferred ops over one setElement burst.
   uint64_t upto;
@@ -115,14 +98,9 @@ void Matrix::enqueue(std::function<Info()> op, FuseNode node) {
     have_tuples = !pend_.empty();
     upto = pend_consumed_ + pend_.size();
   }
-  if (have_tuples && !flush_queued_covering(upto)) {
-    FuseNode fl;
-    fl.kind = FuseNode::Kind::kFlush;
-    fl.flush_upto = upto;
-    ObjectBase::enqueue([this, upto]() -> Info { return flush_prefix(upto); },
-                        std::move(fl));
-  }
-  ObjectBase::enqueue(std::move(op), std::move(node));
+  if (have_tuples && !flush_queued_covering(upto))
+    append([this, upto]() -> Info { return flush_prefix(upto); }, upto);
+  append(std::move(op), 0);
 }
 
 Info Matrix::new_(Matrix** a, const Type* type, Index nrows, Index ncols,
@@ -166,11 +144,7 @@ Info Matrix::clear() {
     publish(std::make_shared<MatrixData>(type_, r, c));
     return Info::kSuccess;
   };
-  // Full overwrite without reading: a dead-write killer.
-  FuseNode node;
-  node.reads_out = false;
-  node.full_replace = true;
-  return defer_or_run(this, op, std::move(node));
+  return defer_or_run(this, op);
 }
 
 Info Matrix::nvals(Index* out) {
@@ -210,11 +184,7 @@ Info Matrix::resize(Index new_nrows, Index new_ncols) {
     return Info::kSuccess;
   };
   if (mode() == Mode::kBlocking) GRB_RETURN_IF_ERROR(flush_pending());
-  // Handle dims changed eagerly; the truncation must survive dead-write
-  // elimination (see Vector::resize).
-  FuseNode node;
-  node.must_run = true;
-  return defer_or_run(this, op, std::move(node));
+  return defer_or_run(this, op);
 }
 
 }  // namespace grb

@@ -90,12 +90,10 @@ class Matrix : public ObjectBase, public obs::MemReportable {
   Info snapshot(std::shared_ptr<const MatrixData>* out) GRB_EXCLUDES(mu_);
   // Publishes new contents (the closure's block, stored as is).
   void publish(std::shared_ptr<const MatrixData> data) GRB_EXCLUDES(mu_);
-  void enqueue(std::function<Info()> op,
-               FuseNode node = FuseNode{}) override GRB_EXCLUDES(mu_);
+  void enqueue(std::function<Info()> op) override GRB_EXCLUDES(mu_);
 
-  // Pending-tuple prefix fold / discard (see Vector).
-  Info flush_prefix(uint64_t upto) override GRB_EXCLUDES(mu_);
-  Info drop_prefix(uint64_t upto) override GRB_EXCLUDES(mu_);
+  // Pending-tuple prefix fold (see Vector).
+  Info flush_prefix(uint64_t upto) GRB_EXCLUDES(mu_);
 
   // The current data block, without forcing completion (see Vector).
   std::shared_ptr<const MatrixData> current_data() const
@@ -138,7 +136,7 @@ class Matrix : public ObjectBase, public obs::MemReportable {
   std::shared_ptr<obs::MemAccount> pend_acct_;
   obs::TrackedVec<PendingTupleIJ> pend_ GRB_GUARDED_BY(mu_);
   ValueArray pend_vals_ GRB_GUARDED_BY(mu_);
-  // Monotonic count of pending tuples ever folded or dropped (see
+  // Monotonic count of pending tuples ever folded (see
   // Vector::pend_consumed_).
   uint64_t pend_consumed_ GRB_GUARDED_BY(mu_) = 0;
 };

@@ -1,6 +1,6 @@
 // Pending-tuple store shared by Vector and Matrix: the update records
 // setElement/removeElement append, the prefix split behind
-// flush_prefix/drop_prefix, and the fold of a batch into a base block.
+// flush_prefix, and the fold of a batch into a base block.
 //
 // The fold is one routine for both containers.  It sees the base as CSR
 // (row offsets, sorted columns, packed values); a vector is the one-row
@@ -73,7 +73,7 @@ void fold_pending(const obs::TrackedVec<Tuple>& pend,
 }
 
 // How many of `pending` tuples lie before absolute consumed-count `upto`
-// when `consumed` tuples were folded or dropped already.
+// when `consumed` tuples were folded already.
 inline size_t prefix_take(uint64_t upto, uint64_t consumed, size_t pending) {
   return upto > consumed
              ? std::min<size_t>(pending, static_cast<size_t>(upto - consumed))

@@ -41,7 +41,7 @@ Info Scalar::clear() {
     auto d = std::make_shared<ScalarData>(type());
     publish(std::move(d));
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 Info Scalar::nvals(Index* out) {
@@ -67,7 +67,7 @@ Info Scalar::set_element(const void* value, const Type* value_type) {
     std::memcpy(d->value.data(), captured.data(), t->size());
     publish(std::move(d));
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 Info Scalar::extract_element(void* out, const Type* out_type) {

@@ -79,27 +79,10 @@ Info Vector::flush_prefix(uint64_t upto) {
   return Info::kSuccess;
 }
 
-Info Vector::drop_prefix(uint64_t upto) {
-  obs::TrackedVec<PendingTuple> dropped{
-      obs::TrackedAlloc<PendingTuple>(pend_acct_)};
-  ValueArray dropped_vals(type_->size(), pend_acct_);
-  size_t remaining;
-  {
-    MutexLock lock(mu_);
-    const size_t take = prefix_take(upto, pend_consumed_, pend_.size());
-    if (take == 0) return Info::kSuccess;
-    split_pending(&pend_, &pend_vals_, take, &dropped, &dropped_vals);
-    pend_consumed_ += take;
-    remaining = pend_.size();
-  }
-  obs::pending_tuples_sample(remaining);
-  return Info::kSuccess;
-}
-
-void Vector::enqueue(std::function<Info()> op, FuseNode node) {
+void Vector::enqueue(std::function<Info()> op) {
   // Fold outstanding fast-path tuples into the sequence first so the
   // deferred op observes them in program order.  The fold is tagged with
-  // the absolute tuple count it covers; when a queued flush node already
+  // the absolute tuple count it covers; when a queued fold already
   // covers everything pending, a second one would fold zero tuples, so
   // none is injected — consecutive deferred ops over one setElement
   // burst share a single batched fold.
@@ -110,14 +93,9 @@ void Vector::enqueue(std::function<Info()> op, FuseNode node) {
     have_tuples = !pend_.empty();
     upto = pend_consumed_ + pend_.size();
   }
-  if (have_tuples && !flush_queued_covering(upto)) {
-    FuseNode fl;
-    fl.kind = FuseNode::Kind::kFlush;
-    fl.flush_upto = upto;
-    ObjectBase::enqueue([this, upto]() -> Info { return flush_prefix(upto); },
-                        std::move(fl));
-  }
-  ObjectBase::enqueue(std::move(op), std::move(node));
+  if (have_tuples && !flush_queued_covering(upto))
+    append([this, upto]() -> Info { return flush_prefix(upto); }, upto);
+  append(std::move(op), 0);
 }
 
 Info Vector::new_(Vector** v, const Type* type, Index n, Context* ctx) {
@@ -159,12 +137,7 @@ Info Vector::clear() {
     publish(std::make_shared<VectorData>(type_, n));
     return Info::kSuccess;
   };
-  // clear fully replaces the contents without reading them: a killer for
-  // dead-write elimination.
-  FuseNode node;
-  node.reads_out = false;
-  node.full_replace = true;
-  return defer_or_run(this, op, std::move(node));
+  return defer_or_run(this, op);
 }
 
 Info Vector::nvals(Index* out) {
@@ -198,12 +171,7 @@ Info Vector::resize(Index new_size) {
     return Info::kSuccess;
   };
   if (mode() == Mode::kBlocking) GRB_RETURN_IF_ERROR(flush_pending());
-  // The handle dimension already changed eagerly; the stored truncation
-  // must run even when a later op overwrites the values (must_run), or a
-  // subsequent writeback would merge against stale-dimension data.
-  FuseNode node;
-  node.must_run = true;
-  return defer_or_run(this, op, std::move(node));
+  return defer_or_run(this, op);
 }
 
 }  // namespace grb

@@ -79,17 +79,15 @@ class Vector : public ObjectBase, public obs::MemReportable {
 
   // Folds any pending tuples into the sequence, then appends `op`, so
   // deferred operations observe setElement calls in program order.  The
-  // injected fold is a kFlush node tagged with the absolute tuple count
-  // it covers; when a queued flush already covers everything pending, no
-  // second node is injected (pending-writeback batching).
-  void enqueue(std::function<Info()> op,
-               FuseNode node = FuseNode{}) override GRB_EXCLUDES(mu_);
+  // injected fold is tagged with the absolute tuple count it covers; when
+  // a queued fold already covers everything pending, no second one is
+  // injected (pending-writeback batching).
+  void enqueue(std::function<Info()> op) override GRB_EXCLUDES(mu_);
 
-  // Folds (or, for dead-write elimination, discards) exactly the pending
-  // tuples enqueued before absolute consumed-count `upto`; tuples queued
-  // after that point stay pending for a later fold.
-  Info flush_prefix(uint64_t upto) override GRB_EXCLUDES(mu_);
-  Info drop_prefix(uint64_t upto) override GRB_EXCLUDES(mu_);
+  // Folds exactly the pending tuples enqueued before absolute
+  // consumed-count `upto`; tuples queued after that point stay pending
+  // for a later fold.
+  Info flush_prefix(uint64_t upto) GRB_EXCLUDES(mu_);
 
   // The current data block, without forcing completion.  Safe inside a
   // deferred closure: the sequence is FIFO, so every predecessor has
@@ -131,8 +129,8 @@ class Vector : public ObjectBase, public obs::MemReportable {
   std::shared_ptr<obs::MemAccount> pend_acct_;
   obs::TrackedVec<PendingTuple> pend_ GRB_GUARDED_BY(mu_);
   ValueArray pend_vals_ GRB_GUARDED_BY(mu_);
-  // Monotonic count of pending tuples ever folded or dropped; kFlush
-  // nodes carry the absolute count they advance to (flush_prefix).
+  // Monotonic count of pending tuples ever folded; an injected fold
+  // carries the absolute count it advances to (flush_prefix).
   uint64_t pend_consumed_ GRB_GUARDED_BY(mu_) = 0;
 };
 

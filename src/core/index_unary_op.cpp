@@ -22,19 +22,27 @@ inline int64_t col_of(const Index* ind, Index n) {
 }
 
 // --- "replace" family ---------------------------------------------------
+// Z is INT32 or INT64, and so is the thunk.  The sum wraps modulo 2^64
+// (then narrows to Z) instead of overflowing: a thunk cast from a huge
+// or infinite float saturates to the INT64 bound, and bound + index must
+// still be defined.
+inline int64_t wrap_add(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
 template <class Z>
 void fn_rowindex(void* out, const void*, Index* ind, Index, const void* s) {
-  st<Z>(out, static_cast<Z>(row_of(ind) + static_cast<int64_t>(ld<Z>(s))));
+  st<Z>(out, static_cast<Z>(wrap_add(row_of(ind), ld<Z>(s))));
 }
 template <class Z>
 void fn_colindex(void* out, const void*, Index* ind, Index n, const void* s) {
-  st<Z>(out, static_cast<Z>(col_of(ind, n) + static_cast<int64_t>(ld<Z>(s))));
+  st<Z>(out, static_cast<Z>(wrap_add(col_of(ind, n), ld<Z>(s))));
 }
 template <class Z>
 void fn_diagindex(void* out, const void*, Index* ind, Index n,
                   const void* s) {
-  st<Z>(out, static_cast<Z>(col_of(ind, n) - row_of(ind) +
-                            static_cast<int64_t>(ld<Z>(s))));
+  st<Z>(out, static_cast<Z>(
+                 wrap_add(wrap_add(col_of(ind, n), -row_of(ind)), ld<Z>(s))));
 }
 
 // --- "keep" families: bodies in core/scalar_ops.hpp ----------------------

@@ -222,18 +222,20 @@ inline T un_eval(T x) {
 // ones over an entry's row i and column j (a vector entry passes its
 // index as both) and an INT64 thunk, value ones over the stored value
 // and a thunk in the value's domain.  core/index_unary_op.cpp wraps them
-// in the C-ABI functions.
+// in the C-ABI functions.  The diagonal tests compare j - i with s:
+// indices are below 2^60, so j - i cannot overflow, while i + s can for
+// a thunk near an INT64 bound.
 template <IdxOpCode Op>
 inline bool pos_keep(int64_t i, int64_t j, int64_t s) {
   using I = IdxOpCode;
   if constexpr (Op == I::kTril) {
-    return j <= i + s;
+    return j - i <= s;
   } else if constexpr (Op == I::kTriu) {
-    return j >= i + s;
+    return j - i >= s;
   } else if constexpr (Op == I::kDiag) {
-    return j == i + s;
+    return j - i == s;
   } else if constexpr (Op == I::kOffdiag) {
-    return j != i + s;
+    return j - i != s;
   } else if constexpr (Op == I::kRowLE) {
     return i <= s;
   } else if constexpr (Op == I::kRowGT) {

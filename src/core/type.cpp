@@ -23,7 +23,7 @@ template <class To, class From>
 void cast_impl(void* dst, const void* src) {
   From f;
   std::memcpy(&f, src, sizeof(From));
-  To t = static_cast<To>(f);
+  To t = convert_value<To>(f);
   std::memcpy(dst, &t, sizeof(To));
 }
 

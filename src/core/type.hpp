@@ -9,8 +9,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/info.hpp"
@@ -168,6 +170,30 @@ class ValueArray {
   size_t stride_;
   obs::TrackedVec<std::byte> bytes_;
 };
+
+// Converts a value between built-in domains.  Floating point to integer
+// saturates: NaN becomes 0 and a value outside the target's range
+// clamps to its min or max, where a plain static_cast is undefined.
+// Every other pair (to or from bool, integer to anything, float to
+// float) is a static_cast.
+template <class To, class From>
+constexpr To convert_value(From f) {
+  if constexpr (std::is_floating_point_v<From> && std::is_integral_v<To> &&
+                !std::is_same_v<To, bool>) {
+    using Lim = std::numeric_limits<To>;
+    // Converting a bound to From is exact or rounds the max up to the
+    // next power of two; either way every f strictly between the two
+    // converted bounds truncates to a representable To.  NaN fails both
+    // tests.
+    const From lo = static_cast<From>(Lim::min());
+    const From hi = static_cast<From>(Lim::max());
+    if (f > lo && f < hi) return static_cast<To>(f);
+    if (f != f) return To{0};
+    return f >= hi ? Lim::max() : Lim::min();
+  } else {
+    return static_cast<To>(f);
+  }
+}
 
 // A single type-erased value with small-buffer storage (used for monoid
 // identities, scalars passed through operations, accumulator temps).

@@ -16,7 +16,7 @@ Info ObjectBase::switch_context(Context* new_ctx) {
   return Info::kSuccess;
 }
 
-void ObjectBase::enqueue(std::function<Info()> op, FuseNode node) {
+void ObjectBase::append(std::function<Info()> op, uint64_t flush_upto) {
   // The entry-point name travels with the closure so a later failure
   // during complete() can name the method that caused it, and so the
   // trace can show the deferral gap between call and execution.  The
@@ -33,8 +33,8 @@ void ObjectBase::enqueue(std::function<Info()> op, FuseNode node) {
     MutexLock lock(mu_);
     // Deliberate allocation under mu_: the deferred queue IS the growth
     // (suppressed in tools/grb_analyze_suppressions.json with rationale).
-    queue_.push_back(Deferred{std::move(op), op_name, enq_ns,
-                              std::move(node), ctx_id, flow_id});
+    queue_.push_back(
+        Deferred{std::move(op), op_name, enq_ns, ctx_id, flow_id, flush_upto});
     depth = queue_.size();
   }
   // The gauge sample can land in the trace buffer (its own mutex plus a
@@ -79,12 +79,26 @@ Info ObjectBase::complete_impl() {
       batch.swap(queue_);
     }
     obs::queue_drained(batch.size());
-    // The fusion planner executes the batch: dead-write elimination,
-    // fused elementwise passes, and eager execution of everything else —
-    // or a pure eager walk under GRB_FUSION=off.  Per-method attribution
-    // (CurrentOpScope, deferred spans, flight records) happens inside.
+    // Run the batch in program order.  Each method's scope replays its
+    // enqueue-time context so the execution is charged to its tenant,
+    // and flow_step closes the enqueue->exec trace arrow.
     const char* failed_op = nullptr;
-    Info info = fusion_execute_batch(this, batch, &failed_op);
+    Info info = Info::kSuccess;
+    for (Deferred& d : batch) {
+      obs::CurrentOpScope op_scope(d.op, d.ctx_id);
+      if (obs::flight_enabled())
+        obs::fr_record(obs::FrKind::kDeferredExec, d.op, 0, d.ctx_id,
+                       d.flow_id);
+      uint64_t t0 = obs::telemetry_enabled() ? obs::now_ns() : 0;
+      obs::flow_step(d.op, d.flow_id);
+      info = d.fn();
+      obs::deferred_return(d.op, t0, d.enqueued_ns,
+                           static_cast<int>(info) < 0);
+      if (static_cast<int>(info) < 0) {
+        failed_op = d.op;
+        break;
+      }
+    }
     // Deferred methods only validated their API contract eagerly; any
     // failure here is an execution-class failure for this object, even
     // when the code (e.g. GrB_INVALID_VALUE from build with a NULL dup,
@@ -159,7 +173,7 @@ const char* ObjectBase::error_string() const {
   return errmsg_.c_str();
 }
 
-Info defer_or_run(ObjectBase* out, std::function<Info()> op, FuseNode node) {
+Info defer_or_run(ObjectBase* out, std::function<Info()> op) {
   // First touch of the output object inside an API call: stamp the
   // thread's attribution slot with its tenant (sticky for the scope).
   if (obs::enabled()) {
@@ -174,7 +188,7 @@ Info defer_or_run(ObjectBase* out, std::function<Info()> op, FuseNode node) {
     }
     return info;
   }
-  out->enqueue(std::move(op), std::move(node));
+  out->enqueue(std::move(op));
   return Info::kSuccess;
 }
 

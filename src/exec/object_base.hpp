@@ -21,7 +21,6 @@
 
 #include "core/info.hpp"
 #include "exec/context.hpp"
-#include "exec/fusion.hpp"
 #include "obs/telemetry.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -37,18 +36,19 @@ enum class WaitMode : int {
 // storage), so diagnostics and trace spans can name the originating
 // method; `enqueued_ns` is the telemetry enqueue stamp (0 when telemetry
 // was disabled at enqueue time) used to report the deferral gap between
-// call and execution.  `node` is the fusion planner's view of the method
-// (exec/fusion.hpp); the default is an opaque read-write op.  `ctx_id`
-// is the home context's obs id at enqueue time (the tenant the eventual
-// execution is attributed to) and `flow_id` the Chrome-trace flow id
-// linking the enqueuing API span to the execution span (0 = no trace).
+// call and execution.  `ctx_id` is the home context's obs id at enqueue
+// time (the tenant the eventual execution is attributed to) and
+// `flow_id` the Chrome-trace flow id linking the enqueuing API span to
+// the execution span (0 = no trace).  `flush_upto` is nonzero only on a
+// container's injected pending-tuple fold: the absolute consumed-tuple
+// count the fold advances to (Vector/Matrix::flush_prefix).
 struct Deferred {
   std::function<Info()> fn;
   const char* op;
   uint64_t enqueued_ns;
-  FuseNode node;
   uint64_t ctx_id = 0;
   uint64_t flow_id = 0;
+  uint64_t flush_upto = 0;
 };
 
 class ObjectBase {
@@ -84,10 +84,10 @@ class ObjectBase {
   // Appends a deferred method to this object's sequence.  Called only in
   // nonblocking mode, by the operation layer, after API validation.
   // Containers override it to fold outstanding pending tuples into the
-  // sequence first, preserving program order.  `node` carries the fusion
-  // planner's description of the method (default: opaque read-write).
-  virtual void enqueue(std::function<Info()> op, FuseNode node = FuseNode{})
-      GRB_EXCLUDES(mu_);
+  // sequence first, preserving program order.
+  virtual void enqueue(std::function<Info()> op) GRB_EXCLUDES(mu_) {
+    append(std::move(op), 0);
+  }
 
   // Runs the sequence to completion (and folds pending tuples via
   // flush_pending).  Returns the first deferred execution error, which
@@ -144,38 +144,27 @@ class ObjectBase {
     return !queue_.empty();
   }
 
-  // Pending-tuple prefix control used by the fusion planner's kFlush
-  // nodes: fold (flush) or discard (drop) the tuples enqueued before the
-  // absolute consumed-count `upto` — not whatever happens to be pending
-  // at execution time, which may include tuples queued after a later
-  // method.  Containers override; the base object has no fast path.
-  virtual Info flush_prefix(uint64_t upto) GRB_EXCLUDES(mu_) {
-    (void)upto;
-    return Info::kSuccess;
-  }
-  virtual Info drop_prefix(uint64_t upto) GRB_EXCLUDES(mu_) {
-    (void)upto;
-    return Info::kSuccess;
-  }
-
  protected:
   // Containers fold fast-path pending tuples here (called with no locks
   // held by complete()); default is a no-op.  Implementations take mu_
   // themselves, so the capability must be free on entry.
   virtual Info flush_pending() GRB_EXCLUDES(mu_) { return Info::kSuccess; }
 
-  // True when the queued sequence already contains a kFlush node covering
-  // absolute consumed-count `upto` — container enqueue overrides use this
-  // to avoid injecting one flush node per deferred method when a single
-  // earlier fold already batches the outstanding tuples.  Scans the live
-  // queue (not a cached counter) so poison-time queue clears cannot leave
-  // it stale.
+  // Appends `op` with its telemetry stamps.  `flush_upto` marks a
+  // container's pending-tuple fold (0 for every other method).
+  void append(std::function<Info()> op, uint64_t flush_upto)
+      GRB_EXCLUDES(mu_);
+
+  // True when the queued sequence already contains a pending-tuple fold
+  // covering absolute consumed-count `upto` — container enqueue overrides
+  // use this to avoid injecting one fold per deferred method when a
+  // single earlier fold already batches the outstanding tuples.  Scans
+  // the live queue (not a cached counter) so poison-time queue clears
+  // cannot leave it stale.
   bool flush_queued_covering(uint64_t upto) const GRB_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
-      if (it->node.kind == FuseNode::Kind::kFlush &&
-          it->node.flush_upto >= upto)
-        return true;
+      if (it->flush_upto >= upto) return true;
     }
     return false;
   }
@@ -212,7 +201,6 @@ class ObjectBase {
 // Shorthand used by the operation layer: execute `op` now (blocking mode)
 // or append it to `out`'s sequence (nonblocking).  In blocking mode an
 // execution error poisons the output and is returned immediately.
-Info defer_or_run(ObjectBase* out, std::function<Info()> op,
-                  FuseNode node = FuseNode{});
+Info defer_or_run(ObjectBase* out, std::function<Info()> op);
 
 }  // namespace grb

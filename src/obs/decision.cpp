@@ -58,8 +58,7 @@ const Field<SiteAgg, SiteCounters> kSiteFields[] = {
 };
 
 constexpr const char* kSiteNames[kDecisionSiteCount] = {
-    "exec_path",       "spgemm_accum", "masked_dot",
-    "transpose_cache", "fusion_plan",
+    "exec_path", "spgemm_accum", "masked_dot", "transpose_cache",
 };
 
 std::vector<Keyed<SiteAgg>> site_rows() {

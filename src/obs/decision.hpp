@@ -16,7 +16,7 @@
 // (kDecisionFlag); when the bit is clear the site pays only that load.
 // The record path is allocation-free — fixed slots, static-string
 // alternative names — so sites inside no-alloc lock zones (transpose,
-// spgemm, fusion) may emit directly, though they should still prefer to
+// spgemm) may emit directly, though they should still prefer to
 // emit outside critical sections.
 //
 // Registry: GRB_DECISION_SITES below names every translation unit that
@@ -38,7 +38,6 @@
 // directions by tools/grb_analyze.py (decision-audit-coverage).
 #define GRB_DECISION_SITES      \
   "src/exec/context.cpp",       \
-  "src/exec/fusion.cpp",        \
   "src/ops/spgemm.hpp",         \
   "src/ops/mxm.cpp",            \
   "src/ops/transpose.cpp"
@@ -53,16 +52,14 @@ enum class DecisionSite : uint8_t {
   kSpgemmAccum = 1,     // hash vs. dense SPA rows (ops/spgemm.hpp)
   kMaskedDot = 2,       // dot-product vs. saxpy masked mxm (ops/mxm.cpp)
   kTransposeCache = 3,  // cached vs. rebuilt A' view (ops/transpose.cpp)
-  kFusionPlan = 4,      // fused chains vs. eager replay (exec/fusion.cpp)
 };
-constexpr int kDecisionSiteCount = 5;
+constexpr int kDecisionSiteCount = 4;
 
 const char* decision_site_name(DecisionSite site);
 
 // A completed audit record as readers see it, and the audit ring's
 // payload (so no padding: see SeqRing).  Cost units are site-specific
-// (flops for the kernels, entries for the transpose cache, node counts
-// for fusion) — predicted and alternative share units within one site,
+// (flops for the kernels, entries for the transpose cache) — predicted and alternative share units within one site,
 // which is all the mispredict test needs.
 struct DecisionRecord {
   uint64_t seq = 0;          // global emission sequence (1-based)

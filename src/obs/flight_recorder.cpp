@@ -77,8 +77,6 @@ const char* kind_name(uint8_t kind) {
     case FrKind::kApiError: return "api-error";
     case FrKind::kDeferredExec: return "deferred-exec";
     case FrKind::kPoison: return "poison";
-    case FrKind::kFusionPlan: return "fusion-plan";
-    case FrKind::kFusionExec: return "fusion-exec";
     case FrKind::kEnqueue: return "enqueue";
     case FrKind::kWatchdog: return "watchdog";
     case FrKind::kDecision: return "decision";

@@ -31,8 +31,7 @@ enum class FrKind : uint8_t {
   kApiError = 1,   // an entry point returned an execution error
   kDeferredExec = 2,  // a deferred method ran during complete()
   kPoison = 3,     // an object recorded its first deferred error
-  kFusionPlan = 4,  // the fusion planner selected chains / dead writes
-  kFusionExec = 5,  // a fused group ran (info = node count)
+  // 4 and 5 are unused, so later kinds keep their values.
   kEnqueue = 6,    // a method was deferred onto an object's queue
   kWatchdog = 7,   // the stall watchdog tripped (info = stalled ms)
   kDecision = 8,   // an adaptive cost-model branch chose a strategy

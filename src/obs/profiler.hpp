@@ -64,7 +64,7 @@ void prof_end(const ProfStart& st, const char* op, const char* strategy);
 
 // RAII region around a kernel.  `op` defaults to the TLS current op;
 // `strategy` names the alternative that ran ("hash", "dense", "dot",
-// "saxpy", "fused", ...) and is the join key against DecisionRecord
+// "saxpy", ...) and is the join key against DecisionRecord
 // .chosen.  Both must have static storage duration.
 class ProfScope {
  public:

@@ -262,11 +262,6 @@ struct Globals {
   std::atomic<uint64_t> spgemm_flops_est{0};
   std::atomic<uint64_t> arena_hits{0};
   std::atomic<uint64_t> arena_misses{0};
-  // Fusion-planner outcomes (chains selected, nodes fused into them,
-  // dead writes eliminated) accumulated across materialization batches.
-  std::atomic<uint64_t> fusion_chains{0};
-  std::atomic<uint64_t> fusion_ops_fused{0};
-  std::atomic<uint64_t> fusion_dead_writes{0};
   // Descriptor-transpose cache outcomes.
   std::atomic<uint64_t> format_trans_hits{0};
   std::atomic<uint64_t> format_trans_misses{0};
@@ -799,23 +794,6 @@ void arena_request(bool hit) {
       .fetch_add(1, std::memory_order_relaxed);
 }
 
-void fusion_plan(uint64_t chains, uint64_t ops_fused, uint64_t dead_writes) {
-  if (!stats_enabled()) return;
-  if (chains != 0)
-    g_globals.fusion_chains.fetch_add(chains, std::memory_order_relaxed);
-  if (ops_fused != 0)
-    g_globals.fusion_ops_fused.fetch_add(ops_fused, std::memory_order_relaxed);
-  if (dead_writes != 0)
-    g_globals.fusion_dead_writes.fetch_add(dead_writes,
-                                           std::memory_order_relaxed);
-}
-
-void fusion_span(const char* name, uint64_t t0) {
-  if (!trace_enabled()) return;
-  record_event(name, "fusion", 'X', t0, now_ns() - t0, nullptr, 0, 0,
-               current_ctx());
-}
-
 void format_transpose_cache(bool hit) {
   if (!stats_enabled()) return;
   (hit ? g_globals.format_trans_hits : g_globals.format_trans_misses)
@@ -1054,16 +1032,6 @@ const Scalar kGlobals[] = {
       "counter", "outcome=\"hit\""}},
     {"arena.reuse_misses", nullptr, &g_globals.arena_misses, nullptr,
      {"grb_arena_requests_total", nullptr, nullptr, "outcome=\"miss\""}},
-    {"fusion.chains", nullptr, &g_globals.fusion_chains, nullptr,
-     {"grb_fusion_chains_total", "Fused chains the planner selected.",
-      "counter"}},
-    {"fusion.ops_fused", nullptr, &g_globals.fusion_ops_fused, nullptr,
-     {"grb_fusion_ops_fused_total", "Deferred methods run in fused chains.",
-      "counter"}},
-    {"fusion.dead_writes_eliminated", nullptr, &g_globals.fusion_dead_writes,
-     nullptr,
-     {"grb_fusion_dead_writes_eliminated_total",
-      "Deferred writes the planner dropped as dead.", "counter"}},
     {"format.transpose_cache_hits", nullptr, &g_globals.format_trans_hits,
      nullptr,
      {"grb_format_transpose_cache_total",

@@ -13,7 +13,7 @@
 //  * spans (trace): Chrome trace-event JSON ("X" complete events around
 //    every GrB_*/GxB_* entry and every deferred-method execution, "C"
 //    counter events for gauges, "s"/"t" flow events linking an enqueue
-//    to the deferred/fused execution it produced), loadable in
+//    to the deferred execution it produced), loadable in
 //    chrome://tracing / Perfetto.
 //
 // Overhead contract: every hook begins with one relaxed atomic load of
@@ -195,17 +195,6 @@ void spgemm_flops_estimated(uint64_t n);
 // allocation or clear ("arena.reuse_hits" / "arena.reuse_misses").
 void arena_request(bool hit);
 
-// Fusion-planner outcome for one materialization batch: fused chains
-// selected ("fusion.chains"), nodes inside them ("fusion.ops_fused"),
-// and dead writes eliminated ("fusion.dead_writes_eliminated").
-// Stats-gated; the planner calls it once per plan, never per node.
-void fusion_plan(uint64_t chains, uint64_t ops_fused, uint64_t dead_writes);
-
-// Emits a complete-event span ("fusion.plan" / "fusion.exec") covering
-// planner or fused-group work.  Trace-gated; `t0` is the now_ns() stamp
-// taken when the phase began.
-void fusion_span(const char* name, uint64_t t0);
-
 // Transpose cache (ops/transpose.cpp): counts descriptor-transpose reads
 // served from / missing the per-snapshot cached transpose
 // ("format.transpose_cache_hits" / "format.transpose_cache_misses").
@@ -214,7 +203,7 @@ void format_transpose_cache(bool hit);
 
 // --- Causal flow linking ---------------------------------------------------
 // Chrome flow events tie the API span that enqueued a deferred method to
-// the deferred/fused span that later executed it.  The enqueue site
+// the deferred span that later executed it.  The enqueue site
 // draws a flow id from next_flow_id(), emits the "s" (start) record
 // inside the API span via flow_begin, and stashes the id on the node;
 // the execution site emits the matching "t" (step) record via flow_step

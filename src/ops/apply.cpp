@@ -17,8 +17,7 @@ namespace {
 // Each parallel chunk builds its own MapFn from the factory (generic
 // runners own scratch buffers) and maps its whole run of entries in one
 // call.  Every output entry depends only on its own input entry, so
-// chunking cannot change the result.  The fusion planner's ChainRunner
-// (ops/fused_exec.cpp) runs the same MapFn over the same runs.
+// chunking cannot change the result.
 std::shared_ptr<VectorData> map_vector(Context* ctx, const VectorData& u,
                                        const Type* ztype,
                                        const MapFactory& factory) {
@@ -122,17 +121,13 @@ Info capture_scalar(ValueBuf* buf, const Type* to, const void* s,
 }
 
 // ---- shared deferral -------------------------------------------------------
-// Every apply form is a structure-preserving value map over its input.
-// `factory` builds the per-chunk span mapper (MapFn, exec/fusion.hpp)
-// used by BOTH the eager closure and — when the writeback is a plain
-// replace (no mask, no accumulator) — the fusion planner, so the fused
-// and eager paths run literally the same kernel.
+// Every apply form is a structure-preserving value map over its input;
+// `factory` builds the per-chunk span mapper (MapFn, ops/op_apply.hpp).
 //
 // Plain self-apply (u == w) skips the eager input snapshot and reads
 // w->current_data() inside the closure instead: by FIFO ordering of the
-// deferred queue both see the same data, and staying lazy is what lets
-// the planner accumulate apply→apply chains instead of forcing a
-// materialization per call.
+// deferred queue both see the same data, and staying lazy keeps a chain
+// of self-applies queued instead of forcing completion on every call.
 
 Info defer_vec_map(Vector* w, const Vector* u, const Vector* mask,
                    const BinaryOp* accum, const Descriptor& d,
@@ -145,19 +140,6 @@ Info defer_vec_map(Vector* w, const Vector* u, const Vector* mask,
   if (mask != nullptr)
     GRB_RETURN_IF_ERROR(const_cast<Vector*>(mask)->snapshot(&m_snap));
   WritebackSpec spec = make_spec(accum, mask != nullptr, d);
-  FuseNode node;
-  if (plain) {
-    node.kind = FuseNode::Kind::kMap;
-    node.ztype = ztype;
-    node.make_mapper = factory;
-    node.full_replace = true;
-    if (!lazy_self) {
-      // Overwrites w from u's snapshot without reading w: a chain head
-      // and a dead-write killer.
-      node.reads_out = false;
-      node.vsrc = u_snap;
-    }
-  }
   return defer_or_run(
       w,
       [w, u_snap, m_snap, spec, ztype,
@@ -168,8 +150,7 @@ Info defer_vec_map(Vector* w, const Vector* u, const Vector* mask,
         auto t = map_vector(ectx, *uu, ztype, factory);
         publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
-      },
-      std::move(node));
+      });
 }
 
 Info defer_mat_map(Matrix* c, const Matrix* a, const Matrix* mask,
@@ -184,25 +165,6 @@ Info defer_mat_map(Matrix* c, const Matrix* a, const Matrix* mask,
   if (mask != nullptr)
     GRB_RETURN_IF_ERROR(const_cast<Matrix*>(mask)->snapshot(&m_snap));
   WritebackSpec spec = make_spec(accum, mask != nullptr, d);
-  FuseNode node;
-  if (plain) {
-    if (!t0) {
-      node.kind = FuseNode::Kind::kMap;
-      node.ztype = ztype;
-      node.make_mapper = factory;
-      node.full_replace = true;
-      if (!lazy_self) {
-        node.reads_out = false;
-        node.msrc = a_snap;
-      }
-    } else {
-      // Transposed input: the pass is not a map over the stored layout,
-      // so it stays opaque — but it still fully replaces c without
-      // reading it (any self-read completed at snapshot time above).
-      node.reads_out = false;
-      node.full_replace = true;
-    }
-  }
   return defer_or_run(
       c,
       [c, a_snap, m_snap, spec, ztype, t0,
@@ -215,8 +177,7 @@ Info defer_mat_map(Matrix* c, const Matrix* a, const Matrix* mask,
                             ztype, factory);
         publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
-      },
-      std::move(node));
+      });
 }
 
 }  // namespace

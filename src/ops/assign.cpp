@@ -14,10 +14,13 @@
 
 #include "ops/common.hpp"
 #include "ops/op_apply.hpp"
-#include "ops/vector_merge.hpp"
 
 namespace grb {
 namespace {
+
+// Values per tile when the scalar-assign accumulator stages a run of
+// entries through a scratch buffer: small enough to stay in L1.
+constexpr size_t kValueTile = 512;
 
 bool is_all(const Index* indices) { return indices == all_indices(); }
 
@@ -156,7 +159,7 @@ Info run_vector_assign(Vector* w, const Vector* mask, const BinaryOp* accum,
         });
     publish_result(w, w->context(), std::move(z), m_snap.get(), spec);
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 // w(:) = s or w(:) = accum(w(:), s) with no mask and no complement:
@@ -234,7 +237,7 @@ Info assign_scalar_all(Vector* w, const BinaryOp* accum, const void* s,
     });
     publish_result(w, w->context(), std::move(z), nullptr, WritebackSpec{});
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 // Shared implementation for matrix assigns: per-row canonical updates.
@@ -288,7 +291,7 @@ Info run_matrix_assign(Matrix* c, const Matrix* mask, const BinaryOp* accum,
     }
     publish_result(c, c->context(), std::move(z), m_snap.get(), spec);
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ Info Vector::build(const Index* indices, const void* values, Index nvals,
     publish(std::move(out));
     return Info::kSuccess;
   };
-  return defer_or_run(this, std::move(op), FuseNode{});
+  return defer_or_run(this, std::move(op));
 }
 
 Info Matrix::build(const Index* row_indices, const Index* col_indices,
@@ -199,7 +199,7 @@ Info Matrix::build(const Index* row_indices, const Index* col_indices,
     publish(std::move(out));
     return Info::kSuccess;
   };
-  return defer_or_run(this, std::move(op), FuseNode{});
+  return defer_or_run(this, std::move(op));
 }
 
 }  // namespace grb

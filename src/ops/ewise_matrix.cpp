@@ -111,14 +111,6 @@ Info ewise_m(Matrix* c, const Matrix* mask, const BinaryOp* accum,
   WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
   bool t0 = d.tran0(), t1 = d.tran1();
-  // Plain replace: overwrites c from input snapshots without reading it
-  // (a self-input completed at snapshot time), so earlier queued writes
-  // to c are dead.  Stays opaque to chain fusion.
-  FuseNode node;
-  if (mask == nullptr && accum == nullptr && !d.mask_comp()) {
-    node.reads_out = false;
-    node.full_replace = true;
-  }
   return defer_or_run(
       c,
       [c, a_snap, b_snap, m_snap, op, spec, t0, t1]() -> Info {
@@ -131,8 +123,7 @@ Info ewise_m(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         auto t = compute_ewise_m<kUnion>(ectx, *av, *bv, op);
         publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
-      },
-      std::move(node));
+      });
 }
 
 }  // namespace

@@ -100,10 +100,10 @@ Info ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
              const Descriptor* desc) {
   GRB_RETURN_IF_ERROR(validate_ewise_v(w, mask, accum, op, u, v));
   const Descriptor& d = resolve_desc(desc);
-  // Plain replaces participate in fusion; self operands stay lazy (the
-  // closure reads w->current_data() at execution, which by queue FIFO is
-  // identical to snapshotting here) so chains over w keep accumulating
-  // instead of forcing a materialization per call.
+  // In a plain replace, self operands stay lazy: the closure reads
+  // w->current_data() at execution, which by queue FIFO is identical to
+  // snapshotting here, so a chain of updates to w stays queued instead
+  // of forcing completion on every call.
   const bool plain = mask == nullptr && accum == nullptr && !d.mask_comp();
   const bool u_self = plain && u == w;
   const bool v_self = plain && v == w;
@@ -116,37 +116,6 @@ Info ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
     GRB_RETURN_IF_ERROR(const_cast<Vector*>(mask)->snapshot(&m_snap));
   WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
-  FuseNode node;
-  if (u_self && v_self) {
-    // w = op(w, w): both streams are identical, so the merge degenerates
-    // to a structure-preserving self map.
-    node.kind = FuseNode::Kind::kMap;
-    node.ztype = op->ztype();
-    node.full_replace = true;
-    const Type* wt = w->type();
-    node.make_mapper = [op, wt]() -> MapFn {
-      return with_binary_runner(op, wt, wt, [](auto make) -> MapFn {
-        return [run = make()](void* z, const void* x, size_t n,
-                              const Index*, Index) mutable {
-          run.run_n(z, x, x, n);
-        };
-      });
-    };
-  } else if (u_self || v_self) {
-    // Exactly one operand is the target: a zip of the running chain
-    // against the other operand's snapshot.
-    node.kind = FuseNode::Kind::kZip;
-    node.ztype = op->ztype();
-    node.full_replace = true;
-    node.zip_other = u_self ? v_snap : u_snap;
-    node.zip_op = op;
-    node.zip_union = kUnion;
-    node.zip_out_is_x = u_self;
-  } else if (plain) {
-    // Overwrites w from input snapshots without reading it: a killer.
-    node.reads_out = false;
-    node.full_replace = true;
-  }
   return defer_or_run(
       w,
       [w, u_snap, v_snap, m_snap, op, spec]() -> Info {
@@ -159,8 +128,7 @@ Info ewise_v(Vector* w, const Vector* mask, const BinaryOp* accum,
         auto t = compute_ewise_vector(ectx, *uu, *vv, kUnion, op);
         publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
-      },
-      std::move(node));
+      });
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ Info extract(Vector* w, const Vector* mask, const BinaryOp* accum,
         }
         publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
-      }, FuseNode{});
+      });
 }
 
 Info extract(Matrix* c, const Matrix* mask, const BinaryOp* accum,
@@ -145,7 +145,7 @@ Info extract(Matrix* c, const Matrix* mask, const BinaryOp* accum,
     }
     publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 Info extract_col(Vector* w, const Vector* mask, const BinaryOp* accum,
@@ -190,7 +190,7 @@ Info extract_col(Vector* w, const Vector* mask, const BinaryOp* accum,
     }
     publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 }  // namespace grb

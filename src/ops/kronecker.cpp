@@ -73,7 +73,7 @@ Info kronecker(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         });
         publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
-      }, FuseNode{});
+      });
 }
 
 }  // namespace grb

@@ -65,14 +65,6 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
   WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
   bool t0 = d.tran0(), t1 = d.tran1();
-  // Plain replace: c is rebuilt from the snapshots without reading its
-  // old state (a self-input completed at snapshot time), so earlier
-  // queued writes to c are dead.  Opaque to chain fusion.
-  FuseNode node;
-  if (mask == nullptr && accum == nullptr && !d.mask_comp()) {
-    node.reads_out = false;
-    node.full_replace = true;
-  }
   return defer_or_run(
       c,
       [c, a_snap, b_snap, m_snap, s, spec, t0, t1]() -> Info {
@@ -192,8 +184,7 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         // publish it directly under replace or into an empty C.
         publish_result(c, ctx, std::move(t), m_snap.get(), spec, t_in_mask);
         return Info::kSuccess;
-      },
-      std::move(node));
+      });
 }
 
 }  // namespace grb

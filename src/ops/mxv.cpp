@@ -32,14 +32,6 @@ Info mxv(Vector* w, const Vector* mask, const BinaryOp* accum,
   WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
   bool t0 = d.tran0();
-  // Plain replace: w is rebuilt from the snapshots without reading its
-  // old state (a self-input completed at snapshot time), so earlier
-  // queued writes to w are dead.  Opaque to chain fusion.
-  FuseNode node;
-  if (mask == nullptr && accum == nullptr && !d.mask_comp()) {
-    node.reads_out = false;
-    node.full_replace = true;
-  }
   return defer_or_run(w, [w, a_snap, u_snap, m_snap, s, spec, t0]() -> Info {
     Context* ctx =
         exec_context(w->context(), a_snap->nvals() + u_snap->nvals());
@@ -57,7 +49,7 @@ Info mxv(Vector* w, const Vector* mask, const BinaryOp* accum,
     if (obs::stats_enabled()) obs::add_flops(av->nvals());
     publish_result(w, ctx, std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
-  }, std::move(node));
+  });
 }
 
 }  // namespace grb

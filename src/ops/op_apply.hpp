@@ -19,12 +19,12 @@
 
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <type_traits>
 
 #include "core/binary_op.hpp"
 #include "core/scalar_ops.hpp"
 #include "core/unary_op.hpp"
-#include "exec/fusion.hpp"
 
 namespace grb {
 
@@ -356,7 +356,20 @@ decltype(auto) with_unary_runner(const UnaryOp* op, const Type* xt,
   }
 }
 
-// Span mappers (MapFn, exec/fusion.hpp) of the value-only apply forms,
+// A span mapper over a contiguous run of n stored entries: z[k] = f(x[k])
+// for k < n, values packed at their domains' strides.  Entry k sits at
+// index idx[k] of a vector, or at (row, idx[k]) of a matrix, so
+// index-dependent operators (GrB_IndexUnaryOp) map like value-only ones.
+// One call maps a whole run, so the std::function call is paid per run
+// of entries, not per entry.
+using MapFn = std::function<void(void* z, const void* x, size_t n,
+                                 const Index* idx, Index row)>;
+
+// Builds one MapFn per worker chunk (generic runners own scratch
+// buffers); operator state such as bound scalars is captured by value.
+using MapFactory = std::function<MapFn()>;
+
+// Span mappers of the value-only apply forms,
 // on the runner the selectors above pick when the factory runs (at
 // execution, once per chunk, so set_fastpath_enabled() governs queued
 // work too).  apply (ops/apply.cpp) defers them; scalar assign's

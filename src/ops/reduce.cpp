@@ -168,7 +168,7 @@ Info reduce_to_vector(Vector* w, const Vector* mask, const BinaryOp* accum,
     });
     publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 // ---- typed-output scalar reduce (1.X style, always immediate) -------------
@@ -243,7 +243,7 @@ Info reduce_to_scalar(Scalar* out, const BinaryOp* accum,
     bool present =
         reduce_all_vector(out->context(), *snap, monoid, sum.data());
     return scalar_writeback(out, accum, monoid->type(), sum.data(), present);
-  }, FuseNode{});
+  });
 }
 
 Info reduce_to_scalar(Scalar* out, const BinaryOp* accum,
@@ -262,7 +262,7 @@ Info reduce_to_scalar(Scalar* out, const BinaryOp* accum,
     bool present =
         reduce_all_matrix(out->context(), *snap, monoid, sum.data());
     return scalar_writeback(out, accum, monoid->type(), sum.data(), present);
-  }, FuseNode{});
+  });
 }
 
 // ---- GrB_Scalar-output reduce with a plain BinaryOp (Table II) ------------
@@ -286,7 +286,7 @@ Info reduce_to_scalar_binop(Scalar* out, const BinaryOp* accum,
         fold_values(out->context(), snap->vals, snap->ind.size(),
                     snap->type, op, nullptr, sum.data());
     return scalar_writeback(out, accum, op->ztype(), sum.data(), present);
-  }, FuseNode{});
+  });
 }
 
 Info reduce_to_scalar_binop(Scalar* out, const BinaryOp* accum,
@@ -308,7 +308,7 @@ Info reduce_to_scalar_binop(Scalar* out, const BinaryOp* accum,
         fold_values(out->context(), snap->vals, snap->col.size(),
                     snap->type, op, nullptr, sum.data());
     return scalar_writeback(out, accum, op->ztype(), sum.data(), present);
-  }, FuseNode{});
+  });
 }
 
 }  // namespace grb

@@ -111,7 +111,7 @@ Info select(Vector* w, const Vector* mask, const BinaryOp* accum,
     });
     publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 Info select(Matrix* c, const Matrix* mask, const BinaryOp* accum,
@@ -183,7 +183,7 @@ Info select(Matrix* c, const Matrix* mask, const BinaryOp* accum,
     });
     publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
-  }, FuseNode{});
+  });
 }
 
 }  // namespace grb

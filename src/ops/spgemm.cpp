@@ -11,12 +11,11 @@ namespace {
 // Dense scratch small enough to always prefer (cache-resident SPA beats
 // a hash table when the whole thing fits in L2).
 constexpr uint64_t kSmallDenseBytes = 256u << 10;
-constexpr size_t kDefaultDenseBudget = 64u << 20;
 
 // -1 = not yet resolved; resolved lazily so GRB_SPGEMM is honored no
 // matter which entry point touches the engine first.
 std::atomic<int> g_mode{-1};
-std::atomic<uint64_t> g_dense_budget{0};
+std::atomic<size_t> g_dense_budget{kDenseBudget};
 
 SpgemmMode resolve_mode_from_env() {
   const char* env = std::getenv("GRB_SPGEMM");
@@ -26,16 +25,6 @@ SpgemmMode resolve_mode_from_env() {
     if (std::strcmp(env, "reference") == 0) return SpgemmMode::kReference;
   }
   return SpgemmMode::kAuto;
-}
-
-uint64_t resolve_budget_from_env() {
-  const char* env = std::getenv("GRB_SPGEMM_DENSE_BUDGET");
-  if (env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && v != 0) return v;
-  }
-  return kDefaultDenseBudget;
 }
 
 }  // namespace
@@ -55,15 +44,11 @@ void set_spgemm_mode(SpgemmMode mode) {
 }
 
 size_t spgemm_dense_budget() {
-  uint64_t b = g_dense_budget.load(std::memory_order_relaxed);
-  if (b != 0) return static_cast<size_t>(b);
-  uint64_t resolved = resolve_budget_from_env();
-  g_dense_budget.store(resolved, std::memory_order_relaxed);
-  return static_cast<size_t>(resolved);
+  return g_dense_budget.load(std::memory_order_relaxed);
 }
 
 void set_spgemm_dense_budget(size_t bytes) {
-  g_dense_budget.store(bytes != 0 ? bytes : kDefaultDenseBudget,
+  g_dense_budget.store(bytes != 0 ? bytes : kDenseBudget,
                        std::memory_order_relaxed);
 }
 

@@ -30,8 +30,7 @@
 //
 // Overrides: GRB_SPGEMM=hash|dense|auto|reference pins the accumulator
 // choice (reference = the seed two-pass dense-SPA kernel, kept for
-// ablation benches and the differential oracle); GRB_SPGEMM_DENSE_BUDGET
-// sets the dense-scratch byte cap.
+// ablation benches and the differential oracle).
 #pragma once
 
 #include <algorithm>
@@ -61,8 +60,10 @@ SpgemmMode spgemm_mode();
 void set_spgemm_mode(SpgemmMode mode);
 
 // Byte cap for any O(ncols)-shaped scratch (dense SPA, transpose column
-// pointers, dense vector gathers).  Default 64 MiB; GRB_SPGEMM_DENSE_BUDGET
-// overrides.
+// pointers, dense vector gathers).  The setter exists for the SpGEMM
+// differential oracle, whose tiny-budget legs drive every row onto the
+// over-budget paths; 0 restores kDenseBudget.
+inline constexpr size_t kDenseBudget = size_t{64} << 20;
 size_t spgemm_dense_budget();
 void set_spgemm_dense_budget(size_t bytes);
 

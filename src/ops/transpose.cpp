@@ -91,7 +91,7 @@ Info transpose(Matrix* c, const Matrix* mask, const BinaryOp* accum,
     publish_result(c, c->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   };
-  return defer_or_run(c, std::move(op), FuseNode{});
+  return defer_or_run(c, std::move(op));
 }
 
 }  // namespace grb

@@ -1,5 +1,4 @@
-// The element-wise merge pass shared by the eager eWise kernels
-// (ops/ewise_vector.cpp) and the fused zip passes (ops/fused_exec.cpp),
+// The element-wise merge pass of the eWise kernels (ops/ewise_vector.cpp),
 // plus the full-vector test their fast cases key on (internal).
 //
 // A merged pass partitions the index space [0, n) into fixed blocks,
@@ -20,10 +19,6 @@
 #include "exec/context.hpp"
 
 namespace grb {
-
-// Values per tile when a kernel stages a run of entries through scratch
-// buffers (fused map chains, aligned zips): small enough to stay in L1.
-inline constexpr size_t kValueTile = 512;
 
 // A sorted-coordinate block that stores every position: its indices are
 // exactly 0..n-1, so position equals index and kernels need no merge.

@@ -33,14 +33,6 @@ Info vxm(Vector* w, const Vector* mask, const BinaryOp* accum,
   WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
   bool t1 = d.tran1();
-  // Plain replace: w is rebuilt from the snapshots without reading its
-  // old state (a self-input completed at snapshot time), so earlier
-  // queued writes to w are dead.  Opaque to chain fusion.
-  FuseNode node;
-  if (mask == nullptr && accum == nullptr && !d.mask_comp()) {
-    node.reads_out = false;
-    node.full_replace = true;
-  }
   return defer_or_run(w, [w, a_snap, u_snap, m_snap, s, spec, t1]() -> Info {
     std::shared_ptr<const MatrixData> av =
         t1 ? format_transpose_view(a_snap) : a_snap;
@@ -75,7 +67,7 @@ Info vxm(Vector* w, const Vector* mask, const BinaryOp* accum,
     if (obs::stats_enabled()) obs::add_flops(av->nvals());
     publish_result(w, w->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
-  }, std::move(node));
+  });
 }
 
 }  // namespace grb

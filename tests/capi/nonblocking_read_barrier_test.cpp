@@ -1,8 +1,7 @@
 // Nonblocking-mode read barrier: any C-API entry point that observes
 // container state (extractElement, nvals, reduce-to-scalar, export,
 // extractTuples) must first complete the deferred-op queue, so a caller
-// can never see a half-applied chain — with or without the fusion
-// planner rewriting the batch on the way out.
+// can never see a half-applied chain.
 #include <gtest/gtest.h>
 
 #include <vector>

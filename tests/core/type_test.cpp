@@ -1,9 +1,12 @@
 // Runtime type system: descriptors, casting, truthiness, UDT lifecycle.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/type.hpp"
+#include "graphblas/GraphBLAS.h"
 
 namespace grb {
 namespace {
@@ -48,6 +51,91 @@ TEST(TypeTest, CastDoubleToIntTruncates) {
   int32_t out = 0;
   cast_value(TypeInt32(), &out, TypeFP64(), &in);
   EXPECT_EQ(out, 3);
+}
+
+// The float inputs a saturating cast must define: NaN, both infinities
+// and both signs of a value beyond every integer domain.
+const double kOutOfRange[] = {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300,
+                              -1e300};
+const float kOutOfRangeF[] = {std::nanf(""), HUGE_VALF, -HUGE_VALF, 1e38f,
+                              -1e38f};
+
+// Expected saturation of kOutOfRange[k] into T.
+template <class T>
+T saturated(int k) {
+  using Lim = std::numeric_limits<T>;
+  const T want[] = {T{0}, Lim::max(), Lim::min(), Lim::max(), Lim::min()};
+  return want[k];
+}
+
+template <class T>
+void expect_saturates(const Type* to) {
+  for (int k = 0; k < 5; ++k) {
+    T out = T{1};
+    cast_value(to, &out, TypeFP64(), &kOutOfRange[k]);
+    EXPECT_EQ(out, saturated<T>(k)) << to->name() << " from FP64 #" << k;
+    out = T{1};
+    cast_value(to, &out, TypeFP32(), &kOutOfRangeF[k]);
+    EXPECT_EQ(out, saturated<T>(k)) << to->name() << " from FP32 #" << k;
+  }
+  // In-range values still truncate toward zero.
+  const double in = -2.75;
+  T out{};
+  cast_value(to, &out, TypeFP64(), &in);
+  EXPECT_EQ(out, std::is_signed_v<T> ? T(-2) : T{0});
+}
+
+TEST(TypeTest, FloatToIntCastsSaturate) {
+  expect_saturates<int8_t>(TypeInt8());
+  expect_saturates<uint8_t>(TypeUInt8());
+  expect_saturates<int16_t>(TypeInt16());
+  expect_saturates<uint16_t>(TypeUInt16());
+  expect_saturates<int32_t>(TypeInt32());
+  expect_saturates<uint32_t>(TypeUInt32());
+  expect_saturates<int64_t>(TypeInt64());
+  expect_saturates<uint64_t>(TypeUInt64());
+  // Just inside INT64's range: the largest double below 2^63.
+  const double below = std::nextafter(9223372036854775808.0, 0.0);
+  int64_t out = 0;
+  cast_value(TypeInt64(), &out, TypeFP64(), &below);
+  EXPECT_EQ(out, static_cast<int64_t>(below));
+}
+
+template <class T>
+void expect_extract_saturates(GrB_Matrix a) {
+  for (int k = 0; k < 5; ++k) {
+    T out = T{1};
+    ASSERT_EQ(GrB_Matrix_extractElement(&out, a, 0, k), GrB_SUCCESS);
+    EXPECT_EQ(out, saturated<T>(k)) << "entry " << k;
+  }
+}
+
+TEST(TypeTest, FloatToIntSaturatesThroughExtractAndSelect) {
+  GrB_Matrix a = nullptr, c = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, GrB_FP64, 1, 5), GrB_SUCCESS);
+  for (GrB_Index k = 0; k < 5; ++k)
+    ASSERT_EQ(GrB_Matrix_setElement(a, kOutOfRange[k], 0, k), GrB_SUCCESS);
+  expect_extract_saturates<int64_t>(a);
+  expect_extract_saturates<int32_t>(a);
+  expect_extract_saturates<uint8_t>(a);
+  expect_extract_saturates<uint64_t>(a);
+
+  // select keeps every entry (column - row >= 0) and casts into INT64.
+  ASSERT_EQ(GrB_Matrix_new(&c, GrB_INT64, 1, 5), GrB_SUCCESS);
+  ASSERT_EQ(GrB_select(c, GrB_NULL, GrB_NULL, GrB_TRIU, a, int64_t{0},
+                       GrB_NULL),
+            GrB_SUCCESS);
+  GrB_Index n = 5;
+  std::vector<GrB_Index> ri(n), ci(n);
+  std::vector<int64_t> vals(n);
+  ASSERT_EQ(GrB_Matrix_extractTuples(ri.data(), ci.data(), vals.data(), &n,
+                                     c),
+            GrB_SUCCESS);
+  ASSERT_EQ(n, 5u);
+  for (GrB_Index k = 0; k < n; ++k)
+    EXPECT_EQ(vals[k], saturated<int64_t>(static_cast<int>(ci[k]))) << k;
+  GrB_free(&c);
+  GrB_free(&a);
 }
 
 TEST(TypeTest, CastToBoolIsNonzeroTest) {

@@ -24,7 +24,6 @@
 
 #include "graphblas/GraphBLAS.h"
 #include "exec/context.hpp"
-#include "exec/fusion.hpp"
 #include "obs/decision.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/seq_ring.hpp"
@@ -33,21 +32,6 @@
 #include "util/prng.hpp"
 
 namespace {
-
-// Pins the deferred-op fusion planner off for oracles that count one
-// deferred execution (and one flop tally) per queued method — under
-// fusion a later full-replace mxm/mxv legitimately eliminates its
-// predecessors as dead writes.
-class FusionGuard {
- public:
-  explicit FusionGuard(bool on = false) : saved_(grb::fusion_enabled()) {
-    grb::set_fusion_enabled(on);
-  }
-  ~FusionGuard() { grb::set_fusion_enabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 std::string slurp(const std::string& path) {
   std::ifstream f(path);
@@ -221,12 +205,11 @@ void run_parity_script(GrB_Context ctx) {
 }
 
 // Leaf keys whose values the scripted sequence fixes exactly: call and
-// work counts, queue and fusion tallies, decision-audit counts — no
+// work counts, queue tallies, decision-audit counts — no
 // timings, byte sizes or flight-recorder positions.
 bool exact_count(const std::string& path) {
   static const char* const kPrefixes[] = {
-      "global/queue.", "global/pending.", "global/spgemm.", "global/fusion.",
-      "global/format."};
+      "global/queue.", "global/pending.", "global/spgemm.", "global/format."};
   for (const char* p : kPrefixes)
     if (path.rfind(p, 0) == 0) return true;
   if (path.rfind("ops/", 0) != 0 && path.rfind("decisions/sites/", 0) != 0)
@@ -258,7 +241,6 @@ std::vector<std::string> fixture_lines(const std::vector<JsonEntry>& entries,
 }
 
 TEST_F(ObsTest, CountersExactForKnownOpSequence) {
-  FusionGuard fusion_off;
   GrB_Matrix a = path_matrix(8);
   GrB_Matrix c = nullptr;
   GrB_Vector u = ones_vector(8);
@@ -386,7 +368,6 @@ TEST_F(ObsTest, SpgemmAccumulatorAndArenaCounters) {
 // measured outcome is the 6 output entries — a perfect prediction, so
 // the mispredict counter stays zero.
 TEST_F(ObsTest, DecisionCountersExactForPathMxm) {
-  FusionGuard fusion_off;
   grb::SpgemmMode saved_mode = grb::spgemm_mode();
   grb::set_spgemm_mode(grb::SpgemmMode::kHash);
   GrB_Matrix a = path_matrix(8);
@@ -409,9 +390,8 @@ TEST_F(ObsTest, DecisionCountersExactForPathMxm) {
   EXPECT_EQ(counter("decision.spgemm_accum.predicted_units"), 6u);
   EXPECT_EQ(counter("decision.spgemm_accum.measured_units"), 6u);
   // Sites that had no adaptive choice to make stay silent: no mask (so
-  // no masked-dot strategy), fusion pinned off, no transpose view.
+  // no masked-dot strategy), no transpose view.
   EXPECT_EQ(counter("decision.masked_dot.records"), 0u);
-  EXPECT_EQ(counter("decision.fusion_plan.records"), 0u);
   EXPECT_EQ(counter("decision.transpose_cache.records"), 0u);
   EXPECT_EQ(counter("decision.mispredicts"), 0u);
   EXPECT_GT(counter("decision.ring_capacity"), 0u);
@@ -442,7 +422,6 @@ TEST_F(ObsTest, DecisionCountersExactForPathMxm) {
 // rows of the unpruned graph) then takes the dot kernel, whose merge steps are counted
 // and never exceed the prediction.
 TEST_F(ObsTest, KtrussMaskedMxmAuditHasNoMispredicts) {
-  FusionGuard fusion_off;
   const grb::MxmStrategy saved = grb::mxm_strategy();
   grb::set_mxm_strategy(grb::MxmStrategy::kAuto);
   constexpr GrB_Index kN = 300;
@@ -514,7 +493,6 @@ TEST_F(ObsTest, KtrussMaskedMxmAuditHasNoMispredicts) {
 }
 
 TEST_F(ObsTest, QueueDepthHighWaterMatchesScriptedBuildWait) {
-  FusionGuard fusion_off;
   GrB_Matrix a = path_matrix(8);
   GrB_Vector u = ones_vector(8);
   GrB_Vector w = nullptr;
@@ -548,10 +526,10 @@ TEST_F(ObsTest, QueueDepthHighWaterMatchesScriptedBuildWait) {
   GrB_free(&w);
 }
 
-// Exact oracles for the fusion planner's counters on hand-built chains
-// whose plan is fully predictable.
-TEST_F(ObsTest, FusionCountersExactForHandBuiltChain) {
-  FusionGuard fusion_on(true);
+// Every queued method runs at completion: three self-applies tally
+// three deferred executions, and of two back-to-back plain mxv's, the
+// first (overwritten before any read) still runs.
+TEST_F(ObsTest, DeferredCountersExactForHandBuiltChain) {
   GrB_Matrix a = path_matrix(8);
   GrB_Vector u = ones_vector(8);
   GrB_Vector w = ones_vector(8);
@@ -559,41 +537,21 @@ TEST_F(ObsTest, FusionCountersExactForHandBuiltChain) {
   ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
   ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
 
-  // Three plain self-applies queue three fusable map nodes; the wait
-  // plans them as one chain executed in a single pass.
   for (int i = 0; i < 3; ++i)
     ASSERT_EQ(GrB_apply(w, GrB_NULL, GrB_NULL, GrB_ABS_FP64, w, GrB_NULL),
               GrB_SUCCESS);
   ASSERT_EQ(GrB_wait(w, GrB_MATERIALIZE), GrB_SUCCESS);
-  EXPECT_EQ(counter("fusion.chains"), 1u);
-  EXPECT_EQ(counter("fusion.ops_fused"), 3u);
-  EXPECT_EQ(counter("fusion.dead_writes_eliminated"), 0u);
-  // Each fused node still tallies a deferred execution for op parity.
   EXPECT_EQ(counter("GrB_apply.deferred"), 3u);
+  EXPECT_EQ(counter("queue.enqueued"), 3u);
 
-  // Two plain full-replace mxv's: the planner eliminates the first as a
-  // dead write (its output is overwritten wholesale before any read).
   for (int i = 0; i < 2; ++i)
     ASSERT_EQ(GrB_mxv(w, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64,
                       a, u, GrB_NULL),
               GrB_SUCCESS);
   ASSERT_EQ(GrB_wait(w, GrB_MATERIALIZE), GrB_SUCCESS);
-  EXPECT_EQ(counter("fusion.dead_writes_eliminated"), 1u);
-  // Opaque kernel nodes never fuse into chains.
-  EXPECT_EQ(counter("fusion.chains"), 1u);
-  EXPECT_EQ(counter("fusion.ops_fused"), 3u);
-  // The dead mxv never executed: one deferred tally, not two.
-  EXPECT_EQ(counter("GrB_mxv.deferred"), 1u);
-
-  // The counters surface through the JSON report.
-  std::vector<char> buf(1 << 16);
-  GrB_Index len = buf.size();
-  ASSERT_EQ(GxB_Stats_json(buf.data(), &len), GrB_SUCCESS);
-  std::string json(buf.data());
-  EXPECT_NE(json.find("\"fusion.chains\""), std::string::npos);
-  EXPECT_NE(json.find("\"fusion.ops_fused\""), std::string::npos);
-  EXPECT_NE(json.find("\"fusion.dead_writes_eliminated\""),
-            std::string::npos);
+  EXPECT_EQ(counter("GrB_mxv.deferred"), 2u);
+  EXPECT_EQ(counter("queue.enqueued"), 5u);
+  EXPECT_EQ(counter("queue.drained"), 5u);
 
   GrB_free(&a);
   GrB_free(&u);
@@ -604,7 +562,6 @@ TEST_F(ObsTest, FusionCountersExactForHandBuiltChain) {
 // descriptor-transpose read of a snapshot either reuses its cached
 // transpose (hit) or pays the counting sort (miss).
 TEST_F(ObsTest, FormatCountersExactForKnownSequence) {
-  FusionGuard fusion_off;
   GrB_Matrix a = path_matrix(8);
   GrB_Vector u = ones_vector(8);
   GrB_Vector w = ones_vector(8);
@@ -664,28 +621,34 @@ TEST_F(ObsTest, FormatCountersExactForKnownSequence) {
   GrB_free(&w);
 }
 
-// The always-on flight recorder must show the plan before the fused
-// execution, and the fused execution before the per-node deferred-exec
-// events it wraps — the causal order a post-mortem reader relies on.
-TEST_F(ObsTest, FlightRecorderLogsFusionInCausalOrder) {
-  FusionGuard fusion_on(true);
+// The always-on flight recorder shows each queued method's enqueue
+// before its deferred execution, and the executions in program order —
+// the causal order a post-mortem reader relies on.
+TEST_F(ObsTest, FlightRecorderLogsDeferralInCausalOrder) {
   GrB_Vector w = ones_vector(8);
+  ASSERT_EQ(GrB_wait(w, GrB_MATERIALIZE), GrB_SUCCESS);
   uint64_t before = grb::obs::fr_event_count();
   for (int i = 0; i < 3; ++i)
     ASSERT_EQ(GrB_apply(w, GrB_NULL, GrB_NULL, GrB_AINV_FP64, w, GrB_NULL),
               GrB_SUCCESS);
   ASSERT_EQ(GrB_wait(w, GrB_MATERIALIZE), GrB_SUCCESS);
-  EXPECT_GT(grb::obs::fr_event_count(), before);
+  EXPECT_GE(grb::obs::fr_event_count(), before + 6);
 
   std::string text = grb::obs::fr_text(0);
-  size_t plan = text.rfind("fusion-plan");
-  size_t exec = text.rfind("fusion-exec");
-  ASSERT_NE(plan, std::string::npos) << text;
-  ASSERT_NE(exec, std::string::npos) << text;
-  EXPECT_LT(plan, exec);
-  // The fused group's nodes log deferred-exec after the group event.
-  size_t deferred = text.find("deferred-exec", exec);
-  EXPECT_NE(deferred, std::string::npos) << text;
+  // Positions of the last three records of a kind, latest first.
+  auto last3 = [&](const char* kind) {
+    std::vector<size_t> pos;
+    for (size_t at = text.rfind(kind); at != std::string::npos;
+         at = at == 0 ? std::string::npos : text.rfind(kind, at - 1)) {
+      pos.push_back(at);
+      if (pos.size() == 3) break;
+    }
+    return pos;
+  };
+  std::vector<size_t> enq = last3("enqueue"), exec = last3("deferred-exec");
+  ASSERT_EQ(enq.size(), 3u) << text;
+  ASSERT_EQ(exec.size(), 3u) << text;
+  EXPECT_LT(enq[0], exec[2]) << text;
 
   GrB_free(&w);
 }
@@ -841,10 +804,6 @@ const std::map<std::string, std::string> kGlobalSeries = {
     {"spgemm.flops_estimated", "grb_spgemm_flops_estimated_total"},
     {"arena.reuse_hits", "grb_arena_requests_total{outcome=\"hit\"}"},
     {"arena.reuse_misses", "grb_arena_requests_total{outcome=\"miss\"}"},
-    {"fusion.chains", "grb_fusion_chains_total"},
-    {"fusion.ops_fused", "grb_fusion_ops_fused_total"},
-    {"fusion.dead_writes_eliminated",
-     "grb_fusion_dead_writes_eliminated_total"},
     {"format.transpose_cache_hits",
      "grb_format_transpose_cache_total{outcome=\"hit\"}"},
     {"format.transpose_cache_misses",

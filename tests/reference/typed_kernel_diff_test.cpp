@@ -4,10 +4,10 @@
 // operator's scalar body (ops/op_apply.hpp); set_fastpath_enabled(false)
 // forces the generic function-pointer runner through the same kernels.
 // This harness runs one op program per (domain, binary op, operand
-// shapes) -- eWiseAdd/eWiseMult eager and fused, apply (unary, bind1st,
-// bind2nd), reduce to scalar (monoid and plain binary op), scalar assign
-// to GrB_ALL with and without an accumulator -- at {1, 4} threads with
-// fusion off and on, once per path, and requires bitwise-identical
+// shapes) -- eWiseAdd/eWiseMult over distinct and self operands, apply
+// (unary, bind1st, bind2nd), reduce to scalar (monoid and plain binary
+// op), scalar assign to GrB_ALL with and without an accumulator -- at
+// {1, 4} threads, once per path, and requires bitwise-identical
 // results.  Operand values include NaN, +-Inf, -0.0, INT64 extremes (for
 // overflow, x/0 and INT64_MIN/-1) and both booleans.
 #include <gtest/gtest.h>
@@ -40,15 +40,6 @@ struct FastpathGuard {
     grb::set_fastpath_enabled(on);
   }
   ~FastpathGuard() { grb::set_fastpath_enabled(saved); }
-};
-
-struct FusionGuard {
-  int saved;
-  explicit FusionGuard(bool on) {
-    EXPECT_EQ(GxB_Fusion_get(&saved), GrB_SUCCESS);
-    EXPECT_EQ(GxB_Fusion_set(on ? 1 : 0), GrB_SUCCESS);
-  }
-  ~FusionGuard() { GxB_Fusion_set(saved); }
 };
 
 GrB_Context make_ctx(int nthreads) {
@@ -201,9 +192,8 @@ using Results = std::vector<std::pair<std::string, std::string>>;
 
 template <class T>
 Results run_program(GrB_BinaryOp op, Shape us, Shape vs, int nthreads,
-                    bool fused, bool fast) {
+                    bool fast) {
   FastpathGuard fp(fast);
-  FusionGuard fu(fused);
   GrB_Context ctx = make_ctx(nthreads);
   const GrB_Type type = Domain<T>::type();
   GrB_Vector u = make_operand<T>(us, 101, ctx);
@@ -222,7 +212,7 @@ Results run_program(GrB_BinaryOp op, Shape us, Shape vs, int nthreads,
     GrB_free(&w);
   };
 
-  // Eager eWise over distinct operands.
+  // eWise over distinct operands.
   GrB_Vector w = fresh();
   EXPECT_EQ(GrB_eWiseAdd(w, GrB_NULL, GrB_NULL, op, u, v, GrB_NULL),
             GrB_SUCCESS);
@@ -232,7 +222,7 @@ Results run_program(GrB_BinaryOp op, Shape us, Shape vs, int nthreads,
             GrB_SUCCESS);
   keep("eWiseMult", w);
 
-  // Self zips followed by self maps: one fused group when fusion is on.
+  // Self-operand eWise and apply calls queued back to back on w.
   EXPECT_EQ(GrB_Vector_dup(&w, u), GrB_SUCCESS);
   EXPECT_EQ(GrB_eWiseAdd(w, GrB_NULL, GrB_NULL, op, w, v, GrB_NULL),
             GrB_SUCCESS);
@@ -328,16 +318,14 @@ void check_domain() {
   for (GrB_BinaryOp op : Domain<T>::binops()) {
     for (auto [us, vs] : shapes) {
       for (int nthreads : {1, 4}) {
-        for (bool fused : {false, true}) {
-          Results typed = run_program<T>(op, us, vs, nthreads, fused, true);
-          Results generic = run_program<T>(op, us, vs, nthreads, fused, false);
-          ASSERT_EQ(typed.size(), generic.size());
-          for (size_t k = 0; k < typed.size(); ++k) {
-            EXPECT_TRUE(typed[k].second == generic[k].second)
-                << op->name() << " " << typed[k].first << " #" << k
-                << " u=" << shape_name(us) << " v=" << shape_name(vs)
-                << " threads=" << nthreads << " fused=" << fused;
-          }
+        Results typed = run_program<T>(op, us, vs, nthreads, true);
+        Results generic = run_program<T>(op, us, vs, nthreads, false);
+        ASSERT_EQ(typed.size(), generic.size());
+        for (size_t k = 0; k < typed.size(); ++k) {
+          EXPECT_TRUE(typed[k].second == generic[k].second)
+              << op->name() << " " << typed[k].first << " #" << k
+              << " u=" << shape_name(us) << " v=" << shape_name(vs)
+              << " threads=" << nthreads;
         }
       }
     }

@@ -29,7 +29,6 @@ FIXTURES = os.path.join(HERE, "fixtures")
 EXPECT = {
     "alloc_under_lock": ({"no-alloc-under-lock": 1}, 1),
     "barrier_read": ({"barrier-before-read": 1}, 0),
-    "fusion_grant": ({"fusion-grant-coverage": 3}, 0),
     "decision_audit": ({"decision-audit-coverage": 2}, 0),
     "atomic_order": ({"atomic-order-explicit": 3, "stale-suppression": 1}, 1),
     "entry_parity": ({"entry-point-parity": 4}, 0),
@@ -43,7 +42,7 @@ def run_analyzer(repo_root, analyzer, repo):
     try:
         proc = subprocess.run(
             [sys.executable, analyzer, "--repo", repo,
-             "--json", report_path, "--frontend", "text"],
+             "--json", report_path],
             capture_output=True, text=True)
         try:
             with open(report_path) as f:

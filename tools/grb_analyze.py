@@ -10,7 +10,7 @@ and the call graph over them — and enforces the cross-function contracts
 the regex tier cannot see:
 
   no-alloc-under-lock     No path reachable from a hot-path critical
-                          section (spgemm / fused_exec / ewise / the
+                          section (spgemm / ewise / the
                           deferred-drain machinery in object_base), or
                           from the grb_detail catch-all veneer's handler
                           bodies, may throw, call operator new, or grow a
@@ -28,16 +28,10 @@ the regex tier cannot see:
                           nvals() delegation) — before dereferencing
                           published container data.  Checked on the
                           ordered event list, not line order.
-  fusion-grant-coverage   Every Deferred enqueue site (defer_or_run /
-                          ObjectBase::enqueue) supplies an explicit
-                          FuseNode capability grant — relying on the
-                          defaulted parameter means nobody audited the
-                          method's fusion legality.  kMap/kZip grants
-                          (the fusable capabilities) may only originate
-                          in kernels registered in the
-                          GRB_FUSABLE_KERNEL_FILES table in
-                          src/ops/fused_exec.hpp, and the table must
-                          stay in parity with the granting files.
+  decision-audit-coverage Every file hosting an adaptive cost-model
+                          branch emits a DecisionRecord and is listed in
+                          GRB_DECISION_SITES (obs/decision.hpp), both
+                          directions.
   atomic-order-explicit   Every std::atomic load/store/RMW in src/obs/
                           and src/exec/ names an explicit memory_order.
                           A defaulted seq_cst on a hot-path counter is a
@@ -51,20 +45,10 @@ the regex tier cannot see:
                           the GxB_EXTENSIONS registry (both directions,
                           no duplicates).
 
-Frontends
-  --frontend=clang  libclang via clang.cindex, driven by
-                    compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS
-                    is on in the default preset).
-  --frontend=text   A self-contained reduced-C++ frontend: a length-
-                    preserving lexer, brace-matched function extraction,
-                    and an ordered event scan.  No dependencies.
-  --frontend=auto   (default) clang when clang.cindex + a compilation
-                    database are available, otherwise text — with a
-                    notice, never an error, so the gate runs everywhere.
-
-Both frontends build the same Program model; the rules are frontend-
-agnostic.  The text frontend is authoritative for CI (deterministic,
-dependency-free); the clang frontend cross-checks it where available.
+Frontend
+  A self-contained reduced-C++ parser builds the Program model: a
+  length-preserving lexer, brace-matched function extraction, and an
+  ordered event scan.  No dependencies, deterministic.
 
 Suppressions
   Checked-in file (tools/grb_analyze_suppressions.json):
@@ -77,8 +61,8 @@ Suppressions
   Every suppression must carry a reason; an unused file suppression is
   itself reported (stale-suppression) so the file cannot rot.
 
-Usage: grb_analyze.py [--repo DIR] [--json REPORT] [--frontend F]
-                      [--suppressions FILE] [--verbose]
+Usage: grb_analyze.py [--repo DIR] [--json REPORT] [--suppressions FILE]
+                      [--verbose]
 Exit status: 0 if no unsuppressed findings, 1 otherwise, 2 on usage or
 infrastructure error.
 """
@@ -95,19 +79,17 @@ import sys
 # ---------------------------------------------------------------------------
 
 # Files whose critical sections are no-alloc zones: the hot kernel paths
-# named by the contract (spgemm / fused_exec / ewise), the per-snapshot
+# named by the contract (spgemm / ewise), the per-snapshot
 # transpose cache, plus the deferred-drain machinery that every
 # nonblocking completion runs through.
 LOCK_ZONE_FILES = (
     "src/ops/transpose.cpp",
     "src/ops/spgemm.cpp",
     "src/ops/spgemm.hpp",
-    "src/ops/fused_exec.cpp",
     "src/ops/ewise_vector.cpp",
     "src/ops/ewise_matrix.cpp",
     "src/exec/object_base.cpp",
     "src/exec/object_base.hpp",
-    "src/exec/fusion.cpp",
     "src/exec/thread_pool.cpp",
     "src/exec/thread_pool.hpp",
 )
@@ -127,8 +109,8 @@ READ_NAME_RE = re.compile(
     r"|serialize(?:_size)?)$")
 WRITE_NAME_RE = re.compile(r"import|deserialize|build|set_element")
 
-# Barrier functions: draining the deferred queue (complete runs the
-# fusion planner; snapshot calls complete before publishing).
+# Barrier functions: draining the deferred queue (snapshot calls
+# complete before publishing).
 BARRIER_FNS = {"snapshot", "complete", "flush_pending", "wait"}
 
 # Published container data (the snapshot payload or the raw arrays).
@@ -168,7 +150,7 @@ NO_RESOLVE_METHODS = {
     "front", "back",
 }
 
-# Lock-scope declarations recognized by the frontends.
+# Lock-scope declarations recognized by the frontend.
 LOCK_DECL_RE = re.compile(
     r"\b(?:MutexLock|CvLock|std::lock_guard\s*<[^;>]*>|"
     r"std::unique_lock\s*<[^;>]*>)\s+(\w+)\s*[({]")
@@ -188,7 +170,6 @@ CXX_KEYWORDS = {
 RULES = (
     "no-alloc-under-lock",
     "barrier-before-read",
-    "fusion-grant-coverage",
     "decision-audit-coverage",
     "atomic-order-explicit",
     "entry-point-parity",
@@ -329,35 +310,6 @@ def match_paren(text, open_pos):
     return -1
 
 
-def split_top_level_args(argtext):
-    """Split an argument list at top-level commas.
-
-    Depth is tracked with a bracket stack over ()[]{} only; '<'/'>' are
-    ignored entirely — treating them as brackets misreads `->` and `<`
-    comparisons inside lambda arguments, which silently inflates the arg
-    count.  The cost is that a top-level template-argument comma
-    (`foo<A, B>` as a bare argument) over-splits; none of the checked
-    call shapes can contain one.
-    """
-    parts, cur = [], []
-    stack = []
-    closer = {"(": ")", "[": "]", "{": "}"}
-    for ch in argtext:
-        if ch in closer:
-            stack.append(closer[ch])
-        elif stack and ch == stack[-1]:
-            stack.pop()
-        if ch == "," and not stack:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return parts
-
-
 # ---------------------------------------------------------------------------
 # Program model
 # ---------------------------------------------------------------------------
@@ -369,7 +321,6 @@ class Event:
     ALLOC = "alloc"        # what
     ATOMIC = "atomic"      # method, has_order
     ACCESS = "access"      # container-data access (barrier rule)
-    GRANT = "grant"        # FuseNode kMap/kZip capability assignment
 
     __slots__ = ("kind", "pos", "line", "name", "receiver", "args",
                  "has_order", "what")
@@ -421,7 +372,6 @@ class Program:
         self.by_name = {}         # base name -> [Function]
         self.files = {}           # rel path -> stripped text
         self.raw_files = {}       # rel path -> raw text
-        self.frontend = "text"
 
     def add(self, fn):
         self.functions.append(fn)
@@ -457,7 +407,6 @@ class TextFrontend:
 
     def build(self, rel_files):
         prog = Program()
-        prog.frontend = "text"
         for rel in rel_files:
             path = os.path.join(self.repo, rel)
             try:
@@ -610,14 +559,6 @@ class TextFrontend:
                                 line_of(start + m.start()),
                                 what="std::string temporary"))
 
-        # FuseNode capability grants.
-        for m in re.finditer(
-                r"\bkind\s*=(?!=)\s*(?:FuseNode::)?Kind::k(Map|Zip)\b",
-                body):
-            events.append(Event(Event.GRANT, start + m.start(),
-                                line_of(start + m.start()),
-                                what="k" + m.group(1)))
-
         # Data accesses (barrier rule).
         for m in ACCESS_RE.finditer(body):
             events.append(Event(Event.ACCESS, start + m.start(),
@@ -715,137 +656,6 @@ class TextFrontend:
                 if depth < 0:
                     return i
         return len(body)
-
-
-# ---------------------------------------------------------------------------
-# Clang frontend (optional): same Program model via libclang
-# ---------------------------------------------------------------------------
-
-class ClangFrontendUnavailable(Exception):
-    pass
-
-
-class ClangFrontend:
-    """libclang-based frontend, driven by compile_commands.json.
-
-    Builds the same Program model as the text frontend from real ASTs:
-    exact function extents, receiver types for atomics (no heuristics),
-    and lock scopes from VarDecls of the annotated RAII types.  Raises
-    ClangFrontendUnavailable when clang.cindex or the compilation
-    database cannot be loaded; the driver falls back to the text
-    frontend with a notice.
-    """
-
-    LOCK_TYPES = ("MutexLock", "CvLock", "lock_guard", "unique_lock")
-
-    def __init__(self, repo, compile_commands=None, verbose=False):
-        self.repo = repo
-        self.verbose = verbose
-        try:
-            from clang import cindex  # noqa: deferred import by design
-        except ImportError as e:
-            raise ClangFrontendUnavailable(
-                "python bindings for libclang not importable: %s" % e)
-        self.cindex = cindex
-        cc = compile_commands or os.path.join(repo, "build")
-        try:
-            self.db = cindex.CompilationDatabase.fromDirectory(cc)
-        except cindex.CompilationDatabaseError:
-            raise ClangFrontendUnavailable(
-                "no compile_commands.json under %s (configure with the "
-                "default preset: CMAKE_EXPORT_COMPILE_COMMANDS is on)" % cc)
-        try:
-            self.index = cindex.Index.create()
-        except Exception as e:  # libclang shared object missing
-            raise ClangFrontendUnavailable("libclang not loadable: %s" % e)
-
-    def build(self, rel_files):
-        ci = self.cindex
-        prog = Program()
-        prog.frontend = "clang"
-        wanted = set(rel_files)
-        for rel in rel_files:
-            path = os.path.join(self.repo, rel)
-            try:
-                with open(path) as f:
-                    raw = f.read()
-            except OSError:
-                continue
-            prog.raw_files[rel] = raw
-            prog.files[rel] = strip_comments_and_strings(raw)
-        parsed = set()
-        for cmd in self.db.getAllCompileCommands():
-            src = os.path.relpath(
-                os.path.join(cmd.directory, cmd.filename), self.repo)
-            args = [a for a in cmd.arguments][1:]
-            args = [a for a in args if a not in (cmd.filename, "-c", "-o")]
-            try:
-                tu = self.index.parse(
-                    os.path.join(self.repo, src), args=args,
-                    options=ci.TranslationUnit.PARSE_SKIP_FUNCTION_BODIES
-                    * 0)
-            except ci.TranslationUnitLoadError:
-                continue
-            for cur in tu.cursor.walk_preorder():
-                if not cur.location.file:
-                    continue
-                rel = os.path.relpath(str(cur.location.file), self.repo)
-                if rel not in wanted or rel in parsed and False:
-                    continue
-                if cur.kind in (ci.CursorKind.FUNCTION_DECL,
-                                ci.CursorKind.CXX_METHOD,
-                                ci.CursorKind.CONSTRUCTOR) and \
-                        cur.is_definition():
-                    key = (rel, cur.location.line, cur.spelling)
-                    if key in parsed:
-                        continue
-                    parsed.add(key)
-                    prog.add(self._build_fn(cur, rel))
-        return prog
-
-    def _build_fn(self, cur, rel):
-        ci = self.cindex
-        qual = cur.spelling
-        parent = cur.semantic_parent
-        if parent is not None and parent.kind in (
-                ci.CursorKind.CLASS_DECL, ci.CursorKind.STRUCT_DECL):
-            qual = "%s::%s" % (parent.spelling, cur.spelling)
-        fn = Function(cur.spelling, qual, rel, cur.location.line)
-        toks = " ".join(t.spelling for t in cur.get_tokens()[:40]) \
-            if False else ""
-        fn.requires_lock = "GRB_REQUIRES" in toks
-        for node in cur.walk_preorder():
-            line = node.location.line
-            pos = node.location.offset or 0
-            if node.kind == ci.CursorKind.CALL_EXPR and node.spelling:
-                recv = None
-                args_txt = ""
-                fn.events.append(Event(Event.CALL, pos, line,
-                                       name=node.spelling, receiver=recv,
-                                       args=args_txt))
-                if node.spelling in ATOMIC_METHODS:
-                    has_order = any(
-                        "memory_order" in (a.type.spelling or "")
-                        for a in node.get_arguments() if a is not None)
-                    fn.events.append(Event(Event.ATOMIC, pos, line,
-                                           name=node.spelling,
-                                           has_order=has_order))
-                if node.spelling in ALLOC_METHODS | ALLOC_FREE_FNS:
-                    fn.events.append(Event(Event.ALLOC, pos, line,
-                                           what=node.spelling))
-            elif node.kind == ci.CursorKind.CXX_THROW_EXPR:
-                fn.events.append(Event(Event.THROW, pos, line))
-            elif node.kind == ci.CursorKind.CXX_NEW_EXPR:
-                fn.events.append(Event(Event.ALLOC, pos, line,
-                                       what="operator new"))
-            elif node.kind == ci.CursorKind.VAR_DECL and any(
-                    t in node.type.spelling for t in self.LOCK_TYPES):
-                ext = node.semantic_parent.extent if node.semantic_parent \
-                    else node.extent
-                fn.events.append(Event(Event.CALL, pos, line, name="_lock"))
-                fn.locks.append(LockScope(pos, ext.end.offset or pos, line))
-        fn.events.sort(key=lambda e: e.pos)
-        return fn
 
 
 # ---------------------------------------------------------------------------
@@ -1130,78 +940,10 @@ def rule_barrier_before_read(prog, repo, rep):
             rep.report(
                 "barrier-before-read", fn.file, first_access.line,
                 "%s touches container data (%s) before its barrier "
-                "(%s at line %d); the fusion planner must run before "
+                "(%s at line %d); the deferred queue must drain before "
                 "any read" % (fn.qual, first_access.what,
                               first_barrier.name, first_barrier.line),
                 function=fn.qual)
-
-
-def rule_fusion_grant_coverage(prog, repo, rep):
-    # (a) Every enqueue site supplies an explicit FuseNode argument.
-    for fn in prog.functions:
-        if not fn.file.startswith(("src/",)):
-            continue
-        for ev in fn.calls():
-            base = (ev.name or "").rsplit("::", 1)[-1]
-            if base not in ("defer_or_run", "enqueue"):
-                continue
-            if fn.name == base:
-                continue  # the forwarding definition itself
-            args = split_top_level_args(ev.args or "")
-            need = 3 if base == "defer_or_run" else 2
-            if ev.receiver is not None and base == "defer_or_run":
-                continue  # not the free function
-            if base == "enqueue" and ev.receiver is None and \
-                    "::" not in (ev.name or ""):
-                continue  # unrelated local enqueue
-            if len(args) < need:
-                rep.report(
-                    "fusion-grant-coverage", fn.file, ev.line,
-                    "%s enqueues deferred work through %s without an "
-                    "explicit FuseNode grant; the defaulted opaque node "
-                    "means this method's fusion legality was never "
-                    "audited — pass FuseNode{} (audited-opaque) or a "
-                    "real capability" % (fn.qual, base),
-                    function=fn.qual)
-
-    # (b) kMap/kZip grants only from registered fusable kernels.
-    reg_rel = "src/ops/fused_exec.hpp"
-    reg_text = prog.files.get(reg_rel)
-    registered = []
-    if reg_text is not None:
-        raw = prog.raw_files.get(reg_rel, "")
-        m = re.search(r"GRB_FUSABLE_KERNEL_FILES((?:.|\n)*?)(?:\n\s*\n|$)",
-                      raw)
-        if m:
-            registered = re.findall(r'"([^"]+)"', m.group(1))
-        else:
-            rep.report(
-                "fusion-grant-coverage", reg_rel, 1,
-                "GRB_FUSABLE_KERNEL_FILES registration table not found "
-                "in fused_exec.hpp; kMap/kZip grant origins cannot be "
-                "audited")
-    granting = {}
-    for fn in prog.functions:
-        for ev in fn.events:
-            if ev.kind == Event.GRANT:
-                granting.setdefault(fn.file, []).append((fn, ev))
-    for file, grants in sorted(granting.items()):
-        if file in (reg_rel, "src/exec/fusion.cpp", "src/exec/fusion.hpp"):
-            continue
-        if registered and file not in registered:
-            fn, ev = grants[0]
-            rep.report(
-                "fusion-grant-coverage", file, ev.line,
-                "%s grants the fusable capability %s but %s is not "
-                "listed in GRB_FUSABLE_KERNEL_FILES (fused_exec.hpp); "
-                "only registered kernels may be planned into fused "
-                "passes" % (fn.qual, ev.what, file), function=fn.qual)
-    for file in registered:
-        if file not in granting:
-            rep.report(
-                "fusion-grant-coverage", reg_rel, 1,
-                "GRB_FUSABLE_KERNEL_FILES lists %s but no kMap/kZip "
-                "grant originates there; stale registration" % file)
 
 
 def rule_decision_audit_coverage(prog, repo, rep):
@@ -1402,7 +1144,6 @@ RULE_FNS = (
     rule_no_alloc_under_lock,
     rule_guarded_catch_zone,
     rule_barrier_before_read,
-    rule_fusion_grant_coverage,
     rule_decision_audit_coverage,
     rule_atomic_order_explicit,
     rule_entry_point_parity,
@@ -1425,19 +1166,8 @@ def collect_files(repo):
     return sorted(rels)
 
 
-def build_program(repo, frontend, compile_commands, verbose):
-    rels = collect_files(repo)
-    notice = None
-    if frontend in ("clang", "auto"):
-        try:
-            fe = ClangFrontend(repo, compile_commands, verbose)
-            return fe.build(rels), None
-        except ClangFrontendUnavailable as e:
-            if frontend == "clang":
-                raise
-            notice = ("clang frontend unavailable (%s); "
-                      "falling back to the text frontend" % e)
-    return TextFrontend(repo, verbose).build(rels), notice
+def build_program(repo, verbose):
+    return TextFrontend(repo, verbose).build(collect_files(repo))
 
 
 def main(argv):
@@ -1446,11 +1176,6 @@ def main(argv):
                     help="repository root (default: parent of this script)")
     ap.add_argument("--json", default=None,
                     help="write a machine-readable findings report here")
-    ap.add_argument("--frontend", choices=("auto", "clang", "text"),
-                    default="auto")
-    ap.add_argument("--compile-commands", default=None,
-                    help="directory holding compile_commands.json "
-                         "(default: <repo>/build)")
     ap.add_argument("--suppressions", default=None,
                     help="suppression file (default: "
                          "<repo>/tools/grb_analyze_suppressions.json)")
@@ -1472,14 +1197,7 @@ def main(argv):
                                "grb_analyze_suppressions.json")
         supp_path = default if os.path.isfile(default) else None
 
-    try:
-        prog, notice = build_program(repo, args.frontend,
-                                     args.compile_commands, args.verbose)
-    except ClangFrontendUnavailable as e:
-        print("grb_analyze: SKIPPED: %s" % e)
-        return 0 if args.frontend == "clang" else 2
-    if notice:
-        print("grb_analyze: NOTICE: %s" % notice)
+    prog = build_program(repo, args.verbose)
 
     suppressions = Suppressions(repo, supp_path)
     rep = Reporter(suppressions)
@@ -1498,15 +1216,12 @@ def main(argv):
     for f in rep.findings:
         loc = "%s:%d" % (f.file, f.line)
         print("%s: [%s] %s" % (loc, f.rule, f.message))
-    print("grb_analyze: frontend=%s functions=%d finding(s)=%d "
-          "suppressed=%d"
-          % (prog.frontend, len(prog.functions), len(rep.findings),
-             rep.suppressed))
+    print("grb_analyze: functions=%d finding(s)=%d suppressed=%d"
+          % (len(prog.functions), len(rep.findings), rep.suppressed))
 
     if args.json:
         report = {
             "tool": "grb_analyze",
-            "frontend": prog.frontend,
             "rules": list(RULES),
             "functions": len(prog.functions),
             "suppressed": rep.suppressed,

@@ -12,7 +12,7 @@ Reads the trace JSON and prints:
   * the enqueue->exec attribution table built from Chrome flow events:
     each deferred method carries a flow id emitted as an "s" record
     inside the enqueuing API span and a "t" record at the execution
-    site, so chains (which entry point produced which deferred/fused
+    site, so chains (which entry point produced which deferred
     work) are linked exactly, not guessed from names.  Chains rank by
     total execution self time.
 
