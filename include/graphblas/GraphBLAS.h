@@ -143,7 +143,7 @@ inline constexpr bool is_grb_scalar_v =
 // the GrB_OUT_OF_MEMORY execution error) and the unexpected, which the
 // spec's error model reserves GrB_PANIC for.  Every GrB_*/GxB_* function
 // body is `return grb_detail::guarded([&]() -> GrB_Info { ... });` — a
-// property tools/grb_lint.py enforces.
+// property tools/grb_analyze.py enforces for every definition.
 template <class F>
 inline GrB_Info run_caught(F&& body) noexcept {
   try {
@@ -1702,7 +1702,7 @@ inline GrB_Info GrB_Vector_deserialize(GrB_Vector* v, GrB_Type type,
 // and are off by default; see obs/telemetry.hpp for the counter name
 // schema and DESIGN.md §9 for the trace format.  Every GxB_* entry point
 // must appear in the GxB_EXTENSIONS registry below and route through
-// grb_detail::guarded — tools/grb_lint.py enforces both.
+// grb_detail::guarded — tools/grb_analyze.py enforces both.
 // ---------------------------------------------------------------------------
 
 // Registry of every GxB_* entry point this implementation provides, for

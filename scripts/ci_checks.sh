@@ -6,28 +6,26 @@
 # Stages (in order; the final summary names each stage PASS/FAIL/SKIP so
 # a failed stage is identifiable from the last lines of CI output):
 #
-#    1. grb_lint       — fast regex spec-conformance tier (pure Python):
-#                        veneers, null checks, info strings, descriptors,
-#                        validate-first, poison messages (the GxB
-#                        registry parity is grb_analyze's, stage 2)
-#    2. grb_analyze    — AST/call-graph conformance tier: no-alloc-under-
-#                        lock zones, barrier-before-read, decision-audit
-#                        coverage, atomic memory-order explicitness,
-#                        entry-point parity (self-contained text
-#                        frontend)
-#    3. build+ctest    — default preset, full tier-1 suite
-#    4. telemetry      — obs-labeled tests: counter oracles plus the
+#    1. grb_analyze    — static conformance analyzer (pure Python, no
+#                        dependencies): no-throw veneer on every entry
+#                        point, null checks, GxB registry parity, info
+#                        strings, descriptors, validate-first, poison
+#                        messages, no-alloc-under-lock zones,
+#                        barrier-before-read, decision-audit coverage,
+#                        atomic memory-order explicitness
+#    2. build+ctest    — default preset, full tier-1 suite
+#    3. telemetry      — obs-labeled tests: counter oracles plus the
 #                        GRB_TRACE → grb_trace_summarize.py pipeline
-#    5. observability  — quickstart under GRB_FLIGHT_RECORDER + GRB_METRICS;
+#    4. observability  — quickstart under GRB_FLIGHT_RECORDER + GRB_METRICS;
 #                        the Prometheus exposition must parse and carry the
 #                        per-op quantiles + memory gauges (grb_prom_check.py)
-#    6. attribution    — per-context tenant attribution: the watchdog
+#    5. attribution    — per-context tenant attribution: the watchdog
 #                        suite (a synthetic stall must trip a flight-
 #                        recorder dump naming the owning context) plus the
 #                        multitenant_scrape example, whose exposition must
 #                        carry two distinct context="..." label sets
 #                        (grb_prom_check.py --require-contexts 2)
-#    7. explain        — decision audit + profiler degradation: the
+#    6. explain        — decision audit + profiler degradation: the
 #                        explain_demo pipeline runs with perf events
 #                        forced unavailable (GRB_PERF_EVENTS=0); the
 #                        GxB_Explain output must carry a plan, the
@@ -37,10 +35,10 @@
 #                        profiler backend (grb_prom_check.py
 #                        --require-decisions --require-prof-backend),
 #                        and the forced-fallback profiler test must pass
-#    8. thread-safety  — Clang -Wthread-safety -Werror=thread-safety build
+#    7. thread-safety  — Clang -Wthread-safety -Werror=thread-safety build
 #                        (skipped when clang++ is absent; the annotations
 #                        compile as no-ops elsewhere)
-#    9. bench          — every bench binary runs from bench_artifacts/ so
+#    8. bench          — every bench binary runs from bench_artifacts/ so
 #                        each BENCH_*.json is archived (previously only the
 #                        m4/m5/m6 gate trio ran here and every other
 #                        bench's JSON landed in whatever cwd it was run
@@ -50,18 +48,18 @@
 #                        tools/bench_compare.py diffs against
 #                        bench_artifacts/baseline/ when present (advisory:
 #                        shared boxes are noisy)
-#   10. perfbench-smoke — one 1 s run of each end-to-end benchmark
+#    9. perfbench-smoke — one 1 s run of each end-to-end benchmark
 #                        workload (pagerank, ktruss, ingest; perfbench/
 #                        run.py); fails unless every run reports
 #                        "correct": true and "failed": 0, so a rank
 #                        mismatch, a wrong truss or a pending-tuple fold
 #                        that breaks the full-graph check is caught
 #                        before the benchmark runs
-#   11. asan           — AddressSanitizer build + the full test suite
+#   10. asan           — AddressSanitizer build + the full test suite
 #                        (skipped unless GRB_CI_ASAN=1)
-#   12. ubsan          — UndefinedBehaviorSanitizer build + the full test
+#   11. ubsan          — UndefinedBehaviorSanitizer build + the full test
 #                        suite (skipped unless GRB_CI_UBSAN=1)
-#   13. tsan           — ThreadSanitizer build + tsan-labeled tests
+#   12. tsan           — ThreadSanitizer build + tsan-labeled tests
 #                        (skipped unless GRB_CI_TSAN=1; the slowest stage,
 #                        and the tsan preset also runs in its own lane)
 #
@@ -84,21 +82,14 @@ record() {
   if [ "$2" = FAIL ]; then failed=1; fi
 }
 
-note "1/13 grb_lint (regex spec conformance)"
-if python3 tools/grb_lint.py --json grb_lint_report.json; then
-  record grb_lint PASS
-else
-  record grb_lint FAIL
-fi
-
-note "2/13 grb_analyze (AST/call-graph conformance)"
+note "1/12 grb_analyze (static conformance)"
 if python3 tools/grb_analyze.py --json grb_analyze_report.json; then
   record grb_analyze PASS
 else
   record grb_analyze FAIL
 fi
 
-note "3/13 default build + tests"
+note "2/12 default build + tests"
 cmake --preset default >/dev/null
 cmake --build build -j "$JOBS"
 if (cd build && ctest --output-on-failure -j "$JOBS"); then
@@ -107,14 +98,14 @@ else
   record build+ctest FAIL
 fi
 
-note "4/13 telemetry (obs-labeled tests: counters + trace pipeline)"
+note "3/12 telemetry (obs-labeled tests: counters + trace pipeline)"
 if (cd build && ctest -L obs --output-on-failure); then
   record telemetry PASS
 else
   record telemetry FAIL
 fi
 
-note "5/13 observability (flight recorder + GRB_METRICS exposition)"
+note "4/12 observability (flight recorder + GRB_METRICS exposition)"
 obs_ok=1
 obs_dir=$(mktemp -d)
 GRB_FLIGHT_RECORDER=1024 GRB_METRICS="$obs_dir/metrics.prom" \
@@ -129,7 +120,7 @@ fi
 rm -rf "$obs_dir"
 if [ "$obs_ok" = 1 ]; then record observability PASS; else record observability FAIL; fi
 
-note "6/13 attribution (watchdog stall report + two-tenant scrape)"
+note "5/12 attribution (watchdog stall report + two-tenant scrape)"
 attr_ok=1
 # Synthetic stalls must trip the watchdog and name the owning context.
 (cd build && ctest -R WatchdogTest --output-on-failure) || attr_ok=0
@@ -148,7 +139,7 @@ fi
 rm -rf "$attr_dir"
 if [ "$attr_ok" = 1 ]; then record attribution PASS; else record attribution FAIL; fi
 
-note "7/13 explain (decision audit + profiler forced degradation)"
+note "6/12 explain (decision audit + profiler forced degradation)"
 # GRB_PERF_EVENTS=0 models a locked-down box (perf_event_open denied):
 # the profiler must come up on the CPU-time fallback, the decision
 # audit must still explain the plan, and every downstream consumer —
@@ -178,7 +169,7 @@ GRB_PERF_EVENTS=0 ./build/tests/grb_obs_tests \
 rm -rf "$exp_dir"
 if [ "$exp_ok" = 1 ]; then record explain PASS; else record explain FAIL; fi
 
-note "8/13 thread-safety analysis (clang)"
+note "7/12 thread-safety analysis (clang)"
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-tsa -S . \
         -DCMAKE_C_COMPILER=clang -DCMAKE_CXX_COMPILER=clang++ \
@@ -194,7 +185,7 @@ else
   record thread-safety SKIP
 fi
 
-note "9/13 benchmarks (all benches, BENCH_*.json archived)"
+note "8/12 benchmarks (all benches, BENCH_*.json archived)"
 bench_ok=1
 cmake --build build -j "$JOBS"
 mkdir -p bench_artifacts
@@ -229,7 +220,7 @@ else
 fi
 if [ "$bench_ok" = 1 ]; then record bench PASS; else record bench FAIL; fi
 
-note "10/13 perfbench smoke (every workload's checkers)"
+note "9/12 perfbench smoke (every workload's checkers)"
 # A wrong result shows up as "correct": false (rank, truss or full-graph
 # check); the last stdout line of each run is its result object.
 smoke_ok=1
@@ -264,13 +255,13 @@ sanitizer_stage() {
   fi
 }
 
-note "11/13 address sanitizer (full test suite under asan)"
+note "10/12 address sanitizer (full test suite under asan)"
 sanitizer_stage asan asan GRB_CI_ASAN
 
-note "12/13 undefined-behavior sanitizer (full test suite under ubsan)"
+note "11/12 undefined-behavior sanitizer (full test suite under ubsan)"
 sanitizer_stage ubsan ubsan GRB_CI_UBSAN
 
-note "13/13 thread sanitizer (tsan-labeled tests)"
+note "12/12 thread sanitizer (tsan-labeled tests)"
 sanitizer_stage tsan tsan GRB_CI_TSAN
 
 printf '\n== summary ==\n'

@@ -1,8 +1,6 @@
 #include "ops/spgemm.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 namespace grb {
@@ -12,31 +10,13 @@ namespace {
 // a hash table when the whole thing fits in L2).
 constexpr uint64_t kSmallDenseBytes = 256u << 10;
 
-// -1 = not yet resolved; resolved lazily so GRB_SPGEMM is honored no
-// matter which entry point touches the engine first.
-std::atomic<int> g_mode{-1};
+std::atomic<int> g_mode{static_cast<int>(SpgemmMode::kAuto)};
 std::atomic<size_t> g_dense_budget{kDenseBudget};
-
-SpgemmMode resolve_mode_from_env() {
-  const char* env = std::getenv("GRB_SPGEMM");
-  if (env != nullptr) {
-    if (std::strcmp(env, "hash") == 0) return SpgemmMode::kHash;
-    if (std::strcmp(env, "dense") == 0) return SpgemmMode::kDense;
-    if (std::strcmp(env, "reference") == 0) return SpgemmMode::kReference;
-  }
-  return SpgemmMode::kAuto;
-}
 
 }  // namespace
 
 SpgemmMode spgemm_mode() {
-  int m = g_mode.load(std::memory_order_relaxed);
-  if (m >= 0) return static_cast<SpgemmMode>(m);
-  SpgemmMode resolved = resolve_mode_from_env();
-  // A concurrent first use resolves to the same value; a concurrent
-  // set_spgemm_mode may overwrite this store, which is the newer intent.
-  g_mode.store(static_cast<int>(resolved), std::memory_order_relaxed);
-  return resolved;
+  return static_cast<SpgemmMode>(g_mode.load(std::memory_order_relaxed));
 }
 
 void set_spgemm_mode(SpgemmMode mode) {

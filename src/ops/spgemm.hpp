@@ -28,9 +28,9 @@
 // thread ScratchArena (exec/thread_pool.hpp), so repeated ops stop
 // paying allocation + first-touch page-fault cost.
 //
-// Overrides: GRB_SPGEMM=hash|dense|auto|reference pins the accumulator
-// choice (reference = the seed two-pass dense-SPA kernel, kept for
-// ablation benches and the differential oracle).
+// set_spgemm_mode pins the accumulator choice (default kAuto; reference =
+// the seed two-pass dense-SPA kernel, kept for ablation benches and the
+// differential oracle).
 #pragma once
 
 #include <algorithm>

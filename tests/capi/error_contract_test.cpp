@@ -201,7 +201,7 @@ TEST_F(ErrorContractTest, DeferredErrorRegistersDiagnosticString) {
   // A deferred execution failure must both surface its code on a later
   // method and register a human-readable GrB_error string naming it
   // (the "deferring operations register a GrB_error string" contract
-  // tools/grb_lint.py checks statically).
+  // tools/grb_analyze.py checks statically as poison-has-message).
   GrB_Index idx[] = {1, 1};
   double vals[] = {1, 2};
   // Duplicate indices with a NULL dup operator: an execution error that

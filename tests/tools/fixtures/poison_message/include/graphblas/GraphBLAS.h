@@ -1,0 +1,2 @@
+// Fixture header: minimal repo-root marker for grb_analyze self-tests.
+// This fixture exercises only the poison-has-message rule.

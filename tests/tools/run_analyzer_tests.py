@@ -2,10 +2,12 @@
 """Self-tests for tools/grb_analyze.py.
 
 Each fixture under tests/tools/fixtures/ is a miniature repository
-(include/graphblas/GraphBLAS.h + src/ files) seeding one known
-violation per rule family, plus suppression-mechanism probes (an inline
-allow marker, an honored suppression-file entry, and a deliberately
-stale one).  The test asserts, per fixture, the EXACT per-rule finding
+(include/graphblas/GraphBLAS.h + src/ files) seeding known violations
+of one rule family next to compliant look-alikes, plus
+suppression-mechanism probes (inline allow markers, an honored
+suppression-file entry, and a deliberately stale one).  A rule whose
+input files a fixture lacks must stay silent there, so every other
+rule's count is zero.  The test asserts, per fixture, the EXACT per-rule finding
 counts and the suppressed count — a rule that silently stops firing is
 as much a failure as one that over-fires.  Finally the analyzer runs
 against the real repository, which must report zero unsuppressed
@@ -31,7 +33,13 @@ EXPECT = {
     "barrier_read": ({"barrier-before-read": 1}, 0),
     "decision_audit": ({"decision-audit-coverage": 2}, 0),
     "atomic_order": ({"atomic-order-explicit": 3, "stale-suppression": 1}, 1),
-    "entry_parity": ({"entry-point-parity": 4}, 0),
+    "entry_parity": ({"entry-point-parity": 5}, 0),
+    "throw_escape": ({"no-throw-escape": 2}, 0),
+    "null_check": ({"null-check-before-deref": 3}, 0),
+    "info_strings": ({"info-string-coverage": 3}, 0),
+    "descriptor_coverage": ({"descriptor-coverage": 2}, 0),
+    "ops_validate": ({"ops-validate-first": 2}, 0),
+    "poison_message": ({"poison-has-message": 3}, 1),
 }
 
 
@@ -107,6 +115,9 @@ def main(argv):
         check(report["functions"] > 500,
               "program model is populated (%d functions)"
               % report["functions"])
+        check(report["entry_points"] > 150,
+              "every header definition is an entry point (%d)"
+              % report["entry_points"])
     check(proc.returncode == 0, "exit status 0 [got %d]" % proc.returncode)
 
     if failures:

@@ -1,14 +1,41 @@
 #!/usr/bin/env python3
-"""grb_analyze: AST-grounded whole-program conformance analyzer.
+"""grb_analyze: whole-program conformance analyzer for the GraphBLAS C API.
 
-The second tier of the repo's static-analysis stack (DESIGN.md §13).
-tools/grb_lint.py is the fast regex tier: single-file, pattern-shaped
-contracts.  grb_analyze builds a whole-program model — every function
-definition in src/ and include/, its ordered body events (calls, lock
-scopes, allocations, throws, atomic operations, container-data accesses)
-and the call graph over them — and enforces the cross-function contracts
-the regex tier cannot see:
+The repo's one static analyzer (DESIGN.md §13).  It builds a program
+model — every function definition in src/ and include/, its ordered
+body events (calls, lock scopes, allocations, throws, atomic
+operations, container-data accesses) and the call graph over them —
+and enforces the contracts the type system cannot express:
 
+  no-throw-escape         GraphBLAS.h contains no naked `throw`: the C
+                          API is a no-throw interface (paper §V).
+  entry-point-parity      Every GrB_*/GxB_* entry point named in
+                          GraphBLAS.h is implemented (no declaration
+                          without a definition), every definition —
+                          each overload, macro-expanded ones included —
+                          is `return grb_detail::guarded([&]() -> GrB_Info
+                          {...})`, and every GxB_* is listed in the
+                          GxB_EXTENSIONS registry (both directions, no
+                          duplicates).
+  null-check-before-deref An entry point that dereferences a handle or
+                          pointer argument checks it against nullptr
+                          first (API errors are detected eagerly and
+                          deterministically, paper §V).
+  info-string-coverage    GrB_Info (C enum), grb::Info (core enum) and
+                          the info_name() switch agree: same values, same
+                          names, and every code has a printable string.
+  descriptor-coverage     Descriptor::set dispatches every DescField, and
+                          all 31 non-default predefined descriptors are
+                          declared once, under their canonical GrB_DESC_*
+                          names.
+  ops-validate-first      Every public operation in src/ops/*.cpp calls
+                          validate_objects (directly or through a
+                          file-local validator) before it snapshots
+                          inputs or defers work.
+  poison-has-message      Every poison()/poison_locked() call passes a
+                          non-empty GrB_error string, and the deferred-
+                          execution machinery poisons with info_name()
+                          text.
   no-alloc-under-lock     No path reachable from a hot-path critical
                           section (spgemm / ewise / the
                           deferred-drain machinery in object_base), or
@@ -19,15 +46,14 @@ the regex tier cannot see:
                           An allocation under a lock can throw bad_alloc
                           with the lock held and stalls every waiter
                           behind the allocator.
-  barrier-before-read     Control-flow replacement for grb_lint's retired
-                          fusion-barrier-coverage regex rule: every
-                          value-observing read path (extract_element,
-                          extract_tuples, nvals, export, serialize) must
-                          call snapshot()/complete()/flush_pending() —
-                          directly or through a callee that does (e.g.
-                          nvals() delegation) — before dereferencing
-                          published container data.  Checked on the
-                          ordered event list, not line order.
+  barrier-before-read     Every value-observing read path
+                          (extract_element, extract_tuples, nvals,
+                          export, serialize) must call snapshot()/
+                          complete()/flush_pending() — directly or
+                          through a callee that does (e.g. nvals()
+                          delegation) — before dereferencing published
+                          container data.  Checked on the ordered event
+                          list, not line order.
   decision-audit-coverage Every file hosting an adaptive cost-model
                           branch emits a DecisionRecord and is listed in
                           GRB_DECISION_SITES (obs/decision.hpp), both
@@ -37,13 +63,8 @@ the regex tier cannot see:
                           A defaulted seq_cst on a hot-path counter is a
                           silent fence; making the order visible makes
                           the cost and the intent reviewable.
-  entry-point-parity      Every GrB_*/GxB_* entry point named in
-                          GraphBLAS.h is implemented (no declaration
-                          without a definition), routes through the
-                          grb_detail::guarded no-throw veneer as its
-                          first action, and — for GxB_* — is listed in
-                          the GxB_EXTENSIONS registry (both directions,
-                          no duplicates).
+
+A rule whose input files are absent from the tree reports nothing.
 
 Frontend
   A self-contained reduced-C++ parser builds the Program model: a
@@ -62,13 +83,13 @@ Suppressions
   itself reported (stale-suppression) so the file cannot rot.
 
 Usage: grb_analyze.py [--repo DIR] [--json REPORT] [--suppressions FILE]
-                      [--verbose]
 Exit status: 0 if no unsuppressed findings, 1 otherwise, 2 on usage or
 infrastructure error.
 """
 
 import argparse
 import bisect
+import functools
 import json
 import os
 import re
@@ -167,65 +188,79 @@ CXX_KEYWORDS = {
     "alignof", "decltype", "default",
 }
 
+# The C API header: entry points, the no-throw veneer, GrB_Info, and the
+# predefined descriptors.
+HEADER = "include/graphblas/GraphBLAS.h"
+
+# The shape every entry-point body must have: its first statement returns
+# the veneer's result, so nothing runs outside the catch-all handlers.
+GUARDED_RE = re.compile(r"\s*return\s+grb_detail::guarded\s*\(\s*\[&\]\s*"
+                        r"\(\s*\)\s*->\s*GrB_Info\s*\{")
+
+# Handle parameters whose dereference needs a preceding nullptr check.
+HANDLE_TYPES = {
+    "GrB_Type", "GrB_UnaryOp", "GrB_BinaryOp", "GrB_IndexUnaryOp",
+    "GrB_Monoid", "GrB_Semiring", "GrB_Descriptor", "GrB_Scalar",
+    "GrB_Vector", "GrB_Matrix", "GrB_Context",
+}
+
+# Canonical letter order for predefined descriptor names (REPLACE,
+# STRUCTURE, COMP, TRAN0, TRAN1 — the order the spec's names use).
+DESC_LETTERS = [(1, "R"), (4, "S"), (2, "C"), (8, "T0"), (16, "T1")]
+
+# Declarations in ops/common.hpp that are helpers, not operations.
+OPS_HELPER_NAMES = {"validate_objects", "check_cast", "check_accum"}
+# What an operation must not do before validating its objects.
+OPS_EFFECT_FNS = {"snapshot", "defer_or_run"}
+POISON_FNS = {"poison", "poison_locked"}
+
 RULES = (
+    "no-throw-escape",
+    "entry-point-parity",
+    "null-check-before-deref",
+    "info-string-coverage",
+    "descriptor-coverage",
+    "ops-validate-first",
+    "poison-has-message",
     "no-alloc-under-lock",
     "barrier-before-read",
     "decision-audit-coverage",
     "atomic-order-explicit",
-    "entry-point-parity",
     "stale-suppression",
 )
 
 
 # ---------------------------------------------------------------------------
-# Source utilities (shared with the grb_lint tier by construction)
+# Source utilities
 # ---------------------------------------------------------------------------
+
+# Comments and string/char literals, leftmost first (an unterminated one
+# runs to the end of the text).
+LEXEME_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)"
+                       r"|\"(?:[^\"\\]|\\.)*(?:\"|\Z)|'(?:[^'\\]|\\.)*(?:'|\Z)",
+                       re.S)
+
+
+def _blank_lexeme(m):
+    s = m.group(0)
+    if s[0] in "\"'":
+        return s[0] + " " * (len(s) - 2) + s[0] if len(s) > 1 else s
+    return "\n".join(" " * len(part) for part in s.split("\n"))
+
 
 def strip_comments_and_strings(text):
     """Blank comments and string/char literal contents, preserving length.
 
-    Every replaced character becomes a space (newlines survive), so byte
-    offsets and line numbers in the stripped text match the original.
-    String literals keep their quotes but lose their contents, so tokens
-    inside strings can never look like code.
+    Every replaced character becomes a space (newlines in comments
+    survive), so byte offsets and line numbers in the stripped text
+    match the original.  String literals keep their quotes but lose
+    their contents, so tokens inside strings can never look like code.
     """
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            out.append(" " * (j - i))
-            i = j
-        elif text.startswith("/*", i):
-            j = text.find("*/", i)
-            j = n if j < 0 else j + 2
-            out.append("".join(ch if ch == "\n" else " " for ch in text[i:j]))
-            i = j
-        elif c == '"' or c == "'":
-            q = c
-            j = i + 1
-            while j < n and text[j] != q:
-                j += 2 if text[j] == "\\" else 1
-            j = min(j, n - 1)
-            out.append(q + " " * (j - i - 1) + q)
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return LEXEME_RE.sub(_blank_lexeme, text)
 
 
 def blank_preprocessor(text):
     """Blank out preprocessor lines (incl. continuations), keep length."""
-    out = []
-    for chunk in re.split(r"(\n)", text):
-        if chunk == "\n":
-            out.append(chunk)
-            continue
-        out.append(chunk)
-    # Work line-wise on the joined text to honor continuations.
     lines = text.split("\n")
     i = 0
     while i < len(lines):
@@ -245,9 +280,9 @@ def blank_preprocessor(text):
 def expand_function_macros(text):
     """Expand #define macros whose bodies define GrB_* entry points.
 
-    Mirrors the grb_lint tier: each invocation is replaced by the
-    expanded body collapsed onto the invocation's line, so line numbers
-    of the rest of the file are preserved.
+    Each invocation is replaced by the expanded body collapsed onto the
+    invocation's line, so line numbers of the rest of the file are
+    preserved.
     """
     macros = {}
     out_lines = []
@@ -293,21 +328,45 @@ def expand_function_macros(text):
     return "\n".join(out_lines)
 
 
-def match_paren(text, open_pos):
-    """Index of the char matching the opener at open_pos (or -1)."""
-    pairs = {"(": ")", "{": "}", "[": "]"}
-    close = pairs[text[open_pos]]
-    opener = text[open_pos]
-    depth = 0
-    for i in range(open_pos, len(text)):
-        c = text[i]
-        if c == opener:
-            depth += 1
-        elif c == close:
-            depth -= 1
-            if depth == 0:
-                return i
+# Opener -> a pattern matching it and its closer.
+BRACKET_RES = {o: re.compile("[%s]" % re.escape(o + c))
+               for o, c in ("()", "{}", "[]")}
+
+
+def match_paren(text, open_pos, opener=None):
+    """Index of the closer matching the opener at open_pos (or -1).
+
+    With `opener` given, open_pos lies inside an already-open scope of
+    that bracket kind, and the result is the closer ending that scope.
+    """
+    depth = 0 if opener is None else 1
+    opener = opener or text[open_pos]
+    for m in BRACKET_RES[opener].finditer(text, open_pos):
+        depth += 1 if m.group() == opener else -1
+        if depth == 0:
+            return m.start()
     return -1
+
+
+def split_top_level(text, nest="([{"):
+    """Split text at commas outside the brackets in `nest`, stripped."""
+    close = {"(": ")", "[": "]", "{": "}", "<": ">"}
+    closers = {close[c] for c in nest}
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(text):
+        if c in nest:
+            depth += 1
+        elif c in closers:
+            depth -= 1
+        elif c == "," and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i + 1
+    parts.append(text[start:].strip())
+    return parts
+
+
+def line_at(text, pos):
+    return text.count("\n", 0, pos) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +396,11 @@ class Event:
         self.what = what
 
 
+def call_base(ev):
+    """Unqualified callee name of a CALL event."""
+    return (ev.name or "").rsplit("::", 1)[-1]
+
+
 class LockScope:
     __slots__ = ("start", "end", "line")
 
@@ -347,14 +411,15 @@ class LockScope:
 
 
 class Function:
-    __slots__ = ("name", "qual", "file", "line", "events", "locks",
+    __slots__ = ("name", "qual", "file", "line", "start", "events", "locks",
                  "requires_lock", "body_start", "body_end", "signature")
 
-    def __init__(self, name, qual, file, line, signature=""):
+    def __init__(self, name, qual, file, line, start, signature=""):
         self.name = name          # base name, e.g. "complete"
         self.qual = qual          # qualified, e.g. "ObjectBase::complete"
         self.file = file          # repo-relative path
         self.line = line
+        self.start = start        # offset of the name in the file text
         self.signature = signature
         self.events = []
         self.locks = []           # LockScope list
@@ -364,6 +429,12 @@ class Function:
 
     def calls(self):
         return [e for e in self.events if e.kind == Event.CALL]
+
+    def params(self):
+        """The parameter list's text (signature starts at the name)."""
+        open_paren = self.signature.index("(")
+        return self.signature[open_paren + 1:
+                              match_paren(self.signature, open_paren)]
 
 
 class Program:
@@ -379,13 +450,38 @@ class Program:
 
     def resolve(self, name):
         """Functions a call to `name` may reach (overloads merged)."""
-        base = name.rsplit("::", 1)[-1]
-        return self.by_name.get(base, [])
+        return self.by_name.get(name.rsplit("::", 1)[-1], [])
+
+    def body(self, fn):
+        return self.files[fn.file][fn.body_start + 1:fn.body_end]
+
+    def find(self, file, qual):
+        """The first definition of `qual` in `file`, or None."""
+        return next((f for f in self.functions
+                     if f.file == file and f.qual == qual), None)
+
+    @functools.cached_property
+    def entry_points(self):
+        """Every `inline GrB_Info GrB_*/GxB_*` definition in the header.
+
+        One entry per definition, not per name: each overload and each
+        macro-expanded instance is its own entry point.
+        """
+        text = self.files.get(HEADER, "")
+        return [fn for fn in self.functions
+                if fn.file == HEADER
+                and re.match(r"(?:GrB|GxB)_\w+$", fn.qual)
+                and re.search(r"\binline\s+GrB_Info\s+$",
+                              text[max(0, fn.start - 32):fn.start])]
 
 
 # ---------------------------------------------------------------------------
 # Text frontend: a reduced C++ parser (length-preserving, brace-matched)
 # ---------------------------------------------------------------------------
+
+# Words that start a new declaration and so never follow a parameter list.
+DECL_START_RE = re.compile(r"\b(?:inline|static|template|typedef|struct|class"
+                           r"|namespace|enum|extern|return)\b")
 
 FN_CANDIDATE_RE = re.compile(r"([A-Za-z_~][\w]*(?:\s*::\s*~?[A-Za-z_]\w*)*)"
                              r"\s*\(")
@@ -401,9 +497,8 @@ class TextFrontend:
     the site-shaped rules).
     """
 
-    def __init__(self, repo, verbose=False):
+    def __init__(self, repo):
         self.repo = repo
-        self.verbose = verbose
 
     def build(self, rel_files):
         prog = Program()
@@ -414,7 +509,7 @@ class TextFrontend:
                     raw = f.read()
             except OSError:
                 continue
-            if rel.endswith("GraphBLAS.h"):
+            if rel == HEADER:
                 raw_for_parse = expand_function_macros(raw)
             else:
                 raw_for_parse = raw
@@ -466,7 +561,7 @@ class TextFrontend:
                 pos = m.end()
                 continue
             qual = re.sub(r"\s+", "", name_tok)
-            fn = Function(base, qual, rel, line_of(m.start()),
+            fn = Function(base, qual, rel, line_of(m.start()), m.start(),
                           signature=text[m.start():body_open])
             fn.body_start = body_open
             fn.body_end = body_close
@@ -488,8 +583,10 @@ class TextFrontend:
         Accepts cv-qualifiers, ref-qualifiers, noexcept, override/final,
         annotation macros with arguments (GRB_REQUIRES(mu_) etc.),
         trailing return types, and constructor initializer lists.
-        Rejects declarations (';'), '= default/delete', and anything
-        that doesn't end in a brace.
+        Rejects declarations (';'), '= default/delete', anything that
+        doesn't end in a brace, and a tail that reaches into the next
+        declaration (a macro invocation such as `GRB_DESC(N, 1)` followed
+        by `inline GrB_Info GrB_init(...) {` is not GRB_DESC's body).
         """
         tail_chars = []
         n = len(text)
@@ -497,7 +594,10 @@ class TextFrontend:
         while i < n:
             c = text[i]
             if c == "{":
-                return True, i, "".join(tail_chars)
+                tail = "".join(tail_chars)
+                if DECL_START_RE.search(tail):
+                    return False, -1, ""
+                return True, i, tail
             if c == ";":
                 return False, -1, "".join(tail_chars)
             if c == "=":
@@ -526,7 +626,9 @@ class TextFrontend:
 
         # Lock scopes.
         for m in LOCK_DECL_RE.finditer(body):
-            scope_end = self._scope_end(body, m.start())
+            scope_end = match_paren(body, m.start(), "{")
+            if scope_end < 0:
+                scope_end = len(body)
             fn.locks.append(LockScope(start + m.start(),
                                       start + scope_end,
                                       line_of(start + m.start())))
@@ -643,20 +745,6 @@ class TextFrontend:
             return "decl", None
         return "call", None
 
-    @staticmethod
-    def _scope_end(body, pos):
-        """End of the innermost brace scope containing pos."""
-        depth = 0
-        for i in range(pos, len(body)):
-            c = body[i]
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth < 0:
-                    return i
-        return len(body)
-
 
 # ---------------------------------------------------------------------------
 # Findings, suppressions, reporting
@@ -684,7 +772,6 @@ class Finding:
 class Suppressions:
     def __init__(self, repo, path):
         self.entries = []
-        self.used = [False] * 0
         self.repo = repo
         self.path = path
         if path and os.path.isfile(path):
@@ -769,7 +856,7 @@ class Closures:
             memo[key] = hit
             return hit
         for ev in fn.calls():
-            base = (ev.name or "").rsplit("::", 1)[-1]
+            base = call_base(ev)
             if base in cut_names:
                 continue
             for callee in self.prog.resolve(ev.name or ""):
@@ -796,7 +883,7 @@ class Closures:
     def has_barrier(self, fn):
         def direct(f):
             for ev in f.calls():
-                base = (ev.name or "").rsplit("::", 1)[-1]
+                base = call_base(ev)
                 if base in BARRIER_FNS:
                     return (ev, None, True)
             return None
@@ -853,7 +940,7 @@ def rule_no_alloc_under_lock(prog, repo, rep):
                        "allocates (%s)" % what, fn.qual),
                     function=fn.qual)
             elif ev.kind == Event.CALL:
-                base = (ev.name or "").rsplit("::", 1)[-1]
+                base = call_base(ev)
                 if base in TRACKED_ALLOC_FNS or base in ALLOC_METHODS:
                     continue  # direct events already reported above
                 if ev.receiver is not None and base in NO_RESOLVE_METHODS:
@@ -882,8 +969,7 @@ def rule_guarded_catch_zone(prog, repo, rep):
     exception is in flight — allocating there can itself throw and
     terminate() across the C boundary.
     """
-    rel = "include/graphblas/GraphBLAS.h"
-    text = prog.files.get(rel)
+    text = prog.files.get(HEADER)
     if text is None:
         return
     for m in re.finditer(r"\bcatch\s*\(", text):
@@ -895,11 +981,11 @@ def rule_guarded_catch_zone(prog, repo, rep):
             continue
         end = match_paren(text, brace)
         body = text[brace + 1:end]
-        line = text.count("\n", 0, m.start()) + 1
+        line = line_at(text, m.start())
         if re.search(r"\bnew\b|\bthrow\b(?!\s*;)|make_shared|std::string\s*\(",
                      body):
             rep.report(
-                "no-alloc-under-lock", rel, line,
+                "no-alloc-under-lock", HEADER, line,
                 "catch handler in the no-throw veneer allocates or "
                 "rethrows; handlers must reduce to an error-code return")
 
@@ -917,7 +1003,7 @@ def rule_barrier_before_read(prog, repo, rep):
             if ev.kind == Event.ACCESS and first_access is None:
                 first_access = ev
             elif ev.kind == Event.CALL and first_barrier is None:
-                base = (ev.name or "").rsplit("::", 1)[-1]
+                base = call_base(ev)
                 if base in BARRIER_FNS:
                     first_barrier = ev
                 else:
@@ -968,7 +1054,7 @@ def rule_decision_audit_coverage(prog, repo, rep):
     emitting = {}
     for fn in prog.functions:
         for ev in fn.calls():
-            base = (ev.name or "").rsplit("::", 1)[-1]
+            base = call_base(ev)
             if base != "decision_record":
                 continue
             emitting.setdefault(fn.file, []).append((fn, ev))
@@ -1059,7 +1145,7 @@ def rule_atomic_order_explicit(prog, repo, rep):
                           or re.search(r"\.|->", m.group(0)))
                 if member and name in plain:
                     continue  # may be a same-named plain member
-                line = text.count("\n", 0, m.start()) + 1
+                line = line_at(text, m.start())
                 rep.report(
                     "atomic-order-explicit", rel, line,
                     "operator-form access to std::atomic `%s` is an "
@@ -1068,28 +1154,27 @@ def rule_atomic_order_explicit(prog, repo, rep):
                     function=fn.qual if fn else None)
 
 
-def rule_entry_point_parity(prog, repo, rep):
-    rel = "include/graphblas/GraphBLAS.h"
-    raw = prog.raw_files.get(rel)
+def rule_no_throw_escape(prog, repo, rep):
+    """No naked `throw` anywhere in the C API header, macros included."""
+    raw = prog.raw_files.get(HEADER)
     if raw is None:
         return
-    text = expand_function_macros(raw)
-    stripped = strip_comments_and_strings(text)
+    text = strip_comments_and_strings(raw)
+    for m in re.finditer(r"\bthrow\b", text):
+        rep.report("no-throw-escape", HEADER, line_at(text, m.start()),
+                   "naked `throw` in the C API header; errors cross the "
+                   "C boundary as GrB_Info codes only")
 
+
+def rule_entry_point_parity(prog, repo, rep):
+    raw = prog.raw_files.get(HEADER)
+    if raw is None:
+        return
+    stripped = prog.files[HEADER]
+    entry_points = prog.entry_points
     defined = {}
-    for m in re.finditer(r"inline GrB_Info ((?:GrB|GxB)_\w+)\s*\(",
-                         stripped):
-        close = match_paren(stripped, m.end() - 1)
-        if close < 0:
-            continue
-        brace = stripped.find("{", close)
-        semi = stripped.find(";", close)
-        line = stripped.count("\n", 0, m.start()) + 1
-        if brace < 0 or (0 <= semi < brace):
-            continue  # declaration; handled below
-        end = match_paren(stripped, brace)
-        body = text[brace + 1:end]
-        defined[m.group(1)] = (line, body)
+    for fn in entry_points:
+        defined.setdefault(fn.name, fn.line)
 
     # Declarations without a definition anywhere in the header.
     for m in re.finditer(r"\bGrB_Info\s+((?:GrB|GxB)_\w+)\s*\(", stripped):
@@ -1098,55 +1183,246 @@ def rule_entry_point_parity(prog, repo, rep):
             continue
         after = stripped[close + 1:close + 80].lstrip()
         if after.startswith(";") and m.group(1) not in defined:
-            line = stripped.count("\n", 0, m.start()) + 1
             rep.report(
-                "entry-point-parity", rel, line,
+                "entry-point-parity", HEADER, line_at(stripped, m.start()),
                 "%s is declared but never implemented; every entry "
                 "point named in the C API header must ship with its "
                 "definition" % m.group(1))
 
-    # Guarded-veneer routing: the body's first action is the veneer call.
-    for name, (line, body) in sorted(defined.items()):
-        if not body.strip().startswith(
-                "return grb_detail::guarded("):
+    # Every definition, overloads included: the body opens with the
+    # guarded veneer, and handles are null-checked before use.
+    for fn in entry_points:
+        body = prog.body(fn)
+        if not GUARDED_RE.match(body):
             rep.report(
-                "entry-point-parity", rel, line,
+                "entry-point-parity", HEADER, fn.line,
                 "%s does not route through grb_detail::guarded() as its "
                 "first action; an exception could cross the C boundary"
-                % name)
+                % fn.name, function=fn.name)
+        check_null_before_deref(fn, body, rep)
 
     # GxB registry parity, both directions, no duplicates.
-    m = re.search(r"GxB_EXTENSIONS\[\]\s*=\s*\{(.*?)\};", text, re.S)
+    m = re.search(r"GxB_EXTENSIONS\[\]\s*=\s*\{(.*?)\};", raw, re.S)
     table = re.findall(r'"(GxB_\w+)"', m.group(1)) if m else []
-    table_line = text.count("\n", 0, m.start()) + 1 if m else 1
+    table_line = line_at(raw, m.start()) if m else 1
     gxb_defined = {n for n in defined if n.startswith("GxB_")}
     for name in sorted(gxb_defined):
         if name not in table:
             rep.report(
-                "entry-point-parity", rel, defined[name][0],
+                "entry-point-parity", HEADER, defined[name],
                 "%s is implemented but missing from the GxB_EXTENSIONS "
                 "registry; introspection would hide it" % name)
     seen = set()
     for name in table:
         if name not in gxb_defined:
             rep.report(
-                "entry-point-parity", rel, table_line,
+                "entry-point-parity", HEADER, table_line,
                 "GxB_EXTENSIONS lists %s but no such entry point is "
                 "implemented" % name)
         if name in seen:
             rep.report(
-                "entry-point-parity", rel, table_line,
+                "entry-point-parity", HEADER, table_line,
                 "GxB_EXTENSIONS lists %s twice" % name)
         seen.add(name)
 
 
+def check_null_before_deref(fn, body, rep):
+    for param in split_top_level(fn.params(), "<([{"):
+        m = re.match(r"(.+?)\s*\b(\w+)$", param.split("=")[0].strip())
+        if not m:
+            continue
+        ptype, pname = m.group(1), m.group(2)
+        handle = re.sub(r"^const\s+|\s*&$", "", ptype.strip())
+        if handle not in HANDLE_TYPES and "*" not in ptype:
+            continue
+        deref = re.search(r"(\b%s->|\*\s*%s\b\s*=|\(\s*\*\s*%s\s*\))"
+                          % (pname, pname, pname), body)
+        if not deref:
+            continue
+        guard = re.search(r"\b%s\s*==\s*nullptr" % pname, body)
+        if guard is None or guard.start() > deref.start():
+            rep.report(
+                "null-check-before-deref", HEADER, fn.line,
+                "%s dereferences parameter `%s` without a preceding "
+                "nullptr check" % (fn.name, pname), function=fn.name)
+
+
+def camel_to_snake(name):
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", name).upper()
+
+
+def rule_info_string_coverage(prog, repo, rep):
+    core_rel, impl_rel = "src/core/info.hpp", "src/core/info.cpp"
+    hdr, core = prog.files.get(HEADER), prog.files.get(core_rel)
+    impl = prog.raw_files.get(impl_rel)
+    if hdr is None or core is None or impl is None:
+        return
+    m = re.search(r"enum GrB_Info \{(.*?)\};", hdr, re.S)
+    hdr_line = line_at(hdr, m.start()) if m else 1
+    c_values = {name: int(val) for name, val in re.findall(
+        r"GrB_([A-Z_]+)\s*=\s*(-?\d+)", m.group(1) if m else "")}
+    m = re.search(r"enum class Info : int \{(.*?)\};", core, re.S)
+    core_line = line_at(core, m.start()) if m else 1
+    core_values = {name: int(val) for name, val in re.findall(
+        r"k(\w+)\s*=\s*(-?\d+)", m.group(1) if m else "")}
+
+    for cname, cval in core_values.items():
+        snake = camel_to_snake(cname)
+        if snake not in c_values:
+            rep.report("info-string-coverage", HEADER, hdr_line,
+                       "grb::Info::k%s has no GrB_%s in the C enum"
+                       % (cname, snake))
+        elif c_values[snake] != cval:
+            rep.report("info-string-coverage", HEADER, hdr_line,
+                       "GrB_%s = %d but grb::Info::k%s = %d"
+                       % (snake, c_values[snake], cname, cval))
+    for cname, cval in c_values.items():
+        if cval not in core_values.values():
+            rep.report("info-string-coverage", core_rel, core_line,
+                       "GrB_%s (%d) missing from grb::Info" % (cname, cval))
+
+    fn = prog.find(impl_rel, "info_name")
+    line = fn.line if fn else 1
+    cases = dict(re.findall(r'case Info::k(\w+):\s*return "([^"]*)";', impl))
+    for cname in core_values:
+        want = "GrB_" + camel_to_snake(cname)
+        if cname not in cases:
+            rep.report("info-string-coverage", impl_rel, line,
+                       "info_name() has no case for Info::k%s" % cname)
+        elif cases[cname] != want:
+            rep.report("info-string-coverage", impl_rel, line,
+                       'info_name(Info::k%s) returns "%s", expected "%s"'
+                       % (cname, cases[cname], want))
+
+
+def rule_descriptor_coverage(prog, repo, rep):
+    decl_rel, impl_rel = "src/core/descriptor.hpp", "src/core/descriptor.cpp"
+    hdr, decl = prog.files.get(HEADER), prog.files.get(decl_rel)
+    if hdr is None or decl is None or impl_rel not in prog.files:
+        return
+    m = re.search(r"enum class DescField\b[^{]*\{(.*?)\};", decl, re.S)
+    fields = re.findall(r"\b(k\w+)\s*=", m.group(1)) if m else []
+    setter = prog.find(impl_rel, "Descriptor::set")
+    if setter is None:
+        rep.report("descriptor-coverage", impl_rel, 1,
+                   "Descriptor::set not found in descriptor.cpp")
+    else:
+        body = prog.body(setter)
+        for field in fields:
+            if not re.search(r"case DescField::%s\b" % field, body):
+                rep.report("descriptor-coverage", impl_rel, setter.line,
+                           "Descriptor::set does not dispatch DescField::%s"
+                           % field, function=setter.qual)
+
+    def canonical(bits):
+        return "GrB_DESC_" + "".join(
+            letter for bit, letter in DESC_LETTERS if bits & bit)
+
+    declared = {}
+    for m in re.finditer(r"\bGRB_DESC\((\w+),\s*(\d+)\)", hdr):
+        name, bits = m.group(1), int(m.group(2))
+        line = line_at(hdr, m.start())
+        if name != canonical(bits):
+            rep.report("descriptor-coverage", HEADER, line,
+                       "descriptor bits %d declared as %s, canonical name "
+                       "is %s" % (bits, name, canonical(bits)))
+        if bits in declared:
+            rep.report("descriptor-coverage", HEADER, line,
+                       "descriptor bits %d declared twice" % bits)
+        declared[bits] = name
+    for bits in range(1, 32):
+        if bits not in declared:
+            rep.report("descriptor-coverage", HEADER, 1,
+                       "predefined descriptor %s (bits %d) is not declared"
+                       % (canonical(bits), bits))
+
+
+def rule_ops_validate_first(prog, repo, rep):
+    common = prog.files.get("src/ops/common.hpp")
+    if common is None:
+        return
+    ops = {name for name in re.findall(r"^Info (\w+)\(", common, re.M)
+           if name not in OPS_HELPER_NAMES}
+    by_file = {}
+    for fn in prog.functions:
+        if os.path.dirname(fn.file) == "src/ops" and fn.file.endswith(".cpp"):
+            by_file.setdefault(fn.file, []).append(fn)
+    for fns in by_file.values():
+        # File-local helpers that validate on behalf of the operations
+        # (e.g. validate_apply_v).
+        validators = {"validate_objects"} | {
+            fn.name for fn in fns if fn.name not in ops
+            and any(call_base(ev) == "validate_objects" for ev in fn.calls())}
+        for fn in fns:
+            if fn.qual not in ops:
+                continue
+            first_check = first_effect = None
+            for ev in fn.calls():
+                base = call_base(ev)
+                if first_check is None and base in validators:
+                    first_check = ev
+                if first_effect is None and base in OPS_EFFECT_FNS:
+                    first_effect = ev
+            if first_effect is None:
+                continue  # pure forwarder / computes nothing itself
+            if first_check is None:
+                rep.report("ops-validate-first", fn.file, fn.line,
+                           "%s snapshots or defers without calling "
+                           "validate_objects" % fn.qual, function=fn.qual)
+            elif first_check.pos > first_effect.pos:
+                rep.report("ops-validate-first", fn.file, fn.line,
+                           "%s calls validate_objects only after %s() at "
+                           "line %d" % (fn.qual, call_base(first_effect),
+                                        first_effect.line),
+                           function=fn.qual)
+
+
+def rule_poison_has_message(prog, repo, rep):
+    for fn in prog.functions:
+        if not fn.file.startswith("src/"):
+            continue
+        for ev in fn.calls():
+            if call_base(ev) not in POISON_FNS:
+                continue
+            args = split_top_level(ev.args or "")
+            if len(args) < 2 or args[1] in ('""', "{}", ""):
+                rep.report("poison-has-message", fn.file, ev.line,
+                           "%s: poison() without an error message; deferred "
+                           "failures must register a GrB_error string"
+                           % fn.qual, function=fn.qual)
+
+    # The deferred-execution machinery itself must poison with a
+    # printable info_name() message on both failure paths.  The drain
+    # loop lives in complete_impl(); complete() is a thin watchdog/
+    # attribution wrapper around it.
+    rel = "src/exec/object_base.cpp"
+    if rel not in prog.files:
+        return
+    for qual in ("defer_or_run", "ObjectBase::complete_impl"):
+        fn = prog.find(rel, qual)
+        if fn is None:
+            rep.report("poison-has-message", rel, 1,
+                       "%s not found in object_base.cpp" % qual)
+            continue
+        called = {call_base(ev) for ev in fn.calls()}
+        if not (called & POISON_FNS and "info_name" in called):
+            rep.report("poison-has-message", rel, fn.line,
+                       "%s must poison failed deferred work with an "
+                       "info_name() message" % qual, function=qual)
+
+
 RULE_FNS = (
+    rule_no_throw_escape,
+    rule_entry_point_parity,
+    rule_info_string_coverage,
+    rule_descriptor_coverage,
+    rule_ops_validate_first,
+    rule_poison_has_message,
     rule_no_alloc_under_lock,
     rule_guarded_catch_zone,
     rule_barrier_before_read,
     rule_decision_audit_coverage,
     rule_atomic_order_explicit,
-    rule_entry_point_parity,
 )
 
 
@@ -1166,8 +1442,8 @@ def collect_files(repo):
     return sorted(rels)
 
 
-def build_program(repo, verbose):
-    return TextFrontend(repo, verbose).build(collect_files(repo))
+def build_program(repo):
+    return TextFrontend(repo).build(collect_files(repo))
 
 
 def main(argv):
@@ -1179,14 +1455,12 @@ def main(argv):
     ap.add_argument("--suppressions", default=None,
                     help="suppression file (default: "
                          "<repo>/tools/grb_analyze_suppressions.json)")
-    ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 
     repo = args.repo or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     repo = os.path.abspath(repo)
-    if not os.path.isfile(os.path.join(repo, "include", "graphblas",
-                                       "GraphBLAS.h")):
+    if not os.path.isfile(os.path.join(repo, HEADER)):
         print("grb_analyze: %s does not look like a repo root "
               "(no include/graphblas/GraphBLAS.h)" % repo, file=sys.stderr)
         return 2
@@ -1197,7 +1471,7 @@ def main(argv):
                                "grb_analyze_suppressions.json")
         supp_path = default if os.path.isfile(default) else None
 
-    prog = build_program(repo, args.verbose)
+    prog = build_program(repo)
 
     suppressions = Suppressions(repo, supp_path)
     rep = Reporter(suppressions)
@@ -1216,14 +1490,16 @@ def main(argv):
     for f in rep.findings:
         loc = "%s:%d" % (f.file, f.line)
         print("%s: [%s] %s" % (loc, f.rule, f.message))
-    print("grb_analyze: functions=%d finding(s)=%d suppressed=%d"
-          % (len(prog.functions), len(rep.findings), rep.suppressed))
+    print("grb_analyze: functions=%d entry_points=%d finding(s)=%d "
+          "suppressed=%d" % (len(prog.functions), len(prog.entry_points),
+                             len(rep.findings), rep.suppressed))
 
     if args.json:
         report = {
             "tool": "grb_analyze",
             "rules": list(RULES),
             "functions": len(prog.functions),
+            "entry_points": len(prog.entry_points),
             "suppressed": rep.suppressed,
             "findings": [f.as_dict() for f in rep.findings],
         }
