@@ -1,8 +1,14 @@
 // Experiment F2 (paper Figure 2 / §IV): execution contexts.
 //  * mxm under contexts configured with 1..8 threads (the resource knob
 //    the GrB_Context exists to expose);
-//  * context lifecycle micro-costs (new/switch/free) and nesting depth.
+//  * context lifecycle micro-costs (new/switch/free) and nesting depth;
+//  * the fork/join round trip of a context's thread pool.
+#include <chrono>
+#include <functional>
+
 #include "bench/bench_util.hpp"
+#include "exec/context.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace {
 
@@ -122,6 +128,44 @@ void BM_BlockingVsNonblockingDispatch(benchmark::State& state) {
   GrB_free(&ctx);
 }
 BENCHMARK(BM_BlockingVsNonblockingDispatch)->Arg(0)->Arg(1);
+
+// One empty-body parallel_for on a 4-thread context's pool: the cost of
+// handing chunks to the workers and joining them, with no work to hide
+// it.  Arg 0 submits jobs back to back, so the workers are still inside
+// their spin window; arg 1 sleeps 20 windows between jobs, so every job
+// wakes parked workers.  Only the parallel_for itself is timed.
+void BM_PoolForkJoin(benchmark::State& state) {
+  const bool idle_between = state.range(0) == 1;
+  GrB_ContextConfig cfg;
+  cfg.nthreads = 4;
+  GrB_Context ctx = nullptr;
+  BENCH_TRY(GrB_Context_new(&ctx, GrB_NONBLOCKING, GrB_NULL, &cfg));
+  grb::ThreadPool* pool = ctx->pool();
+  if (pool == nullptr || pool->nthreads() != 4) {
+    state.SkipWithError("context has no 4-thread pool");
+    GrB_free(&ctx);
+    return;
+  }
+  const std::function<void(grb::Index, grb::Index)> body =
+      [](grb::Index lo, grb::Index hi) { benchmark::DoNotOptimize(lo + hi); };
+  const grb::Index n = 64;  // 16 chunks of 4
+  for (auto _ : state) {
+    if (idle_between)
+      std::this_thread::sleep_for(grb::ThreadPool::kSpinWindow * 20);
+    auto t0 = std::chrono::steady_clock::now();
+    pool->parallel_for(0, n, 1, body);
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+  }
+  state.counters["idle_between"] = idle_between ? 1 : 0;
+  GrB_free(&ctx);
+}
+BENCHMARK(BM_PoolForkJoin)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

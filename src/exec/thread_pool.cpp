@@ -11,6 +11,35 @@ namespace {
 
 std::atomic<void (*)(std::thread::id)> g_thread_observer{nullptr};
 
+inline void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+// Polls `ready` until it holds (true) or ThreadPool::kSpinWindow has
+// passed (false).  The clock is read every 64 polls.  Every 512 polls
+// (≈10 µs) the spinner also yields the CPU: when another tenant holds a
+// CPU, it must not keep the thread it waits for off this one for the
+// whole window.  Yielding on every clock read is too often: it gives
+// back most of what the window saves on ktruss.
+template <class Ready>
+bool spin_until(Ready ready) {
+  if (ready()) return true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kSpinWindow;
+  for (unsigned polls = 1;; ++polls) {
+    cpu_pause();
+    if (ready()) return true;
+    if (polls % 64 == 0) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      if (polls % 512 == 0) std::this_thread::yield();
+    }
+  }
+}
+
 }  // namespace
 
 void set_thread_observer(void (*observer)(std::thread::id)) {
@@ -86,6 +115,8 @@ ThreadPool::~ThreadPool() {
   {
     MutexLock lock(mu_);
     shutdown_ = true;
+    // Moves workers still in their spin window on to mu_ at once.
+    published_.fetch_add(1, std::memory_order_release);
   }
   work_cv_.notify_all();
   for (auto& t : workers_) t.join();
@@ -120,6 +151,11 @@ void ThreadPool::worker_loop() {
     bool parked = false;
     bool quit = false;
     uint64_t park_t0 = 0;
+    // Wait for the next job on the atomic first: a job published within
+    // the window costs no futex wake.  Only then park on work_cv_.
+    spin_until([&] {
+      return published_.load(std::memory_order_acquire) != seen;
+    });
     {
       // The wait condition is an explicit loop (not a predicate lambda)
       // so the capability analysis sees the guarded reads under mu_.
@@ -174,10 +210,17 @@ void ThreadPool::parallel_for(Index begin, Index end, Index grain,
     MutexLock lock(mu_);
     job_ = job;
     ++generation_;
+    published_.store(generation_, std::memory_order_release);
   }
   work_cv_.notify_all();
   while (grab_and_run(*job, /*worker_lane=*/false)) {
   }
+  // The workers' last chunks usually finish within the window, so the
+  // caller polls before it blocks on done_cv_.
+  if (spin_until([&] {
+        return job->pending_chunks.load(std::memory_order_acquire) == 0;
+      }))
+    return;
   CvLock lock(mu_);
   while (job->pending_chunks.load(std::memory_order_acquire) != 0)
     lock.wait(done_cv_);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -81,6 +82,12 @@ ScratchArena& thread_arena();
 
 class ThreadPool {
  public:
+  // How long an idle worker, and a parallel_for caller waiting for the
+  // last chunk, poll an atomic before they block on a condition variable.
+  // A chain of small ops (one parallel_for every few microseconds) then
+  // hands work over without a futex wake; an idle pool still parks.
+  static constexpr std::chrono::microseconds kSpinWindow{50};
+
   explicit ThreadPool(int nthreads);
   ~ThreadPool();
 
@@ -131,6 +138,10 @@ class ThreadPool {
   // and are accessed lock-free once a worker holds the shared_ptr.
   std::shared_ptr<Job> job_ GRB_GUARDED_BY(mu_);
   uint64_t generation_ GRB_GUARDED_BY(mu_) = 0;
+  // generation_ mirrored for workers polling in the spin window, and
+  // bumped once more at shutdown.  Seeing it move only tells a worker to
+  // take mu_; job_ is still read under the lock.
+  std::atomic<uint64_t> published_{0};
 };
 
 }  // namespace grb

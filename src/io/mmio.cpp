@@ -28,22 +28,24 @@ Info read_matrix_market(Matrix** a, const std::string& path, Context* ctx) {
   while (std::getline(in, line)) {
     if (!line.empty() && line[0] != '%') break;
   }
+  // Nothing is sized from the header's entry count: a hostile count
+  // would go straight into an allocation.  The vectors grow with the
+  // entries actually read, and a short file fails at its end.
   std::istringstream dims(line);
   Index nrows = 0, ncols = 0, nnz = 0;
-  dims >> nrows >> ncols >> nnz;
+  if (!(dims >> nrows >> ncols >> nnz) || !(dims >> std::ws).eof())
+    return Info::kInvalidValue;
 
   std::vector<Index> ri, ci;
   std::vector<double> vals;
-  ri.reserve(nnz);
-  ci.reserve(nnz);
-  vals.reserve(nnz);
   for (Index k = 0; k < nnz; ++k) {
     if (!std::getline(in, line)) return Info::kInvalidValue;
     std::istringstream row(line);
     Index i = 0, j = 0;
     double v = 1.0;
-    row >> i >> j;
-    if (!pattern) row >> v;
+    if (!(row >> i >> j) || (!pattern && !(row >> v)) ||
+        !(row >> std::ws).eof())
+      return Info::kInvalidValue;
     if (i == 0 || j == 0 || i > nrows || j > ncols)
       return Info::kInvalidValue;
     ri.push_back(i - 1);

@@ -217,7 +217,8 @@ void op_drain(OpCounters* from, OpCounters* to) {
 
 // submitted: chunks handed to parallel_for; chunks: executed on any
 // lane; steals: executed by worker lanes; parks / park_ns: cv-wait
-// episodes and their duration; busy_hw: high-water of running lanes.
+// episodes and their duration, which begin only once a worker's spin
+// window has passed; busy_hw: high-water of running lanes.
 template <class T>
 struct PoolCells {
   T submitted{}, chunks{}, steals{}, parks{}, park_ns{}, busy_hw{};
@@ -240,9 +241,11 @@ const Field<PoolAgg, PoolCounters> kPoolFields[] = {
      {"grb_pool_steals_total", "Chunks executed by worker lanes.",
       "counter"}},
     {"parks", &PoolAgg::parks, &PoolCounters::parks,
-     {"grb_pool_parks_total", "Worker park episodes.", "counter"}},
+     {"grb_pool_parks_total", "Worker park episodes after the spin window.",
+      "counter"}},
     {"park_ns", &PoolAgg::park_ns, &PoolCounters::park_ns,
-     {"grb_pool_park_ns_total", "Time workers spent parked.", "counter"}},
+     {"grb_pool_park_ns_total",
+      "Time workers spent parked after the spin window.", "counter"}},
     {"busy_high_water", &PoolAgg::busy_hw, &PoolCounters::busy_hw,
      {"grb_pool_busy_high_water", "Most lanes running at once.", "gauge"}},
 };

@@ -2,6 +2,9 @@
 // UDT payloads, and corruption detection.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "io/mmio.hpp"
 #include "tests/grb_test_util.hpp"
 
@@ -202,6 +205,55 @@ TEST(MmioTest, RejectsGarbage) {
   GrB_Matrix a = nullptr;
   EXPECT_EQ(grb::read_matrix_market(&a, "/nonexistent/file.mtx", nullptr),
             grb::Info::kInvalidValue);
+}
+
+// Writes `text` to a file named after the running test, reads it back as
+// Matrix Market and returns the reader's verdict.  A matrix it accepts
+// is freed.
+grb::Info read_mtx_text(const std::string& text) {
+  const std::string path =
+      std::string(::testing::UnitTest::GetInstance()
+                      ->current_test_info()->name()) + "_tmp.mtx";
+  { std::ofstream(path) << text; }
+  GrB_Matrix a = nullptr;
+  grb::Info info = grb::read_matrix_market(&a, path, nullptr);
+  if (a != nullptr) GrB_free(&a);
+  std::remove(path.c_str());
+  return info;
+}
+
+TEST(MmioTest, HugeEntryCountAllocatesNothing) {
+  EXPECT_EQ(read_mtx_text("%%MatrixMarket matrix coordinate real general\n"
+                          "2 2 100000000000000000\n"
+                          "1 1 1.5\n"),
+            grb::Info::kInvalidValue);
+}
+
+TEST(MmioTest, RealEntryWithoutValueIsRejected) {
+  EXPECT_EQ(read_mtx_text("%%MatrixMarket matrix coordinate real general\n"
+                          "2 2 1\n"
+                          "1 2\n"),
+            grb::Info::kInvalidValue);
+  EXPECT_EQ(read_mtx_text("%%MatrixMarket matrix coordinate real general\n"
+                          "2 2 1\n"
+                          "1 2 x\n"),
+            grb::Info::kInvalidValue);
+  EXPECT_EQ(read_mtx_text("%%MatrixMarket matrix coordinate pattern "
+                          "general\n2 2 1\n1 2\n"),
+            grb::Info::kSuccess);
+}
+
+TEST(MmioTest, ShortOrUnparsableSizeLineIsRejected) {
+  for (const char* size : {"2 2\n", "2 two 1\n", "\n", "2 2 1 7\n"}) {
+    EXPECT_EQ(read_mtx_text(
+                  std::string("%%MatrixMarket matrix coordinate real "
+                              "general\n") + size + "1 1 1.5\n"),
+              grb::Info::kInvalidValue)
+        << "size line: " << size;
+  }
+  EXPECT_EQ(read_mtx_text("%%MatrixMarket matrix coordinate real general\n"
+                          "2 2 1\r\n1 1 1.5\r\n"),
+            grb::Info::kSuccess);
 }
 
 }  // namespace

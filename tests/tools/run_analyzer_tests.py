@@ -29,7 +29,7 @@ FIXTURES = os.path.join(HERE, "fixtures")
 
 # fixture name -> (expected per-rule finding counts, expected suppressed)
 EXPECT = {
-    "alloc_under_lock": ({"no-alloc-under-lock": 1}, 1),
+    "alloc_under_lock": ({"no-alloc-under-lock": 3}, 1),
     "barrier_read": ({"barrier-before-read": 1}, 0),
     "decision_audit": ({"decision-audit-coverage": 2}, 0),
     "atomic_order": ({"atomic-order-explicit": 3, "stale-suppression": 1}, 1),

@@ -591,9 +591,22 @@ class TextFrontend:
         tail_chars = []
         n = len(text)
         i = pos
+        # None, "init" after a constructor's ':' or "ret" after '->'.
+        # Either one lets ',' and template brackets into the tail.
+        mode = None
         while i < n:
             c = text[i]
             if c == "{":
+                prev = "".join(tail_chars).rstrip()[-1:]
+                if mode == "init" and (prev.isalnum() or prev in "_>"):
+                    # A brace initializer (`a_{0}`, `Base<T>{}`), not
+                    # the body: the body follows a ')' or a '}'.
+                    j = match_paren(text, i)
+                    if j < 0:
+                        return False, -1, ""
+                    tail_chars.append(text[i:j + 1])
+                    i = j + 1
+                    continue
                 tail = "".join(tail_chars)
                 if DECL_START_RE.search(tail):
                     return False, -1, ""
@@ -610,7 +623,15 @@ class TextFrontend:
                 tail_chars.append(text[i:j + 1])
                 i = j + 1
                 continue
-            if c in ")>,":
+            if mode is None and text.startswith("->", i):
+                mode = "ret"
+                tail_chars.append("->")
+                i += 2
+                continue
+            if (mode is None and c == ":"
+                    and text[i - 1] != ":" and text[i + 1:i + 2] != ":"):
+                mode = "init"
+            elif c == ")" or (c in ">," and mode is None):
                 # A stray closer here means we mis-parsed (e.g. we were
                 # inside an expression, not a signature).
                 return False, -1, ""
