@@ -1,7 +1,9 @@
 // Telemetry overhead: the disabled state must cost one relaxed atomic
 // flag load per hook (plus the two TLS stores of the current-op slot at
 // the C API boundary).  BM_ApiHook_Disabled vs. BM_ApiHook_Flight vs.
-// BM_ApiHook_Stats vs. BM_ApiHook_Trace quantify the veneer hook;
+// BM_ApiHook_Stats vs. BM_ApiHook_Trace quantify the hook on an entry
+// point that also takes the object mutex; BM_ApiHook_Veneer_* time the
+// guarded veneer alone, on an entry point that touches no object;
 // BM_Mxv_* quantify a real kernel so the disabled-overhead acceptance
 // bound is observable on an op that actually does work.  The flight
 // recorder is ON by default, so the *_Disabled/*_TelemetryOff benches
@@ -9,7 +11,6 @@
 // *_Flight/*_FlightOnly variants measure the always-on ring cost.
 #include "bench_util.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/profiler.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace {
@@ -58,6 +59,32 @@ void BM_ApiHook_Flight(benchmark::State& state) {
 }
 BENCHMARK(BM_ApiHook_Flight);
 
+// The veneer alone: GrB_getVersion is guarded like every entry point
+// but reads no object and takes no lock, so these legs minus the two
+// above are the object mutex and the size read.
+void veneer_loop(benchmark::State& state) {
+  unsigned int version = 0, subversion = 0;
+  for (auto _ : state) {
+    BENCH_TRY(GrB_getVersion(&version, &subversion));
+    benchmark::DoNotOptimize(version);
+    benchmark::DoNotOptimize(subversion);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_ApiHook_Veneer_Disabled(benchmark::State& state) {
+  FlightOff off;
+  BENCH_TRY(GxB_Stats_enable(0));
+  veneer_loop(state);
+}
+BENCHMARK(BM_ApiHook_Veneer_Disabled);
+
+void BM_ApiHook_Veneer_Flight(benchmark::State& state) {
+  BENCH_TRY(GxB_Stats_enable(0));
+  veneer_loop(state);
+}
+BENCHMARK(BM_ApiHook_Veneer_Flight);
+
 void BM_ApiHook_Stats(benchmark::State& state) {
   BENCH_TRY(GxB_Stats_enable(1));
   api_hook_loop(state);
@@ -90,19 +117,6 @@ void BM_ApiHook_StatsCtx(benchmark::State& state) {
   BENCH_TRY(GxB_Stats_reset());
 }
 BENCHMARK(BM_ApiHook_StatsCtx);
-
-// Hardware profiler armed: kernels run under a ProfScope reading the
-// perf counter group (or its degraded-clock fallback).  The plain API
-// hook never opens a scope, so the Prof leg vs. BM_ApiHook_Flight is
-// the flag-check-only cost; the Mxv leg below carries the real
-// per-region read price.
-void BM_ApiHook_Prof(benchmark::State& state) {
-  grb::obs::prof_set_enabled(true);
-  api_hook_loop(state);
-  grb::obs::prof_set_enabled(false);
-  grb::obs::prof_reset();
-}
-BENCHMARK(BM_ApiHook_Prof);
 
 void BM_ApiHook_Trace(benchmark::State& state) {
   BENCH_TRY(GxB_Trace_start("BENCH_obs_overhead_trace.json"));
@@ -179,14 +193,6 @@ void BM_Mxv_TelemetryStats(benchmark::State& state) {
   BENCH_TRY(GxB_Stats_reset());
 }
 BENCHMARK(BM_Mxv_TelemetryStats)->Unit(benchmark::kMicrosecond);
-
-void BM_Mxv_Prof(benchmark::State& state) {
-  grb::obs::prof_set_enabled(true);
-  mxv_loop(state);
-  grb::obs::prof_set_enabled(false);
-  grb::obs::prof_reset();
-}
-BENCHMARK(BM_Mxv_Prof)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

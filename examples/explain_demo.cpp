@@ -4,10 +4,10 @@
 //   $ ./explain_demo
 //
 // GxB_Explain prints every adaptive choice the library made — SpGEMM
-// accumulator selection, masked-dot strategy, the transpose cache,
-// serial-vs-parallel dispatch — with the predicted
-// cost next to what was actually measured, so a mispredicting
-// heuristic is visible instead of just slow.
+// accumulator selection, masked-dot strategy, serial-vs-parallel
+// dispatch — with the predicted cost next to what was actually
+// measured, so a mispredicting heuristic is visible instead of just
+// slow.
 #include <cstdio>
 #include <string>
 

@@ -25,16 +25,14 @@
 #                        multitenant_scrape example, whose exposition must
 #                        carry two distinct context="..." label sets
 #                        (grb_prom_check.py --require-contexts 2)
-#    6. explain        — decision audit + profiler degradation: the
-#                        explain_demo pipeline runs with perf events
-#                        forced unavailable (GRB_PERF_EVENTS=0); the
-#                        GxB_Explain output must carry a plan, the
-#                        GRB_STATS_JSON dump must join cleanly in
-#                        grb_prof_report.py, the exposition must carry
-#                        the decision families and a degraded (non-perf)
-#                        profiler backend (grb_prom_check.py
-#                        --require-decisions --require-prof-backend),
-#                        and the forced-fallback profiler test must pass
+#    6. explain        — decision audit: explain_demo runs under
+#                        GRB_STATS_JSON + GRB_METRICS; the GxB_Explain
+#                        output must carry a plan, the stats JSON dump
+#                        must parse, the exposition must carry the
+#                        decision families with no site mispredicting
+#                        in more than 25% of its measured records
+#                        (grb_prom_check.py --require-decisions), and
+#                        the ExplainTest suite must pass
 #    7. thread-safety  — Clang -Wthread-safety -Werror=thread-safety build
 #                        (skipped when clang++ is absent; the annotations
 #                        compile as no-ops elsewhere)
@@ -139,33 +137,23 @@ fi
 rm -rf "$attr_dir"
 if [ "$attr_ok" = 1 ]; then record attribution PASS; else record attribution FAIL; fi
 
-note "6/12 explain (decision audit + profiler forced degradation)"
-# GRB_PERF_EVENTS=0 models a locked-down box (perf_event_open denied):
-# the profiler must come up on the CPU-time fallback, the decision
-# audit must still explain the plan, and every downstream consumer —
-# the stats-JSON join, the Prometheus exposition — must hold together.
+note "6/12 explain (decision audit)"
+# The decision audit must explain the plan, and the exposition must
+# carry its families with every site's mispredict rate at or below 0.25.
 exp_ok=1
 exp_dir=$(mktemp -d)
-GRB_PERF_EVENTS=0 GRB_PROF=1 \
-  GRB_STATS_JSON="$exp_dir/stats.json" GRB_METRICS="$exp_dir/metrics.prom" \
+GRB_STATS_JSON="$exp_dir/stats.json" GRB_METRICS="$exp_dir/metrics.prom" \
   ./build/examples/explain_demo >"$exp_dir/explain.txt" || exp_ok=0
 if ! grep -q "decision audit:" "$exp_dir/explain.txt"; then
   echo "FAILED: explain_demo produced no plan:"
   cat "$exp_dir/explain.txt"
   exp_ok=0
 fi
-python3 tools/grb_prof_report.py "$exp_dir/stats.json" || exp_ok=0
+python3 -m json.tool "$exp_dir/stats.json" >/dev/null || exp_ok=0
 python3 tools/grb_prom_check.py "$exp_dir/metrics.prom" \
-    --require-decisions --require-prof-backend any || exp_ok=0
-if grep -q 'grb_prof_backend_info{backend="perf"}' "$exp_dir/metrics.prom"
-then
-  echo "FAILED: GRB_PERF_EVENTS=0 did not force the profiler off perf"
-  exp_ok=0
-fi
-# The forced-fallback unit tests under the same denial.
-GRB_PERF_EVENTS=0 ./build/tests/grb_obs_tests \
-    --gtest_filter='ProfFallbackTest.*:ExplainTest.*' --gtest_brief=1 \
-    || exp_ok=0
+    --require-decisions || exp_ok=0
+./build/tests/grb_obs_tests --gtest_filter='ExplainTest.*' \
+    --gtest_brief=1 || exp_ok=0
 rm -rf "$exp_dir"
 if [ "$exp_ok" = 1 ]; then record explain PASS; else record explain FAIL; fi
 

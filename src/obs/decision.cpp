@@ -58,7 +58,7 @@ const Field<SiteAgg, SiteCounters> kSiteFields[] = {
 };
 
 constexpr const char* kSiteNames[kDecisionSiteCount] = {
-    "exec_path", "spgemm_accum", "masked_dot", "transpose_cache",
+    "exec_path", "spgemm_accum", "masked_dot",
 };
 
 std::vector<Keyed<SiteAgg>> site_rows() {

@@ -15,9 +15,9 @@
 // Overhead contract: emission gates on one relaxed load of g_flags
 // (kDecisionFlag); when the bit is clear the site pays only that load.
 // The record path is allocation-free — fixed slots, static-string
-// alternative names — so sites inside no-alloc lock zones (transpose,
-// spgemm) may emit directly, though they should still prefer to
-// emit outside critical sections.
+// alternative names — so sites inside no-alloc lock zones (spgemm) may
+// emit directly, though they should still prefer to emit outside
+// critical sections.
 //
 // Registry: GRB_DECISION_SITES below names every translation unit that
 // hosts a cost-model branch.  tools/grb_analyze.py's
@@ -39,8 +39,7 @@
 #define GRB_DECISION_SITES      \
   "src/exec/context.cpp",       \
   "src/ops/spgemm.hpp",         \
-  "src/ops/mxm.cpp",            \
-  "src/ops/transpose.cpp"
+  "src/ops/mxm.cpp"
 
 namespace grb {
 namespace obs {
@@ -48,19 +47,18 @@ namespace obs {
 // One enum value per adaptive decision site family.  Order is part of
 // the counter schema ("decision.<site_name>.*"); new sites append.
 enum class DecisionSite : uint8_t {
-  kExecPath = 0,        // serial vs. parallel (exec/context.cpp)
-  kSpgemmAccum = 1,     // hash vs. dense SPA rows (ops/spgemm.hpp)
-  kMaskedDot = 2,       // dot-product vs. saxpy masked mxm (ops/mxm.cpp)
-  kTransposeCache = 3,  // cached vs. rebuilt A' view (ops/transpose.cpp)
+  kExecPath = 0,     // serial vs. parallel (exec/context.cpp)
+  kSpgemmAccum = 1,  // hash vs. dense SPA rows (ops/spgemm.hpp)
+  kMaskedDot = 2,    // dot-product vs. saxpy masked mxm (ops/mxm.cpp)
 };
-constexpr int kDecisionSiteCount = 4;
+constexpr int kDecisionSiteCount = 3;
 
 const char* decision_site_name(DecisionSite site);
 
 // A completed audit record as readers see it, and the audit ring's
-// payload (so no padding: see SeqRing).  Cost units are site-specific
-// (flops for the kernels, entries for the transpose cache) — predicted and alternative share units within one site,
-// which is all the mispredict test needs.
+// payload (so no padding: see SeqRing).  Cost units are site-specific —
+// predicted and alternative share units within one site, which is all
+// the mispredict test needs.
 struct DecisionRecord {
   uint64_t seq = 0;          // global emission sequence (1-based)
   uint64_t ts_ns = 0;        // now_ns() at decision time

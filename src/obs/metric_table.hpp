@@ -1,11 +1,11 @@
 // Declarative metric tables (DESIGN.md §9).  Every exported number is a
 // row: a Scalar for an unkeyed number, a Field for one number of a keyed
-// family (per op × context, pool, lock site, decision site, profiler
-// region).  One renderer per output walks the rows — stats_get (and
-// stats_get_ctx), the stats JSON and the Prometheus exposition — so the
-// three read the same value under the same row, and a new metric is one
-// new row.  The tables only read: every bump site keeps its direct
-// relaxed fetch_add on a named field.
+// family (per op × context, pool, lock site, decision site).  One
+// renderer per output walks the rows — stats_get (and stats_get_ctx),
+// the stats JSON and the Prometheus exposition — so the three read the
+// same value under the same row, and a new metric is one new row.  The
+// tables only read: every bump site keeps its direct relaxed fetch_add
+// on a named field.
 #pragma once
 
 #include <atomic>
@@ -51,7 +51,6 @@ void scalar_reset(std::span<const Scalar> rows);
 // json_close turns into the closing bracket.
 void json_key(std::string* out, const char* key);  // "key":
 void json_u64(std::string* out, const char* key, uint64_t v);
-void json_str(std::string* out, const char* key, const char* v);
 void json_close(std::string* out, char bracket);
 
 // Prometheus pieces: `name="value"` with the value escaped, and one

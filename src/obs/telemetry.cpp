@@ -17,7 +17,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/memory.hpp"
 #include "obs/metric_table.hpp"
-#include "obs/profiler.hpp"
 
 namespace grb {
 namespace obs {
@@ -983,8 +982,7 @@ void stats_set_enabled(bool on) {
   set_flag(kStatsFlag, on);
   // Counters without their why are half an answer: the decision audit
   // rides the same switch, so GxB_Stats_enable always yields an
-  // explainable plan.  (Disabling stats disables the audit too; the
-  // profiler stays independent — it has real per-region cost.)
+  // explainable plan.  (Disabling stats disables the audit too.)
   set_flag(kDecisionFlag, on);
 }
 
@@ -1164,13 +1162,6 @@ void json_u64(std::string* out, const char* key, uint64_t v) {
   out->push_back(',');
 }
 
-void json_str(std::string* out, const char* key, const char* v) {
-  json_key(out, key);
-  out->push_back('"');
-  json_append_escaped(out, v);
-  out->append("\",");
-}
-
 void json_close(std::string* out, char bracket) {
   if (out->back() == ',') {
     out->back() = bracket;
@@ -1216,19 +1207,17 @@ void stats_reset() {
   lock_sites_reset();
   scalar_reset(kGlobals);
   decision_reset();
-  prof_reset();
 }
 
 bool stats_get(const char* name, uint64_t* value) {
   *value = 0;
   if (name == nullptr) return false;
   if (scalar_get(kGlobals, name, value)) return true;
-  // Decision-audit and profiler counters live in their own modules;
-  // forward by prefix before the per-op fallback can mistake
-  // "decision.exec_path.records" for an op named "decision.exec_path".
+  // Decision-audit counters live in their own module: forward by prefix
+  // before the per-op fallback can mistake "decision.exec_path.records"
+  // for an op named "decision.exec_path".
   if (std::strncmp(name, "decision.", 9) == 0)
     return decision_stats_get(name, value);
-  if (std::strncmp(name, "prof.", 5) == 0) return prof_stats_get(name, value);
   // "<key>.<field>": a lock site ("lock.<site>"; a site may contain "::"
   // but never a dot), the pool totals ("pool"), or an op summed over
   // every context.
@@ -1320,12 +1309,9 @@ std::string stats_json(bool trim_zero_rows) {
   json_close(&out, '}');
   out.append(",\"locks\":");
   json_rows(&out, kLockFields, lock_rows());
-  // Decision-audit and hardware-profiler blocks (DESIGN.md §16): the
-  // two halves of the grb_prof_report.py join, shipped side by side.
+  // Decision-audit block (DESIGN.md §16).
   out.append(",\"decisions\":");
   out.append(decision_json());
-  out.append(",\"prof\":");
-  out.append(prof_json());
   out.push_back('}');
   return out;
 }
@@ -1350,7 +1336,6 @@ std::string stats_prometheus() {
   prom_rows(&out, kPoolFields, pool_rows());
   prom_rows(&out, kLockFields, lock_rows());
   decision_prometheus(out);
-  prof_prometheus(out);
   return out;
 }
 
@@ -1462,16 +1447,14 @@ void env_activate() {
     watchdog_start(std::strtoull(wd, nullptr, 10));
   }
   // GRB_STATS_JSON=path: counters on now, the full stats_json document
-  // (including the decisions / prof blocks) written at finalize — the
-  // input side of tools/grb_prof_report.py.
+  // (including the decisions block) written at finalize.
   const char* sjson = std::getenv("GRB_STATS_JSON");
   if (sjson != nullptr && sjson[0] != '\0') {
     env_stats_json_path() = sjson;
     stats_set_enabled(true);
   }
-  // GRB_DECISIONS=1 / GRB_PROF=1: decision audit and hardware profiler.
+  // GRB_DECISIONS=1: decision audit.
   decision_env_activate();
-  prof_env_activate();
   // GRB_FLIGHT_RECORDER / GRB_FLIGHT_DUMP; default-on (4096 events).
   fr_env_activate();
 }

@@ -56,10 +56,6 @@ enum Flag : uint32_t {
   // what they chose/rejected/predicted.  On with stats (GxB_Stats_enable
   // sets both) or standalone via GRB_DECISIONS=1.
   kDecisionFlag = 16u,
-  // Hardware profiler (obs/profiler.hpp): ProfScope regions attribute
-  // perf counter groups (or the degraded cpu-clock fallback) per
-  // (context, op, strategy).  GRB_PROF=1 or prof_set_enabled.
-  kProfFlag = 32u,
 };
 
 namespace detail {
@@ -83,7 +79,6 @@ inline bool telemetry_enabled() {
 inline bool flight_enabled() { return (flags() & kFlightFlag) != 0u; }
 inline bool watchdog_enabled() { return (flags() & kWatchdogFlag) != 0u; }
 inline bool decision_enabled() { return (flags() & kDecisionFlag) != 0u; }
-inline bool prof_enabled() { return (flags() & kProfFlag) != 0u; }
 
 // Nanoseconds since an arbitrary process-local epoch (steady clock).
 uint64_t now_ns();
@@ -280,14 +275,14 @@ void stats_set_enabled(bool on);
 void stats_reset();
 
 // The three exporters below and stats_reset walk the metric tables in
-// telemetry.cpp, decision.cpp and profiler.cpp (obs/metric_table.hpp),
+// telemetry.cpp and decision.cpp (obs/metric_table.hpp),
 // so every number has one name, one JSON key and one Prometheus series.
 //
 // stats_get: a global by its dotted name ("queue.enqueued"); a per-op
 // field summed over contexts ("<op>.calls", "<op>.p99_ns"); a lock-site
 // field ("lock.<site>.wait_ns"); a pool field summed over pools
-// ("pool.steals"); "decision.*" and "prof.*" forward to the audit and
-// the profiler.  Returns false (and *value = 0) for unknown names.
+// ("pool.steals"); "decision.*" forwards to the audit.  Returns false
+// (and *value = 0) for unknown names.
 bool stats_get(const char* name, uint64_t* value);
 
 // Per-context lookup (backs GxB_Context_stats): the per-op names of
@@ -297,7 +292,7 @@ bool stats_get(const char* name, uint64_t* value);
 bool stats_get_ctx(uint64_t ctx_id, const char* name, uint64_t* value);
 
 // Full dump as a JSON object (ops, globals, pools, contexts, locks,
-// decisions, prof).  `trim_zero_rows` drops per-op and per-context
+// decisions).  `trim_zero_rows` drops per-op and per-context
 // entries whose counters are all zero — bench artifacts embed the dump —
 // without changing the schema of the rows that remain.
 std::string stats_json(bool trim_zero_rows = false);
@@ -318,12 +313,10 @@ void trace_stop();
 // GRB_STATS=1 prints the JSON summary at finalize; GRB_TRACE=path.json
 // dumps a Chrome trace; GRB_METRICS=path.prom enables stats and writes
 // the Prometheus exposition at finalize; GRB_STATS_JSON=path.json
-// enables stats and writes the full stats_json document at finalize
-// (the grb_prof_report.py input); GRB_FLIGHT_RECORDER=N sizes the
-// flight recorder (default 4096, 0 disables); GRB_WATCHDOG=ms arms the
-// stall watchdog with a deadline in milliseconds; GRB_DECISIONS=1
-// enables the decision audit; GRB_PROF=1 enables the hardware profiler
-// (GRB_PERF_EVENTS=0 forces its degraded backend).
+// enables stats and writes the full stats_json document at finalize;
+// GRB_FLIGHT_RECORDER=N sizes the flight recorder (default 4096, 0
+// disables); GRB_WATCHDOG=ms arms the stall watchdog with a deadline in
+// milliseconds; GRB_DECISIONS=1 enables the decision audit.
 void env_activate();
 void env_finalize();
 

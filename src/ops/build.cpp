@@ -5,6 +5,7 @@
 // coordinates is treated as an execution error (kInvalidValue), reported
 // immediately in blocking mode or at completion in nonblocking mode.
 // Out-of-range coordinates are the execution error kIndexOutOfBounds.
+// A count above kIndexMax is the API error kInvalidValue.
 
 #include <algorithm>
 #include <numeric>
@@ -55,6 +56,9 @@ Info Vector::build(const Index* indices, const void* values, Index nvals,
   GRB_RETURN_IF_ERROR(pending_error());
   if (nvals > 0 && (indices == nullptr || values == nullptr))
     return Info::kNullPointer;
+  // Checked before the copy below: a larger count wraps `indices + nvals`
+  // and the byte size of the value array.
+  if (nvals > kIndexMax) return Info::kInvalidValue;
   if (value_type == nullptr) return Info::kNullPointer;
   if (!types_compatible(type_, value_type)) return Info::kDomainMismatch;
   if (dup != nullptr) {
@@ -131,6 +135,7 @@ Info Matrix::build(const Index* row_indices, const Index* col_indices,
   if (nvals > 0 && (row_indices == nullptr || col_indices == nullptr ||
                     values == nullptr))
     return Info::kNullPointer;
+  if (nvals > kIndexMax) return Info::kInvalidValue;  // see Vector::build
   if (value_type == nullptr) return Info::kNullPointer;
   if (!types_compatible(type_, value_type)) return Info::kDomainMismatch;
   if (dup != nullptr) {

@@ -2,7 +2,6 @@
 #include <algorithm>
 
 #include "obs/decision.hpp"
-#include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "ops/mxm.hpp"
 
@@ -131,7 +130,6 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
                 static_cast<double>(use_dot ? saxpy_cost : dot_cost));
           }
           if (use_dot) {
-            obs::ProfScope prof("dot");
             auto bt = t1 ? b_snap : format_transpose_view(bv);
             uint64_t* steps = dot_ticket.seq != 0 ? &masked_work : nullptr;
             t = fastpath_masked_dot_mxm(ctx, *av, *bt, *m_snap, s, steps);
@@ -143,7 +141,6 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
             }
             t_in_mask = true;
           } else if (saxpy_ok) {
-            obs::ProfScope prof("saxpy");
             t = fastpath_masked_saxpy_mxm(ctx, *av, *bv, *m_snap, s,
                                           row_costs());
             if (t == nullptr) {

@@ -44,7 +44,6 @@
 #include "exec/context.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/decision.hpp"
-#include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 
 namespace grb {
@@ -434,17 +433,16 @@ std::shared_ptr<MatrixData> spgemm_mxm(Context* ctx, const MatrixData& a,
   // kernel; measurement lands after assembly with the actual products
   // written.  "mixed" means both accumulators ran.
   obs::DecisionTicket ticket;
-  const char* strategy = "hash";
-  if (obs::decision_enabled() || obs::prof_enabled()) {
+  if (obs::decision_enabled()) {
     uint64_t pre_dense = 0, pre_hash = 0;
     for (Index i = 0; i < nrows; ++i) {
       const uint64_t f = costs.flops[i];
       if (f == 0) continue;
       (policy.use_dense(f) ? pre_dense : pre_hash) += 1;
     }
-    strategy = pre_dense == 0 ? "hash"
-               : pre_hash == 0 ? "dense"
-                               : "mixed";
+    const char* strategy = pre_dense == 0   ? "hash"
+                           : pre_hash == 0 ? "dense"
+                                           : "mixed";
     const char* rejected = pre_dense == 0   ? "dense"
                            : pre_hash == 0 ? "hash"
                                            : "uniform";
@@ -453,7 +451,6 @@ std::shared_ptr<MatrixData> spgemm_mxm(Context* ctx, const MatrixData& a,
         static_cast<double>(costs.total),
         static_cast<double>(policy.dense_flops));
   }
-  obs::ProfScope prof(strategy);
 
   ctx->parallel_for(0, nblocks, 1, [&](Index blo, Index bhi) {
     auto runner = make_runner();
@@ -579,7 +576,6 @@ std::shared_ptr<VectorData> vxm_spa(const VectorData& u, const MatrixData& a,
       obs::DecisionSite::kSpgemmAccum, dense ? "dense" : "hash",
       dense ? "hash" : "dense", static_cast<double>(flops),
       static_cast<double>(policy.dense_flops));
-  obs::ProfScope prof(dense ? "dense" : "hash");
   HashSpa hspa;
   DenseSpa dspa;
   if (dense) {

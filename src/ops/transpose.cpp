@@ -1,6 +1,5 @@
 // transpose_data helper, its per-snapshot cache (used by every op
 // honoring GrB_DESC_T0/T1) and the GrB_transpose operation.
-#include "obs/decision.hpp"
 #include "obs/telemetry.hpp"
 #include "ops/common.hpp"
 
@@ -35,7 +34,6 @@ std::shared_ptr<const MatrixData> transpose_data(const MatrixData& a) {
 // tools/grb_analyze.py's no-alloc-under-lock zone).
 std::shared_ptr<const MatrixData> format_transpose_view(
     const std::shared_ptr<const MatrixData>& m) {
-  const uint64_t nnz = m->nvals();
   std::shared_ptr<const MatrixData> cached;
   {
     MutexLock lock(m->view_mu_);
@@ -43,18 +41,10 @@ std::shared_ptr<const MatrixData> format_transpose_view(
   }
   if (cached != nullptr) {
     obs::format_transpose_cache(true);
-    obs::decision_measure(
-        obs::decision_record(obs::DecisionSite::kTransposeCache, "cached",
-                             "rebuild", 0, static_cast<double>(nnz)),
-        0);
     return cached;
   }
-  obs::DecisionTicket ticket = obs::decision_record(
-      obs::DecisionSite::kTransposeCache, "rebuild", "cached",
-      static_cast<double>(nnz), 0);
   auto built = transpose_data(*m);
   obs::format_transpose_cache(false);
-  obs::decision_measure(ticket, nnz);
   MutexLock lock(m->view_mu_);
   if (m->trans_view_ == nullptr) m->trans_view_ = std::move(built);
   return m->trans_view_;

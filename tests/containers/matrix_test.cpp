@@ -78,6 +78,32 @@ TEST(MatrixTest, BuildWithDupAndErrors) {
   GrB_free(&a);
 }
 
+// A count above GrB_INDEX_MAX is rejected before the caller's arrays
+// are read, in either mode: at 2^61 the end of the index range and the
+// value array's byte size both wrap to 0.
+TEST(MatrixTest, BuildRejectsCountAboveIndexMax) {
+  for (GrB_Context ctx :
+       {GrB_Context{GrB_NULL}, testutil::blocking_context()}) {
+    for (GrB_Index n : {GrB_INDEX_MAX + 1, GrB_Index{1} << 61}) {
+      SCOPED_TRACE(n);
+      GrB_Matrix a = nullptr;
+      ASSERT_EQ(GrB_Matrix_new(&a, GrB_FP64, 4, 4, ctx), GrB_SUCCESS);
+      GrB_Index ri[] = {0, 2};
+      GrB_Index ci[] = {1, 3};
+      double vals[] = {1, 2};
+      EXPECT_EQ(GrB_Matrix_build(a, ri, ci, vals, n, GrB_NULL),
+                GrB_INVALID_VALUE);
+      GrB_Index nv = 1;
+      EXPECT_EQ(GrB_Matrix_nvals(&nv, a), GrB_SUCCESS);
+      EXPECT_EQ(nv, 0u);
+      EXPECT_EQ(GrB_Matrix_build(a, ri, ci, vals, 2, GrB_NULL), GrB_SUCCESS);
+      EXPECT_EQ(GrB_Matrix_nvals(&nv, a), GrB_SUCCESS);
+      EXPECT_EQ(nv, 2u);
+      GrB_free(&a);
+    }
+  }
+}
+
 TEST(MatrixTest, SetGetRemoveElement) {
   GrB_Matrix a = nullptr;
   ASSERT_EQ(GrB_Matrix_new(&a, GrB_FP64, 4, 4), GrB_SUCCESS);

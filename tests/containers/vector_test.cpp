@@ -79,6 +79,31 @@ TEST(VectorTest, BuildOutOfRangeIndexIsError) {
   GrB_free(&v);
 }
 
+// A count above GrB_INDEX_MAX is rejected before the caller's arrays
+// are read, in either mode: at 2^61 the end of the index range and the
+// value array's byte size both wrap to 0.
+TEST(VectorTest, BuildRejectsCountAboveIndexMax) {
+  for (GrB_Context ctx :
+       {GrB_Context{GrB_NULL}, testutil::blocking_context()}) {
+    for (GrB_Index n : {GrB_INDEX_MAX + 1, GrB_Index{1} << 61}) {
+      SCOPED_TRACE(n);
+      GrB_Vector v = nullptr;
+      ASSERT_EQ(GrB_Vector_new(&v, GrB_FP64, 4, ctx), GrB_SUCCESS);
+      GrB_Index idx[] = {1, 3};
+      double vals[] = {1, 2};
+      EXPECT_EQ(GrB_Vector_build(v, idx, vals, n, GrB_NULL),
+                GrB_INVALID_VALUE);
+      GrB_Index nv = 1;
+      EXPECT_EQ(GrB_Vector_nvals(&nv, v), GrB_SUCCESS);
+      EXPECT_EQ(nv, 0u);
+      EXPECT_EQ(GrB_Vector_build(v, idx, vals, 2, GrB_NULL), GrB_SUCCESS);
+      EXPECT_EQ(GrB_Vector_nvals(&nv, v), GrB_SUCCESS);
+      EXPECT_EQ(nv, 2u);
+      GrB_free(&v);
+    }
+  }
+}
+
 TEST(VectorTest, BuildOnNonEmptyIsOutputNotEmpty) {
   GrB_Vector v = nullptr;
   ASSERT_EQ(GrB_Vector_new(&v, GrB_FP64, 4), GrB_SUCCESS);

@@ -1,24 +1,19 @@
-// Decision-audit explain surface and hardware-profiler degradation.
+// Decision-audit explain surface.
 //
 // GxB_Explain must return a non-empty, accurate plan for GrB_mxm under
-// every SpGEMM mode — the audit is only
-// useful if it never goes dark when the execution strategy changes
-// under it.  The profiler tests pin GRB_PERF_EVENTS=0 to prove the
-// mandatory graceful-degradation path: perf_event_open denied must
-// leave a live CPU-time backend, not a dead feature.
+// every SpGEMM mode — the audit is only useful if it never goes dark
+// when the execution strategy changes under it.
 //
 // Lives in the grb_obs_tests binary (telemetry_test.cpp owns main());
 // each test runs its own GrB_init/GrB_finalize cycle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "graphblas/GraphBLAS.h"
-#include "obs/profiler.hpp"
 #include "ops/spgemm.hpp"
 
 namespace {
@@ -116,55 +111,6 @@ TEST_F(ExplainTest, TruncationKeepsTerminatorAndReportsNeed) {
   EXPECT_GT(len, sizeof tiny);               // the real need
   EXPECT_EQ(tiny[sizeof tiny - 1], '\0');    // NUL within the buffer
   EXPECT_EQ(std::strlen(tiny), sizeof tiny - 1);
-}
-
-// Forced fallback: with perf events disabled by env, the profiler must
-// come up on a CPU-time backend and still aggregate kernel regions.
-TEST(ProfFallbackTest, DegradesGracefullyWhenPerfDenied) {
-  ASSERT_EQ(setenv("GRB_PERF_EVENTS", "0", 1), 0);
-  ASSERT_EQ(setenv("GRB_PROF", "1", 1), 0);
-  ASSERT_EQ(GrB_init(GrB_NONBLOCKING), GrB_SUCCESS);
-
-  EXPECT_NE(grb::obs::prof_backend(), grb::obs::ProfBackend::kPerf);
-  std::string backend = grb::obs::prof_backend_name();
-  EXPECT_TRUE(backend == "thread-cputime" || backend == "getrusage")
-      << backend;
-
-  GrB_Matrix a = path_matrix(8);
-  GrB_Matrix c = nullptr;
-  ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, 8, 8), GrB_SUCCESS);
-  ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64,
-                    a, a, GrB_NULL),
-            GrB_SUCCESS);
-  ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
-
-  uint64_t regions = 0;
-  ASSERT_EQ(GxB_Stats_get("prof.regions", &regions), GrB_SUCCESS);
-  EXPECT_GE(regions, 1u);
-  uint64_t cpu_ns = 0;
-  ASSERT_EQ(GxB_Stats_get("prof.cpu_ns", &cpu_ns), GrB_SUCCESS);
-  EXPECT_GT(cpu_ns, 0u);
-  // Degraded backends have no cycle counters — the fields read zero
-  // rather than lying.
-  uint64_t cycles = 0;
-  ASSERT_EQ(GxB_Stats_get("prof.cycles", &cycles), GrB_SUCCESS);
-  EXPECT_EQ(cycles, 0u);
-
-  // The JSON report names the live backend so a dashboard can caveat
-  // its IPC columns.
-  std::string json = grb::obs::prof_json();
-  EXPECT_NE(json.find("\"backend\":\"" + backend + "\""),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"op\":\"GrB_mxm\""), std::string::npos) << json;
-
-  grb::obs::prof_set_enabled(false);
-  grb::obs::prof_reset();
-  GrB_free(&a);
-  GrB_free(&c);
-  ASSERT_EQ(GrB_finalize(), GrB_SUCCESS);
-  ASSERT_EQ(unsetenv("GRB_PERF_EVENTS"), 0);
-  ASSERT_EQ(unsetenv("GRB_PROF"), 0);
 }
 
 }  // namespace

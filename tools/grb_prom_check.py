@@ -24,14 +24,13 @@ syntax, the GraphBLAS exposition contract is enforced:
     _measured_total, _mispredicts_total) appear, all three carry the same
     non-empty set of site labels and the per-site invariant
     mispredicts <= measured <= records holds; --require-decisions makes
-    their absence an error;
-  * grb_prof_backend_info, when present, names a known profiler backend;
-    --require-prof-backend NAME (or "any") makes its absence an error.
+    their absence an error, and fails any site whose mispredicts exceed
+    MISPREDICT_RATE_LIMIT of its measured records (a cost-model
+    regression gate).
 
 Usage: grb_prom_check.py metrics.prom [--require-op NAME]
                                       [--require-contexts N]
                                       [--require-decisions]
-                                      [--require-prof-backend NAME]
 Exit status: 0 when valid, 1 on any violation, 2 on usage error.
 Pure stdlib; no dependencies.
 """
@@ -55,7 +54,9 @@ REQUIRED_QUANTILES = ("0.5", "0.99")
 DECISION_FAMILIES = ("grb_decision_records_total",
                      "grb_decision_measured_total",
                      "grb_decision_mispredicts_total")
-PROF_BACKENDS = ("perf", "thread-cputime", "getrusage")
+# --require-decisions: the largest share of a site's measured records
+# that may mispredict (predicted work off by more than 2x).
+MISPREDICT_RATE_LIMIT = 0.25
 # The only escapes the text format (version 0.0.4) defines inside a
 # quoted label value.
 BAD_ESCAPE_RE = re.compile(r"\\(?![\\\"n])")
@@ -150,11 +151,9 @@ def main():
                          "tenant labels on the per-op series")
     ap.add_argument("--require-decisions", action="store_true",
                     help="require the decision-audit counter families "
-                         "to be present")
-    ap.add_argument("--require-prof-backend", metavar="NAME", default=None,
-                    help="require grb_prof_backend_info; NAME is a "
-                         "backend (perf, thread-cputime, getrusage) or "
-                         "\"any\"")
+                         "to be present and every site's mispredict "
+                         "rate to stay at or below %g"
+                         % MISPREDICT_RATE_LIMIT)
     args = ap.parse_args()
 
     try:
@@ -242,28 +241,12 @@ def main():
                 errors.append(
                     "site \"%s\" violates mispredicts <= measured <= "
                     "records (%g, %g, %g)" % (site, mis, mea, rec))
-
-    # Profiler backend: at most one info series, naming a known backend.
-    backends = {labels.get("backend", "") for name, labels, _ in samples
-                if name == "grb_prof_backend_info"}
-    for b in sorted(backends):
-        if b not in PROF_BACKENDS:
-            errors.append(
-                "grb_prof_backend_info names unknown backend \"%s\" "
-                "(expected one of %s)" % (b, ", ".join(PROF_BACKENDS)))
-    if len(backends) > 1:
-        errors.append("grb_prof_backend_info exposes %d backends; the "
-                      "process has exactly one" % len(backends))
-    if args.require_prof_backend:
-        if not backends:
-            errors.append("grb_prof_backend_info is missing "
-                          "(--require-prof-backend)")
-        elif (args.require_prof_backend != "any"
-              and args.require_prof_backend not in backends):
-            errors.append(
-                "expected profiler backend \"%s\", exposition reports %s"
-                % (args.require_prof_backend,
-                   ", ".join("\"%s\"" % b for b in sorted(backends))))
+            if (args.require_decisions and mea > 0
+                    and mis > MISPREDICT_RATE_LIMIT * mea):
+                errors.append(
+                    "site \"%s\" mispredicts %g of %g measured records "
+                    "(rate %.2f > %g)"
+                    % (site, mis, mea, mis / mea, MISPREDICT_RATE_LIMIT))
 
     for e in errors:
         print("grb_prom_check: %s" % e, file=sys.stderr)
