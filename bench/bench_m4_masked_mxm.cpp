@@ -6,7 +6,9 @@
 // count C<B,struct,replace> = B*B' on a symmetric graph, and a
 // one-entry-per-row point-query mask.  Masked dot's work is the exact
 // sum over M of |A(i,:)| + |B'(j,:)|, so it wins as the mask gets
-// sparser relative to the full product.
+// sparser relative to the full product.  The TcCount and KtrussCount
+// legs run the first two shapes over INT64 <PLUS, ONEB>, the counting
+// semiring whose masked saxpy takes the count fold (DESIGN.md §10).
 #include "bench/bench_util.hpp"
 
 #include "ops/mxm.hpp"
@@ -18,12 +20,23 @@ struct StrategyGuard {
   ~StrategyGuard() { grb::set_mxm_strategy(grb::MxmStrategy::kAuto); }
 };
 
-GrB_Matrix lower_triangle(int scale) {
+// <PLUS, ONEB> over INT64 for the count legs, PLUS_TIMES otherwise.
+struct Ring {
+  GrB_Semiring s = nullptr;
+  explicit Ring(bool count) {
+    if (count) {
+      BENCH_TRY(GrB_Semiring_new(&s, GrB_PLUS_MONOID_INT64, GrB_ONEB_INT64));
+    }
+  }
+  ~Ring() { GrB_free(&s); }
+};
+
+GrB_Matrix lower_triangle(int scale, GrB_Type type) {
   GrB_Matrix g = benchutil::rmat(scale, 8, /*symmetrize=*/true);
   GrB_Index n;
   BENCH_TRY(GrB_Matrix_nrows(&n, g));
   GrB_Matrix l = nullptr;
-  BENCH_TRY(GrB_Matrix_new(&l, GrB_FP64, n, n));
+  BENCH_TRY(GrB_Matrix_new(&l, type, n, n));
   BENCH_TRY(GrB_select(l, GrB_NULL, GrB_NULL, GrB_TRIL, g, int64_t{-1},
                        GrB_NULL));
   BENCH_TRY(GrB_wait(l, GrB_MATERIALIZE));
@@ -31,16 +44,20 @@ GrB_Matrix lower_triangle(int scale) {
   return l;
 }
 
-void run_tc_mxm(benchmark::State& state, grb::MxmStrategy strategy) {
+void run_tc_mxm(benchmark::State& state, grb::MxmStrategy strategy,
+                bool count = false) {
   StrategyGuard guard(strategy);
-  GrB_Matrix l = lower_triangle(static_cast<int>(state.range(0)));
+  Ring ring(count);
+  const GrB_Type type = count ? GrB_INT64 : GrB_FP64;
+  GrB_Matrix l = lower_triangle(static_cast<int>(state.range(0)), type);
   GrB_Index n, nnz;
   BENCH_TRY(GrB_Matrix_nrows(&n, l));
   BENCH_TRY(GrB_Matrix_nvals(&nnz, l));
   GrB_Matrix c = nullptr;
-  BENCH_TRY(GrB_Matrix_new(&c, GrB_FP64, n, n));
+  BENCH_TRY(GrB_Matrix_new(&c, type, n, n));
   for (auto _ : state) {
-    BENCH_TRY(GrB_mxm(c, l, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, l, l,
+    BENCH_TRY(GrB_mxm(c, l, GrB_NULL,
+                      count ? ring.s : GrB_PLUS_TIMES_SEMIRING_FP64, l, l,
                       GrB_DESC_RST1));
     BENCH_TRY(GrB_wait(c, GrB_COMPLETE));
   }
@@ -62,13 +79,24 @@ BENCHMARK(BM_TcMxm_Gustavson)->Arg(9)->Arg(11)->Arg(12)->Unit(benchmark::kMillis
 BENCHMARK(BM_TcMxm_MaskedDot)->Arg(9)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TcMxm_Auto)->Arg(9)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
 
+void BM_TcCountMxm_Gustavson(benchmark::State& state) {
+  run_tc_mxm(state, grb::MxmStrategy::kGustavson, /*count=*/true);
+}
+void BM_TcCountMxm_Auto(benchmark::State& state) {
+  run_tc_mxm(state, grb::MxmStrategy::kAuto, /*count=*/true);
+}
+BENCHMARK(BM_TcCountMxm_Gustavson)->Arg(9)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TcCountMxm_Auto)->Arg(9)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
+
 // k-truss support count: C<B,struct,replace> = B*B' with B the INT64
 // pattern of a symmetric R-MAT graph (no diagonal), exactly the multiply
 // each k-truss peeling round runs.  The mask is as dense as the graph,
 // so on skewed degrees the saxpy's sum of deg(k)^2 undercuts the dot's
 // two-sided sum over every edge.
-void run_ktruss_mxm(benchmark::State& state, grb::MxmStrategy strategy) {
+void run_ktruss_mxm(benchmark::State& state, grb::MxmStrategy strategy,
+                    bool count = false) {
   StrategyGuard guard(strategy);
+  Ring ring(count);
   GrB_Matrix g = benchutil::rmat(static_cast<int>(state.range(0)), 8,
                                  /*symmetrize=*/true);
   GrB_Index n, nnz;
@@ -84,7 +112,8 @@ void run_ktruss_mxm(benchmark::State& state, grb::MxmStrategy strategy) {
   GrB_Matrix c = nullptr;
   BENCH_TRY(GrB_Matrix_new(&c, GrB_INT64, n, n));
   for (auto _ : state) {
-    BENCH_TRY(GrB_mxm(c, b, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_INT64, b, b,
+    BENCH_TRY(GrB_mxm(c, b, GrB_NULL,
+                      count ? ring.s : GrB_PLUS_TIMES_SEMIRING_INT64, b, b,
                       GrB_DESC_RST1));
     BENCH_TRY(GrB_wait(c, GrB_COMPLETE));
   }
@@ -106,6 +135,15 @@ void BM_KtrussMxm_Auto(benchmark::State& state) {
 BENCHMARK(BM_KtrussMxm_Gustavson)->Arg(10)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KtrussMxm_MaskedDot)->Arg(10)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KtrussMxm_Auto)->Arg(10)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
+
+void BM_KtrussCountMxm_Gustavson(benchmark::State& state) {
+  run_ktruss_mxm(state, grb::MxmStrategy::kGustavson, /*count=*/true);
+}
+void BM_KtrussCountMxm_Auto(benchmark::State& state) {
+  run_ktruss_mxm(state, grb::MxmStrategy::kAuto, /*count=*/true);
+}
+BENCHMARK(BM_KtrussCountMxm_Gustavson)->Arg(10)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KtrussCountMxm_Auto)->Arg(10)->Arg(11)->Arg(12)->Unit(benchmark::kMillisecond);
 
 // Sparse point-query mask: the extreme case masked-dot exists for.
 void run_point_mask(benchmark::State& state, grb::MxmStrategy strategy) {

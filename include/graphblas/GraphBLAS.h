@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 
 #include "containers/matrix.hpp"
@@ -140,8 +141,10 @@ inline constexpr bool is_grb_scalar_v =
 // Catch-all veneer for the C boundary: the GraphBLAS C API is a no-throw
 // interface, so no C++ exception may escape a GrB_* entry point.  The only
 // exceptions the grb:: core can surface are allocation failure (mapped to
-// the GrB_OUT_OF_MEMORY execution error) and the unexpected, which the
-// spec's error model reserves GrB_PANIC for.  Every GrB_*/GxB_* function
+// the GrB_OUT_OF_MEMORY execution error), a container asked for more
+// elements than its max_size() (std::length_error: a request larger than
+// memory can hold, so also GrB_OUT_OF_MEMORY) and the unexpected, which
+// the spec's error model reserves GrB_PANIC for.  Every GrB_*/GxB_* function
 // body is `return grb_detail::guarded([&]() -> GrB_Info { ... });` — a
 // property tools/grb_analyze.py enforces for every definition.
 template <class F>
@@ -149,6 +152,8 @@ inline GrB_Info run_caught(F&& body) noexcept {
   try {
     return static_cast<F&&>(body)();
   } catch (const std::bad_alloc&) {
+    return GrB_OUT_OF_MEMORY;
+  } catch (const std::length_error&) {
     return GrB_OUT_OF_MEMORY;
   } catch (...) {
     return GrB_PANIC;

@@ -47,7 +47,7 @@ class ScratchArena {
     kHashVals,
     kHashPairs,
     kDenseFlags,    // zeroed protocol: flag 0 means "column absent"
-    kDenseVals,
+    kDenseVals,     // zeroed protocol in the masked saxpy's count fold
     kDenseTouched,
     kVecPresent,
     kVecVals,

@@ -17,6 +17,17 @@
 namespace grb {
 namespace {
 
+// Copies the caller's n indices.  reserve() throws std::length_error for
+// a count above max_size() (GrB_INDEX_MAX is one) before `indices + n`
+// is formed, which at such a count would overflow the pointer; the
+// veneer maps the throw to GrB_OUT_OF_MEMORY.
+std::vector<Index> copy_indices(const Index* indices, Index n) {
+  std::vector<Index> out;
+  out.reserve(n);
+  out.assign(indices, indices + n);
+  return out;
+}
+
 // Applies dup left-to-right over a run of values with identical
 // coordinates, in their input order: acc = dup(acc, next).
 // All values are already in the container's domain T.
@@ -75,7 +86,7 @@ Info Vector::build(const Index* indices, const void* values, Index nvals,
   Index n = size();
 
   // Capture the caller's arrays: build's inputs need not outlive the call.
-  std::vector<Index> ind(indices, indices + nvals);
+  std::vector<Index> ind = copy_indices(indices, nvals);
   ValueArray vals(type_->size());
   vals.reserve(nvals);
   {
@@ -149,8 +160,8 @@ Info Matrix::build(const Index* row_indices, const Index* col_indices,
   if (cur_nvals != 0) return Info::kOutputNotEmpty;
   Index nr = nrows(), nc = ncols();
 
-  std::vector<Index> ri(row_indices, row_indices + nvals);
-  std::vector<Index> ci(col_indices, col_indices + nvals);
+  std::vector<Index> ri = copy_indices(row_indices, nvals);
+  std::vector<Index> ci = copy_indices(col_indices, nvals);
   ValueArray vals(type_->size());
   vals.reserve(nvals);
   {

@@ -1,5 +1,6 @@
 // GrB_mxm: C<M,r> = C (+) A*B over a semiring.
 #include <algorithm>
+#include <atomic>
 
 #include "obs/decision.hpp"
 #include "obs/telemetry.hpp"
@@ -11,10 +12,12 @@ namespace {
 // Exact masked-dot work: one merge of A(i,:) with B'(j,:) per mask
 // entry, |A(i,:)| + |B'(j,:)| steps each.  B's column counts are the
 // row lengths of `bt` (B') when the caller has it for free, else one
-// O(nnz(B)) counting pass; the caller has checked that O(ncols) fits
-// the budget.
-uint64_t masked_dot_cost(const MatrixData& a, const MatrixData& b,
-                         const MatrixData* bt, const MatrixData& mask) {
+// serial O(nnz(B)) counting pass; the caller has checked that O(ncols)
+// fits the budget.  The mask rows run on `ctx`, each chunk adding its
+// exact integer sum.
+uint64_t masked_dot_cost(Context* ctx, const MatrixData& a,
+                         const MatrixData& b, const MatrixData* bt,
+                         const MatrixData& mask) {
   std::vector<Index> bcol;
   if (bt == nullptr) {
     bcol.assign(static_cast<size_t>(b.ncols) + 1, 0);
@@ -22,15 +25,19 @@ uint64_t masked_dot_cost(const MatrixData& a, const MatrixData& b,
     for (Index j = 0; j < b.ncols; ++j) bcol[j + 1] += bcol[j];
   }
   const Index* bptr = bt != nullptr ? bt->ptr.data() : bcol.data();
-  uint64_t cost = 0;
-  for (Index i = 0; i < mask.nrows; ++i) {
-    const uint64_t arow = a.ptr[i + 1] - a.ptr[i];
-    for (size_t km = mask.ptr[i]; km < mask.ptr[i + 1]; ++km) {
-      const Index j = mask.col[km];
-      cost += arow + (bptr[j + 1] - bptr[j]);
+  std::atomic<uint64_t> cost{0};
+  ctx->parallel_for(0, mask.nrows, [&](Index lo, Index hi) {
+    uint64_t part = 0;
+    for (Index i = lo; i < hi; ++i) {
+      const uint64_t arow = a.ptr[i + 1] - a.ptr[i];
+      for (size_t km = mask.ptr[i]; km < mask.ptr[i + 1]; ++km) {
+        const Index j = mask.col[km];
+        part += arow + (bptr[j + 1] - bptr[j]);
+      }
     }
-  }
-  return cost;
+    cost.fetch_add(part, std::memory_order_relaxed);
+  });
+  return cost.load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -81,7 +88,7 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         // never pays the O(nvals(A)) scan.
         std::shared_ptr<const SpgemmRowCosts> costs;
         auto row_costs = [&]() -> const SpgemmRowCosts& {
-          if (costs == nullptr) costs = spgemm_row_costs(av, bv);
+          if (costs == nullptr) costs = spgemm_row_costs(ctx, av, bv);
           return *costs;
         };
         // Masked kernels: correct whenever the mask is structural and
@@ -118,7 +125,7 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
           bool use_dot = strat == MxmStrategy::kMaskedDot && bt_ok;
           if (strat == MxmStrategy::kAuto && bt_ok) {
             const uint64_t dot_cost =
-                masked_dot_cost(*av, *bv, bt_free, *m_snap);
+                masked_dot_cost(ctx, *av, *bv, bt_free, *m_snap);
             const uint64_t saxpy_cost = row_costs().total + m_snap->nvals();
             use_dot = dot_cost < saxpy_cost;
             // Decision audit: the one genuinely adaptive branch here is

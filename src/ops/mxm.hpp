@@ -39,6 +39,8 @@ class SemiringRunner {
 template <class T, BinOpCode Add, BinOpCode Mul>
 class TypedSemiringRunner {
  public:
+  using Value = T;
+
   static T mul_v(const void* a, const void* b) {
     return scalar::bin_eval<Mul, T>(scalar::ld<T>(a), scalar::ld<T>(b));
   }
@@ -279,13 +281,31 @@ std::shared_ptr<MatrixData> mxm_masked_dot_kernel(
 // then the fold visits only those.  Most candidates miss the mask (k-
 // truss: 4 in 5), so a per-candidate "marked?" branch would mispredict
 // at random; the list keeps (ka, kb) order, so folds are unchanged.
+//
+// The typed <PLUS, ONEB> runner (kCountFold) takes a count fold instead:
+// C(i,j) is the number of candidates that land on j, and ONEB reads no
+// operand.  A uint64_t counter per column, from the arena's zeroed
+// kDenseVals slot, is armed to 2^63 for each j in M(i,:); every
+// candidate then adds its counter's top bit to it, so unmarked counters
+// stay 0 with no hit list, no branch and no value load.  The emit keeps
+// the nonzero counts below the top bit and zeroes each armed counter
+// again.  Counts are far below 2^53, so INT64 and FP64 results equal the
+// hit-list fold's bit for bit.
 inline constexpr size_t kSaxpyChunk = 256;
+
+template <class Runner>
+inline constexpr bool kCountFold = false;
+template <class T>
+inline constexpr bool
+    kCountFold<TypedSemiringRunner<T, BinOpCode::kPlus, BinOpCode::kOneb>> =
+        std::is_same_v<T, int64_t> || std::is_same_v<T, double>;
 
 template <class MakeRunner>
 std::shared_ptr<MatrixData> mxm_masked_saxpy_kernel(
     Context* ctx, const MatrixData& a, const MatrixData& b,
     const MatrixData& mask, const Type* ztype, const SpgemmRowCosts& costs,
     MakeRunner&& make_runner) {
+  using Runner = decltype(make_runner());
   auto t = std::make_shared<MatrixData>(ztype, a.nrows, b.ncols);
   const Index nrows = a.nrows;
   const size_t zsize = ztype->size();
@@ -298,30 +318,76 @@ std::shared_ptr<MatrixData> mxm_masked_saxpy_kernel(
   std::atomic<uint64_t> rows_run{0};
 
   ctx->parallel_for(0, nblocks, 1, [&](Index blo, Index bhi) {
-    auto runner = make_runner();
-    ScratchArena& arena = thread_arena();
-    // flag[j]: 0 = not in M(i,:), 1 = in M(i,:) with no product yet,
-    // 2 = in M(i,:) and acc[j] holds a partial fold.
-    auto* flag = reinterpret_cast<uint8_t*>(
-        arena.request_zeroed(ScratchArena::kDenseFlags, b.ncols));
-    std::byte* acc = arena.request(ScratchArena::kDenseVals,
-                                   static_cast<size_t>(b.ncols) * zsize);
-    ValueBuf prod(zsize);
-    const Index* bcol = b.col.data();
-    size_t hits[kSaxpyChunk];
-    uint64_t local_rows = 0;
-    for (Index blk = blo; blk < bhi; ++blk) {
-      const Index rlo = bounds[blk], rhi = bounds[blk + 1];
-      SpgemmStage& out = stage[blk];
-      size_t ub = 0;
-      for (Index i = rlo; i < rhi; ++i) {
-        if (costs.flops[i] != 0) ub += mask.ptr[i + 1] - mask.ptr[i];
+    // Runs fold_row(i, mlo, mhi, cols, vals) on each row of the blocks
+    // with candidates and mask entries; it writes the row's entries in
+    // mask-column order at (cols, vals) and returns how many.
+    auto for_rows = [&](auto&& fold_row) {
+      uint64_t local_rows = 0;
+      for (Index blk = blo; blk < bhi; ++blk) {
+        const Index rlo = bounds[blk], rhi = bounds[blk + 1];
+        SpgemmStage& out = stage[blk];
+        size_t ub = 0;
+        for (Index i = rlo; i < rhi; ++i) {
+          if (costs.flops[i] != 0) ub += mask.ptr[i + 1] - mask.ptr[i];
+        }
+        out.col.reserve(ub);
+        out.vals.reserve(ub * zsize);
+        for (Index i = rlo; i < rhi; ++i) {
+          const size_t mlo = mask.ptr[i], mhi = mask.ptr[i + 1];
+          if (costs.flops[i] == 0 || mlo == mhi) continue;
+          const size_t mlen = mhi - mlo;
+          auto [cols, vals] = out.grow(mlen, zsize);
+          const size_t n = fold_row(i, mlo, mhi, cols, vals);
+          out.trim(mlen - n, zsize);
+          counts[i] = static_cast<Index>(n);
+          ++local_rows;
+        }
       }
-      out.col.reserve(ub);
-      out.vals.reserve(ub * zsize);
-      for (Index i = rlo; i < rhi; ++i) {
-        const size_t mlo = mask.ptr[i], mhi = mask.ptr[i + 1];
-        if (costs.flops[i] == 0 || mlo == mhi) continue;
+      rows_run.fetch_add(local_rows, std::memory_order_relaxed);
+    };
+    ScratchArena& arena = thread_arena();
+    const Index* bcol = b.col.data();
+    if constexpr (kCountFold<Runner>) {
+      using T = typename Runner::Value;
+      constexpr uint64_t kArmed = uint64_t{1} << 63;
+      auto* cnt = reinterpret_cast<uint64_t*>(arena.request_zeroed(
+          ScratchArena::kDenseVals,
+          static_cast<size_t>(b.ncols) * sizeof(uint64_t)));
+      for_rows([&](Index i, size_t mlo, size_t mhi, Index* cols,
+                   std::byte* vals) {
+        for (size_t km = mlo; km < mhi; ++km) cnt[mask.col[km]] = kArmed;
+        for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
+          const Index k = a.col[ka];
+          if (k >= b.nrows) continue;
+          for (size_t kb = b.ptr[k], end = b.ptr[k + 1]; kb < end; ++kb) {
+            const uint64_t c = cnt[bcol[kb]];
+            cnt[bcol[kb]] = c + (c >> 63);
+          }
+        }
+        size_t n = 0;
+        for (size_t km = mlo; km < mhi; ++km) {
+          const Index j = mask.col[km];
+          const uint64_t c = cnt[j] & ~kArmed;
+          cnt[j] = 0;
+          cols[n] = j;
+          scalar::st<T>(vals + n * sizeof(T), static_cast<T>(c));
+          n += c != 0;
+        }
+        return n;
+      });
+      arena.mark_zeroed(ScratchArena::kDenseVals);
+    } else {
+      auto runner = make_runner();
+      // flag[j]: 0 = not in M(i,:), 1 = in M(i,:) with no product yet,
+      // 2 = in M(i,:) and acc[j] holds a partial fold.
+      auto* flag = reinterpret_cast<uint8_t*>(
+          arena.request_zeroed(ScratchArena::kDenseFlags, b.ncols));
+      std::byte* acc = arena.request(ScratchArena::kDenseVals,
+                                     static_cast<size_t>(b.ncols) * zsize);
+      ValueBuf prod(zsize);
+      size_t hits[kSaxpyChunk];
+      for_rows([&](Index i, size_t mlo, size_t mhi, Index* cols,
+                   std::byte* vals) {
         for (size_t km = mlo; km < mhi; ++km) flag[mask.col[km]] = 1;
         for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
           const Index k = a.col[ka];
@@ -349,8 +415,6 @@ std::shared_ptr<MatrixData> mxm_masked_saxpy_kernel(
             }
           }
         }
-        const size_t mlen = mhi - mlo;
-        auto [cols, vals] = out.grow(mlen, zsize);
         size_t n = 0;
         for (size_t km = mlo; km < mhi; ++km) {
           const Index j = mask.col[km];
@@ -362,13 +426,10 @@ std::shared_ptr<MatrixData> mxm_masked_saxpy_kernel(
           }
           flag[j] = 0;
         }
-        out.trim(mlen - n, zsize);
-        counts[i] = static_cast<Index>(n);
-        ++local_rows;
-      }
+        return n;
+      });
+      arena.mark_zeroed(ScratchArena::kDenseFlags);
     }
-    arena.mark_zeroed(ScratchArena::kDenseFlags);
-    rows_run.fetch_add(local_rows, std::memory_order_relaxed);
   });
   spgemm_detail::assemble(ctx, *t, bounds, stage, counts);
   if (obs::stats_enabled()) {

@@ -91,7 +91,7 @@ size_t g_cost_next = 0;
 }  // namespace
 
 std::shared_ptr<const SpgemmRowCosts> spgemm_row_costs(
-    const std::shared_ptr<const MatrixData>& a,
+    Context* ctx, const std::shared_ptr<const MatrixData>& a,
     const std::shared_ptr<const MatrixData>& b) {
   {
     std::lock_guard<std::mutex> lock(g_cost_mu);
@@ -103,17 +103,22 @@ std::shared_ptr<const SpgemmRowCosts> spgemm_row_costs(
   }
   auto costs = std::make_shared<SpgemmRowCosts>();
   costs->flops.assign(a->nrows, 0);
-  uint64_t total = 0;
-  for (Index i = 0; i < a->nrows; ++i) {
-    uint64_t f = 0;
-    for (size_t ka = a->ptr[i]; ka < a->ptr[i + 1]; ++ka) {
-      Index k = a->col[ka];
-      if (k < b->nrows) f += b->ptr[k + 1] - b->ptr[k];
+  // Rows on the pool; each chunk adds its exact integer sum.
+  std::atomic<uint64_t> total{0};
+  ctx->parallel_for(0, a->nrows, [&](Index lo, Index hi) {
+    uint64_t part = 0;
+    for (Index i = lo; i < hi; ++i) {
+      uint64_t f = 0;
+      for (size_t ka = a->ptr[i]; ka < a->ptr[i + 1]; ++ka) {
+        Index k = a->col[ka];
+        if (k < b->nrows) f += b->ptr[k + 1] - b->ptr[k];
+      }
+      costs->flops[i] = f;
+      part += f;
     }
-    costs->flops[i] = f;
-    total += f;
-  }
-  costs->total = total;
+    total.fetch_add(part, std::memory_order_relaxed);
+  });
+  costs->total = total.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(g_cost_mu);
     g_cost_cache[g_cost_next] = {a, b, costs};

@@ -79,9 +79,10 @@ struct SpgemmRowCosts {
 // Computes (or returns a cached copy of) the row costs for the snapshot
 // pair.  Snapshots are immutable copy-on-write values, so pointer
 // identity keys a small cache: strategy probes, the engine, and the
-// flops telemetry all reuse one O(nnz(A)) scan per (A, B) pair.
+// flops telemetry all reuse one O(nnz(A)) scan per (A, B) pair.  The
+// scan runs over rows on `ctx`, the caller's exec_context() choice.
 std::shared_ptr<const SpgemmRowCosts> spgemm_row_costs(
-    const std::shared_ptr<const MatrixData>& a,
+    Context* ctx, const std::shared_ptr<const MatrixData>& a,
     const std::shared_ptr<const MatrixData>& b);
 
 // Drops cached cost entries (library_finalize).

@@ -412,41 +412,33 @@ TEST_F(ObsTest, DecisionCountersExactForPathMxm) {
   GrB_free(&c);
 }
 
-// The masked-mxm strategy audit predicts work units (candidates plus
-// mask entries for saxpy, merge steps for dot) and measures the units
-// the masked kernel actually spent, so a k-truss round on a symmetric
-// graph — c<b,struct,replace> = b*b' then select(c >= 2) — is predicted
-// exactly and never reads as a mispredict.  A point-query mask (four
-// rows of the unpruned graph) then takes the dot kernel, whose merge steps are counted
-// and never exceed the prediction.
-TEST_F(ObsTest, KtrussMaskedMxmAuditHasNoMispredicts) {
-  const grb::MxmStrategy saved = grb::mxm_strategy();
-  grb::set_mxm_strategy(grb::MxmStrategy::kAuto);
-  constexpr GrB_Index kN = 300;
-  grb::Prng rng(2024);
+// A symmetric INT64 graph on n vertices from `edges` random draws (no
+// self-loops), homed in ctx (null: the top context).
+GrB_Matrix random_symmetric(GrB_Context ctx, GrB_Index n, int edges,
+                            uint64_t seed) {
+  grb::Prng rng(seed);
   std::vector<GrB_Index> rows, cols;
-  for (int e = 0; e < 1500; ++e) {
-    const GrB_Index i = rng.below(kN), j = rng.below(kN);
+  for (int e = 0; e < edges; ++e) {
+    const GrB_Index i = rng.below(n), j = rng.below(n);
     if (i == j) continue;
     rows.insert(rows.end(), {i, j});
     cols.insert(cols.end(), {j, i});
   }
   std::vector<int64_t> ones(rows.size(), 1);
-  GrB_Matrix b = nullptr, c = nullptr;
-  ASSERT_EQ(GrB_Matrix_new(&b, GrB_INT64, kN, kN), GrB_SUCCESS);
-  ASSERT_EQ(GrB_Matrix_new(&c, GrB_INT64, kN, kN), GrB_SUCCESS);
-  ASSERT_EQ(GrB_Matrix_build(b, rows.data(), cols.data(), ones.data(),
+  GrB_Matrix b = nullptr;
+  EXPECT_EQ(GrB_Matrix_new(&b, GrB_INT64, n, n, ctx), GrB_SUCCESS);
+  EXPECT_EQ(GrB_Matrix_build(b, rows.data(), cols.data(), ones.data(),
                              rows.size(), GrB_FIRST_INT64),
             GrB_SUCCESS);
-  GrB_Matrix g = nullptr;  // b before the rounds prune it
-  ASSERT_EQ(GrB_Matrix_dup(&g, b), GrB_SUCCESS);
+  return b;
+}
 
-  ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
-  ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
-  constexpr int kRounds = 3;
-  for (int round = 0; round < kRounds; ++round) {
-    ASSERT_EQ(GrB_mxm(c, b, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_INT64, b, b,
-                      GrB_DESC_RST1),
+// `rounds` k-truss rounds on b: c<b,struct,replace> = b*b' over ring,
+// then b = select(c >= 2) with its values reset to 1.
+void ktruss_rounds(GrB_Semiring ring, GrB_Matrix b, GrB_Matrix c,
+                   int rounds) {
+  for (int round = 0; round < rounds; ++round) {
+    ASSERT_EQ(GrB_mxm(c, b, GrB_NULL, ring, b, b, GrB_DESC_RST1),
               GrB_SUCCESS);
     ASSERT_EQ(GrB_select(b, GrB_NULL, GrB_NULL, GrB_VALUEGE_INT64, c,
                          int64_t{2}, GrB_NULL),
@@ -456,6 +448,32 @@ TEST_F(ObsTest, KtrussMaskedMxmAuditHasNoMispredicts) {
               GrB_SUCCESS);
     ASSERT_EQ(GrB_wait(b, GrB_MATERIALIZE), GrB_SUCCESS);
   }
+}
+
+// The masked-mxm strategy audit predicts work units (candidates plus
+// mask entries for saxpy, merge steps for dot) and measures the units
+// the masked kernel actually spent, so a k-truss round on a symmetric
+// graph — c<b,struct,replace> = b*b' then select(c >= 2) — is predicted
+// exactly and never reads as a mispredict.  The rounds run twice: over
+// PLUS_TIMES on the top context, and over <PLUS, ONEB> (the saxpy's
+// count fold) on a 4-thread context with a graph large enough that the
+// cost passes run on the pool.  A point-query mask (four rows of the
+// unpruned graph) then takes the dot kernel, whose merge steps are
+// counted and never exceed the prediction.
+TEST_F(ObsTest, KtrussMaskedMxmAuditHasNoMispredicts) {
+  const grb::MxmStrategy saved = grb::mxm_strategy();
+  grb::set_mxm_strategy(grb::MxmStrategy::kAuto);
+  constexpr GrB_Index kN = 300;
+  GrB_Matrix b = random_symmetric(GrB_NULL, kN, 1500, 2024);
+  GrB_Matrix c = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&c, GrB_INT64, kN, kN), GrB_SUCCESS);
+  GrB_Matrix g = nullptr;  // b before the rounds prune it
+  ASSERT_EQ(GrB_Matrix_dup(&g, b), GrB_SUCCESS);
+
+  ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
+  ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+  constexpr int kRounds = 3;
+  ktruss_rounds(GrB_PLUS_TIMES_SEMIRING_INT64, b, c, kRounds);
 
   EXPECT_EQ(counter("decision.masked_dot.records"), uint64_t{kRounds});
   EXPECT_EQ(counter("decision.masked_dot.measured"), uint64_t{kRounds});
@@ -463,6 +481,52 @@ TEST_F(ObsTest, KtrussMaskedMxmAuditHasNoMispredicts) {
   EXPECT_GT(counter("decision.masked_dot.measured_units"), 0u);
   EXPECT_LE(counter("decision.masked_dot.measured_units"),
             counter("decision.masked_dot.predicted_units"));
+
+  {
+    GrB_ContextConfig cfg;
+    cfg.nthreads = 4;
+    GrB_Context ctx4 = nullptr;
+    ASSERT_EQ(GrB_Context_new(&ctx4, GrB_NONBLOCKING, GrB_NULL, &cfg),
+              GrB_SUCCESS);
+    GrB_Semiring plus_oneb = nullptr;
+    ASSERT_EQ(GrB_Semiring_new(&plus_oneb, GrB_PLUS_MONOID_INT64,
+                               GrB_ONEB_INT64),
+              GrB_SUCCESS);
+    constexpr GrB_Index kBigN = 600;
+    GrB_Matrix bb = random_symmetric(ctx4, kBigN, 15000, 2025);
+    GrB_Matrix cc = nullptr;
+    ASSERT_EQ(GrB_Matrix_new(&cc, GrB_INT64, kBigN, kBigN, ctx4),
+              GrB_SUCCESS);
+    ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+    ktruss_rounds(plus_oneb, bb, cc, kRounds);
+    // nvals(A) + nvals(B) of the last, smallest round still crosses the
+    // exec_context threshold, so every round's cost passes used the pool.
+    GrB_Index nv = 0;
+    ASSERT_EQ(GrB_Matrix_nvals(&nv, bb), GrB_SUCCESS);
+    EXPECT_GE(2 * nv, grb::parallel_threshold());
+    EXPECT_EQ(counter("decision.masked_dot.records"), uint64_t{kRounds});
+    EXPECT_EQ(counter("decision.masked_dot.measured"), uint64_t{kRounds});
+    EXPECT_EQ(counter("decision.masked_dot.mispredicts"), 0u);
+    EXPECT_GT(counter("decision.masked_dot.measured_units"), 0u);
+    EXPECT_EQ(counter("decision.masked_dot.measured_units"),
+              counter("decision.masked_dot.predicted_units"));
+    std::vector<grb::obs::DecisionRecord> recs(256);
+    const int nrec = grb::obs::decision_snapshot(
+        recs.data(), static_cast<int>(recs.size()), nullptr, 0);
+    int saxpy = 0;
+    for (int r = 0; r < nrec; ++r) {
+      if (recs[r].site != grb::obs::DecisionSite::kMaskedDot) continue;
+      EXPECT_STREQ(recs[r].chosen, "saxpy");
+      EXPECT_EQ(static_cast<double>(recs[r].measured_units),
+                recs[r].predicted_cost);
+      ++saxpy;
+    }
+    EXPECT_EQ(saxpy, kRounds);
+    GrB_free(&bb);
+    GrB_free(&cc);
+    GrB_free(&plus_oneb);
+    GrB_free(&ctx4);
+  }
 
   GrB_Matrix m = nullptr;
   ASSERT_EQ(GrB_Matrix_new(&m, GrB_INT64, kN, kN), GrB_SUCCESS);

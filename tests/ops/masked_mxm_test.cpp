@@ -271,7 +271,7 @@ TEST(MaskedMxmTest, StructuralMaskFansOutToPool) {
     return grb::SemiringRunner(ring, sg->type, sg->type);
   };
   grb::mxm_masked_saxpy_kernel(ctx, *sg, *sg, *sg, z,
-                               *grb::spgemm_row_costs(sg, sg), make_runner);
+                               *grb::spgemm_row_costs(ctx, sg, sg), make_runner);
   EXPECT_GT(runners.load(), 1) << "masked saxpy ran inline";
   runners = 0;
   grb::mxm_masked_dot_kernel(ctx, *sg, *sg, *sg, z, make_runner);

@@ -497,8 +497,9 @@ void check_saxpy_kernel() {
   make_saxpy_inputs<T>(&in, 4800);
   make_saxpy_inputs<T>(&decoy, 4900);
   const grb::MatrixData &a = *in.sa, &b = *in.sb, &m = *in.sm;
-  auto costs = grb::spgemm_row_costs(in.sa, in.sb);
-  auto decoy_costs = grb::spgemm_row_costs(decoy.sa, decoy.sb);
+  auto costs = grb::spgemm_row_costs(grb::serial_context(), in.sa, in.sb);
+  auto decoy_costs = grb::spgemm_row_costs(grb::serial_context(), decoy.sa,
+                                           decoy.sb);
   ASSERT_GT(b.ptr[1] - b.ptr[0], 2 * grb::kSaxpyChunk);
   ASSERT_NE(costs->flops[kNoHitRow], 0u);
   for (GrB_Semiring ring : SaxpyDomain<T>::semirings()) {
@@ -551,6 +552,10 @@ TEST(SpgemmDiff, SaxpyFilterFoldBool) { check_saxpy_kernel<bool>(); }
 // PLUS_TIMES on the ONEB-applied operands and the reference engine bit
 // for bit.  The operands hold the pool values above, never 1 (NaN, Inf,
 // INT64s whose products wrap), so a kernel that read them would show.
+// The typed masked saxpy takes the count fold; the inputs carry its edge
+// cases: mask entries no product lands on (all of kNoHitRow, and some in
+// rows that do get counts), B rows longer than two kSaxpyChunk, and an
+// empty mask row with candidates (kEmptyMaskRow).
 
 template <class T>
 struct Tuples {
@@ -622,6 +627,11 @@ void check_plus_oneb_counts() {
   ThresholdGuard threshold;
   SaxpyInputs in;
   make_saxpy_inputs<T>(&in, 5200);
+  auto costs = grb::spgemm_row_costs(grb::serial_context(), in.sa, in.sb);
+  ASSERT_GT(in.sb->ptr[1] - in.sb->ptr[0], 2 * grb::kSaxpyChunk);
+  ASSERT_NE(costs->flops[kNoHitRow], 0u);
+  ASSERT_NE(costs->flops[kEmptyMaskRow], 0u);
+  ASSERT_EQ(in.sm->ptr[kEmptyMaskRow], in.sm->ptr[kEmptyMaskRow + 1]);
   GrB_BinaryOp oneb = kFp ? GrB_ONEB_FP64 : GrB_ONEB_INT64;
   GrB_Semiring plus_times =
       kFp ? GrB_PLUS_TIMES_SEMIRING_FP64 : GrB_PLUS_TIMES_SEMIRING_INT64;
@@ -649,6 +659,20 @@ void check_plus_oneb_counts() {
       reference = count_mxm<T>(1, plus_oneb, in.a, in.b, m);
     }
     ASSERT_FALSE(want.vals.empty()) << what;
+    if (m != nullptr) {
+      // The rows without a product emit nothing, and some row with
+      // counts has a mask entry that gets none.
+      std::vector<size_t> per_row(kSm, 0);
+      for (GrB_Index i : want.rows) ++per_row[i];
+      EXPECT_EQ(per_row[kNoHitRow], 0u) << what;
+      EXPECT_EQ(per_row[kEmptyMaskRow], 0u) << what;
+      bool partial = false;
+      for (GrB_Index i = 0; i < kSm; ++i) {
+        partial |= per_row[i] != 0 &&
+                   per_row[i] < in.sm->ptr[i + 1] - in.sm->ptr[i];
+      }
+      EXPECT_TRUE(partial) << what;
+    }
     EXPECT_TRUE(reference == want) << what << " reference engine";
     std::vector<grb::MxmStrategy> strategies = {grb::MxmStrategy::kGustavson};
     if (m != nullptr) strategies.push_back(grb::MxmStrategy::kMaskedDot);
