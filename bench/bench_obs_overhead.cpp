@@ -3,7 +3,8 @@
 // the C API boundary).  BM_ApiHook_Disabled vs. BM_ApiHook_Flight vs.
 // BM_ApiHook_Stats vs. BM_ApiHook_Trace quantify the hook on an entry
 // point that also takes the object mutex; BM_ApiHook_Veneer_* time the
-// guarded veneer alone, on an entry point that touches no object;
+// guarded veneer alone, on entry points that touch no object (repeated,
+// the recorder's run path; alternating, one ring slot per call);
 // BM_Mxv_* quantify a real kernel so the disabled-overhead acceptance
 // bound is observable on an op that actually does work.  The flight
 // recorder is ON by default, so the *_Disabled/*_TelemetryOff benches
@@ -79,11 +80,34 @@ void BM_ApiHook_Veneer_Disabled(benchmark::State& state) {
 }
 BENCHMARK(BM_ApiHook_Veneer_Disabled);
 
+// Repeats one entry point, so after the first call every call takes
+// the flight recorder's run path: a thread-local count, no ring slot.
 void BM_ApiHook_Veneer_Flight(benchmark::State& state) {
   BENCH_TRY(GxB_Stats_enable(0));
   veneer_loop(state);
 }
 BENCHMARK(BM_ApiHook_Veneer_Flight);
+
+// Alternates two guarded entry points that read no object, one call
+// per iteration, so no run forms and every call claims a ring slot.
+void BM_ApiHook_Veneer_FlightAlternating(benchmark::State& state) {
+  BENCH_TRY(GxB_Stats_enable(0));
+  unsigned int version = 0, subversion = 0;
+  int fusion = 0;
+  bool odd = false;
+  for (auto _ : state) {
+    odd = !odd;
+    if (odd) {
+      BENCH_TRY(GrB_getVersion(&version, &subversion));
+    } else {
+      BENCH_TRY(GxB_Fusion_get(&fusion));
+    }
+    benchmark::DoNotOptimize(version);
+    benchmark::DoNotOptimize(fusion);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ApiHook_Veneer_FlightAlternating);
 
 void BM_ApiHook_Stats(benchmark::State& state) {
   BENCH_TRY(GxB_Stats_enable(1));

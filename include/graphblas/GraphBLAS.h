@@ -176,7 +176,8 @@ inline GrB_Info run_caught(F&& body) noexcept {
 // and costs two TLS stores).  Everything else is behind one relaxed
 // atomic flag load: with every instrument off the body runs exactly as
 // before.  With only the flight recorder on (the default), the extra
-// cost is one ring-slot write per entry — no clock read, no counter
+// cost is one ring-slot write per entry, or a thread-local count bump
+// when the call repeats the thread's last entry point — no counter
 // registry.  Stats/trace add the timed path.
 template <class F>
 inline GrB_Info guarded(F&& body,

@@ -64,61 +64,41 @@ void fold_batch(std::vector<FoldItem>* items, Index nrows,
   }
   batch.resize(m);
 
-  // Pass 1: find each key in its base row (searching past the previous
-  // key of the row) and set the row offsets.  An untouched row's offset
-  // is its base offset plus the running entry-count change (mod 2^64).
-  struct Loc {
-    size_t pos;  // lower bound of the key in base_col
-    bool hit;    // the base stores the key
-  };
-  std::vector<Loc> loc(m);
+  // One pass: find each key in its base row (searching past the previous
+  // key of the row), append the untouched base span before it, whatever
+  // rows it crosses, then the update.  The reserve above holds every
+  // append, so nothing is zeroed or reallocated.  A row ends at its base
+  // offset plus the entry count the updates so far added or removed
+  // (mod 2^64), so its offset is set as soon as the keys pass it.
   const Index* col = base_col.data();
-  Index delta = 0;
-  Index r = 0;  // next row whose out_ptr[r + 1] is unset
-  size_t lo = 0;
-  for (size_t k = 0; k < m; ++k) {
-    const FoldItem& it = batch[k];
-    if (k == 0 || it.i != batch[k - 1].i) lo = base_ptr[it.i];
-    for (; r < it.i; ++r) out_ptr[r + 1] = base_ptr[r + 1] + delta;
-    const Index* hi = col + base_ptr[it.i + 1];
-    const Index* p = std::lower_bound(col + lo, hi, it.j);
-    const bool hit = p != hi && *p == it.j;
-    loc[k] = {static_cast<size_t>(p - col), hit};
-    lo = loc[k].pos + (hit ? 1 : 0);
-    if (it.slot == kDeleteSlot) {
-      delta -= hit ? 1 : 0;
-    } else {
-      delta += hit ? 0 : 1;
-    }
-  }
-  for (; r < nrows; ++r) out_ptr[r + 1] = base_ptr[r + 1] + delta;
-
-  // Pass 2: one copy per base span between updates, whatever rows it
-  // crosses; the updates themselves are written in between.
-  const size_t stride = base_vals.stride();
-  out_col->resize(base_col.size() + delta);
-  out_vals->resize(out_col->size());
-  Index* dst_col = out_col->data();
-  auto* dst_val = static_cast<std::byte*>(out_vals->data());
-  const auto* src_val = static_cast<const std::byte*>(base_vals.data());
-  size_t src = 0;
+  size_t src = 0;  // next base entry not yet copied or replaced
   auto copy_base = [&](size_t end) {
     const size_t n = end - src;
     if (n == 0) return;  // the base may be empty (null data)
-    std::memcpy(dst_col, col + src, n * sizeof(Index));
-    std::memcpy(dst_val, src_val + src * stride, n * stride);
-    dst_col += n;
-    dst_val += n * stride;
+    out_col->insert(out_col->end(), col + src, col + end);
+    out_vals->append(base_vals, src, n);
+    src = end;
   };
+  Index r = 0;  // next row whose out_ptr[r + 1] is unset
   for (size_t k = 0; k < m; ++k) {
-    copy_base(loc[k].pos);
-    src = loc[k].pos + (loc[k].hit ? 1 : 0);
-    if (batch[k].slot != kDeleteSlot) {
-      *dst_col++ = batch[k].j;
-      std::memcpy(dst_val, pend_vals.at(batch[k].slot), stride);
-      dst_val += stride;
+    const FoldItem& it = batch[k];
+    size_t lo = src;
+    if (k == 0 || it.i != batch[k - 1].i) {
+      const Index delta = out_col->size() - src;
+      for (; r < it.i; ++r) out_ptr[r + 1] = base_ptr[r + 1] + delta;
+      lo = base_ptr[it.i];
+    }
+    const Index* hi = col + base_ptr[it.i + 1];
+    const Index* p = std::lower_bound(col + lo, hi, it.j);
+    copy_base(static_cast<size_t>(p - col));
+    if (p != hi && *p == it.j) ++src;  // replaced or removed
+    if (it.slot != kDeleteSlot) {
+      out_col->push_back(it.j);
+      out_vals->append(pend_vals, it.slot, 1);
     }
   }
+  const Index delta = out_col->size() - src;
+  for (; r < nrows; ++r) out_ptr[r + 1] = base_ptr[r + 1] + delta;
   copy_base(base_col.size());
 }
 

@@ -123,10 +123,7 @@ class ObjectBase {
   // enqueue/complete, yet their API spans must still bill to this
   // object's tenant.
   Info pending_error() const GRB_EXCLUDES(mu_) {
-    if (obs::enabled()) {
-      uint64_t id = obs_ctx_id();
-      if (id != 0) obs::set_current_ctx(id);
-    }
+    stamp_current_ctx();
     MutexLock lock(mu_);
     return err_;
   }
@@ -167,6 +164,19 @@ class ObjectBase {
       if (it->flush_upto >= upto) return true;
     }
     return false;
+  }
+
+  // pending_error()'s attribution stamp, for fast paths that read the
+  // stored error under a lock they take anyway (error_locked).
+  void stamp_current_ctx() const {
+    if (obs::enabled()) {
+      uint64_t id = obs_ctx_id();
+      if (id != 0) obs::set_current_ctx(id);
+    }
+  }
+  Info error_locked() const GRB_REQUIRES(mu_) { return err_; }
+  Mode mode_locked() const GRB_REQUIRES(mu_) {
+    return ctx_ != nullptr ? ctx_->mode() : Mode::kBlocking;
   }
 
   mutable Mutex mu_;

@@ -24,12 +24,46 @@ namespace {
 struct Event {
   uint64_t ts;
   const char* op;
-  uint64_t meta;  // info<<32 | kind<<24 | tid
-  uint64_t ext;   // ctx<<32 | flow (32-bit truncated)
+  uint64_t meta;   // info<<32 | kind<<24 | tid
+  uint64_t ext;    // ctx<<32 | flow (32-bit truncated)
+  uint64_t calls;  // calls the slot stands for: a run's length, else 1
 };
 using Ring = SeqRing<Event>;
 
 std::atomic<Ring*> g_ring{nullptr};
+
+// The calling thread's open run: its last record, when that was an
+// api-enter.  A repeat of the same entry point while the ring's head is
+// still at the run's slot (no record from any thread in between) only
+// bumps `calls`; the count reaches the slot every kRunStoreEvery
+// repeats, when the thread records anything else, when a dump is taken
+// on this thread and when the thread exits.
+struct Run {
+  Ring* ring = nullptr;  // ring holding the run's slot; nullptr = none
+  const char* op = nullptr;  // the repeated entry point
+  uint64_t seq = 0;      // the slot's sequence number
+  uint64_t calls = 0;    // calls made in the run
+  uint64_t stored = 0;   // calls last written to the slot
+  Run() = default;
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
+  ~Run();
+};
+thread_local Run t_run;
+
+constexpr uint64_t kRunStoreEvery = 64;
+
+// Writes the run's count into its slot.  A slot the ring has since
+// lapped keeps the lapping event; the count is lost with the run.
+void run_store(Run& run) {
+  if (run.ring == nullptr || run.calls == run.stored) return;
+  const uint64_t calls = run.calls;
+  run.ring->update_if(run.seq, [calls](Event& e) { e.calls = calls; });
+  run.stored = calls;
+}
+
+// Rings are never freed (see retired()), so the slot outlives the thread.
+Run::~Run() { run_store(*this); }
 
 // Control-path state (resize, dumps) behind one mutex; the record path
 // never takes it.
@@ -99,6 +133,7 @@ struct DecodedEvent {
   uint32_t tid;
   uint32_t ctx;
   uint32_t flow;
+  uint64_t calls;
 };
 
 // Snapshots the readable window of the ring, oldest first.  Torn or
@@ -107,6 +142,7 @@ std::vector<DecodedEvent> snapshot_events(uint64_t max_events) {
   std::vector<DecodedEvent> out;
   Ring* r = g_ring.load(std::memory_order_acquire);
   if (r == nullptr) return out;
+  if (t_run.ring == r) run_store(t_run);
   const uint64_t head = r->head();
   uint64_t start = head - std::min(head, r->capacity());
   if (max_events != 0 && head - start > max_events)
@@ -124,6 +160,7 @@ std::vector<DecodedEvent> snapshot_events(uint64_t max_events) {
     e.tid = static_cast<uint32_t>(ev.meta & 0xffffffu);
     e.ctx = static_cast<uint32_t>(ev.ext >> 32);
     e.flow = static_cast<uint32_t>(ev.ext & 0xffffffffu);
+    e.calls = ev.calls;
     out.push_back(e);
   }
   return out;
@@ -169,8 +206,22 @@ void fr_record(FrKind kind, const char* op, int32_t info, uint64_t ctx,
                uint64_t flow) {
   Ring* r = g_ring.load(std::memory_order_acquire);
   if (r == nullptr) return;
-  r->push({now_ns(), op, pack_meta(kind, info, fr_tid()),
-           (ctx << 32) | (flow & 0xffffffffu)});
+  Run& run = t_run;
+  if (kind == FrKind::kApiEnter && run.ring == r && run.op == op &&
+      r->head() == run.seq) {
+    if (++run.calls - run.stored >= kRunStoreEvery) run_store(run);
+    return;
+  }
+  run_store(run);
+  run.ring = nullptr;
+  const uint64_t seq = r->push({now_ns(), op, pack_meta(kind, info, fr_tid()),
+                                (ctx << 32) | (flow & 0xffffffffu), 1});
+  if (kind == FrKind::kApiEnter) {
+    run.ring = r;
+    run.op = op;
+    run.seq = seq;
+    run.calls = run.stored = 1;
+  }
 }
 
 void fr_api_result(const char* op, int32_t info) {
@@ -196,6 +247,11 @@ std::string fr_text(uint64_t max_events) {
                   static_cast<unsigned long long>(e.ts), e.tid,
                   kind_name(e.kind), e.op);
     out.append(line);
+    if (e.calls > 1) {
+      std::snprintf(line, sizeof line, " \u00d7%llu",
+                    static_cast<unsigned long long>(e.calls));
+      out.append(line);
+    }
     if (e.ctx != 0 || e.flow != 0) {
       std::snprintf(line, sizeof line, " ctx=%u", e.ctx);
       out.append(line);
@@ -225,10 +281,10 @@ std::string fr_trace_json() {
                   "{\"name\":\"%s\",\"cat\":\"flight\",\"ph\":\"i\","
                   "\"s\":\"t\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
                   "\"args\":{\"kind\":\"%s\",\"seq\":%llu,\"info\":%d,"
-                  "\"ctx\":%u,\"flow\":%u}}",
+                  "\"ctx\":%u,\"flow\":%u,\"calls\":%llu}}",
                   e.op, e.tid, e.ts / 1000.0, kind_name(e.kind),
                   static_cast<unsigned long long>(e.seq), e.info, e.ctx,
-                  e.flow);
+                  e.flow, static_cast<unsigned long long>(e.calls));
     out.append(line);
   }
   out.append("\n]}\n");

@@ -5,10 +5,20 @@
 // error surfaces later, from whatever call happened to force completion.
 // The flight recorder closes that gap by keeping the causal op history
 // in a fixed-size lock-free ring buffer — every C API entry point, every
-// deferred method execution, and every error transition — at a cost of
-// one relaxed fetch_add plus a handful of relaxed stores per event.
+// deferred method execution, and every error transition.  A new slot
+// costs a clock read, one relaxed fetch_add and a handful of stores.
 //
-// Sizing: 4096 events by default; GRB_FLIGHT_RECORDER=N resizes (rounded
+// Runs: an api-enter from a thread whose last record was an api-enter
+// of the same entry point, with no record from any thread in between,
+// claims no slot and reads no clock.  It bumps a thread-local count that
+// reaches the run's slot every 64 repeats and when the thread records
+// anything else or exits, so a slot stands for N calls ("×N" in the text
+// dump, "calls" in the trace JSON).  A dump on the run's own thread
+// writes the exact count first; one taken elsewhere may read a count up
+// to 63 short while the run is still open.  A streaming loop of setElement calls thus
+// takes one slot per batch, not one per call.
+//
+// Sizing: 4096 slots by default; GRB_FLIGHT_RECORDER=N resizes (rounded
 // up to a power of two), GRB_FLIGHT_RECORDER=0 disables.  When the ring
 // wraps, the oldest events are overwritten and the overwrite count is
 // surfaced via "flight.overwrites" in GxB_Stats_json.
@@ -43,8 +53,8 @@ enum class FrKind : uint8_t {
 // lock-free writers can not touch freed memory.
 void fr_resize(uint64_t capacity);
 uint64_t fr_capacity();
-uint64_t fr_event_count();  // total events ever recorded (monotonic)
-uint64_t fr_overwrites();   // events lost to ring wrap
+uint64_t fr_event_count();  // slots ever claimed (monotonic); a run is one
+uint64_t fr_overwrites();   // slots lost to ring wrap
 
 // Records one event.  `op` must have static storage duration (entry
 // point literals); `info` is the GrB_Info value for error kinds.

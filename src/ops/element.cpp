@@ -5,6 +5,9 @@
 // nonblocking mode each call is O(1) and the tuples are folded into the
 // sparse structure on completion — the bulk-ingest pattern that
 // nonblocking mode exists to allow (measured by bench_m1_nonblocking).
+// Each call takes the object mutex once: the stored-error check, the
+// domain and bounds checks, the append and the mode read share it, in
+// that order, so a poisoned object reports its error first.
 
 #include "containers/matrix.hpp"
 #include "containers/vector.hpp"
@@ -17,30 +20,36 @@ namespace grb {
 Info Vector::set_element(const void* value, const Type* value_type,
                          Index i) {
   if (value == nullptr || value_type == nullptr) return Info::kNullPointer;
-  GRB_RETURN_IF_ERROR(pending_error());
-  if (!types_compatible(type_, value_type)) return Info::kDomainMismatch;
-  if (i >= size()) return Info::kInvalidIndex;
+  stamp_current_ctx();
+  Mode mode = Mode::kBlocking;
   {
     MutexLock lock(mu_);
+    GRB_RETURN_IF_ERROR(error_locked());
+    if (!types_compatible(type_, value_type)) return Info::kDomainMismatch;
+    if (i >= size_) return Info::kInvalidIndex;
     pend_.push_back({i, false});
     ValueBuf cast(type_->size());
     cast_value(type_, cast.data(), value_type, value);
     pend_vals_.push_back(cast.data());
     obs::pending_tuples_sample(pend_.size());
+    mode = mode_locked();
   }
-  if (mode() == Mode::kBlocking) return complete();
+  if (mode == Mode::kBlocking) return complete();
   return Info::kSuccess;
 }
 
 Info Vector::remove_element(Index i) {
-  GRB_RETURN_IF_ERROR(pending_error());
-  if (i >= size()) return Info::kInvalidIndex;
+  stamp_current_ctx();
+  Mode mode = Mode::kBlocking;
   {
     MutexLock lock(mu_);
+    GRB_RETURN_IF_ERROR(error_locked());
+    if (i >= size_) return Info::kInvalidIndex;
     pend_.push_back({i, true});
     obs::pending_tuples_sample(pend_.size());
+    mode = mode_locked();
   }
-  if (mode() == Mode::kBlocking) return complete();
+  if (mode == Mode::kBlocking) return complete();
   return Info::kSuccess;
 }
 
@@ -86,30 +95,36 @@ Info Vector::extract_tuples(Index* indices, void* values, Index* n,
 Info Matrix::set_element(const void* value, const Type* value_type, Index i,
                          Index j) {
   if (value == nullptr || value_type == nullptr) return Info::kNullPointer;
-  GRB_RETURN_IF_ERROR(pending_error());
-  if (!types_compatible(type_, value_type)) return Info::kDomainMismatch;
+  stamp_current_ctx();
+  Mode mode = Mode::kBlocking;
   {
     MutexLock lock(mu_);
+    GRB_RETURN_IF_ERROR(error_locked());
+    if (!types_compatible(type_, value_type)) return Info::kDomainMismatch;
     if (i >= nrows_ || j >= ncols_) return Info::kInvalidIndex;
     pend_.push_back({i, j, false});
     ValueBuf cast(type_->size());
     cast_value(type_, cast.data(), value_type, value);
     pend_vals_.push_back(cast.data());
     obs::pending_tuples_sample(pend_.size());
+    mode = mode_locked();
   }
-  if (mode() == Mode::kBlocking) return complete();
+  if (mode == Mode::kBlocking) return complete();
   return Info::kSuccess;
 }
 
 Info Matrix::remove_element(Index i, Index j) {
-  GRB_RETURN_IF_ERROR(pending_error());
+  stamp_current_ctx();
+  Mode mode = Mode::kBlocking;
   {
     MutexLock lock(mu_);
+    GRB_RETURN_IF_ERROR(error_locked());
     if (i >= nrows_ || j >= ncols_) return Info::kInvalidIndex;
     pend_.push_back({i, j, true});
     obs::pending_tuples_sample(pend_.size());
+    mode = mode_locked();
   }
-  if (mode() == Mode::kBlocking) return complete();
+  if (mode == Mode::kBlocking) return complete();
   return Info::kSuccess;
 }
 

@@ -40,6 +40,15 @@ uint64_t masked_dot_cost(Context* ctx, const MatrixData& a,
   return cost.load(std::memory_order_relaxed);
 }
 
+// What one masked-dot merge step costs in saxpy candidates.  Fitted on
+// the M4 legs (bench_m4_masked_mxm, pinned strategies, time per unit of
+// each exact cost): a step took 2.3–11 times a candidate across the
+// triangle, k-truss and point-mask shapes, PLUS_TIMES and <PLUS, ONEB>
+// alike, median ≈4.  A constant, not a calibration: the triangle masks'
+// saxpy cost is ≈2 times their dot cost (now saxpy), a point mask's 24
+// to 39 times (still dot).
+constexpr uint64_t kDotStepWeight = 4;
+
 }  // namespace
 
 Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
@@ -96,7 +105,8 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         // by the write-back), and both emit T inside M.  Masked dot
         // merges A(i,:) with B'(j,:) per mask entry; masked saxpy runs
         // Gustavson folding only the products that land in M.  The auto
-        // strategy compares their exact costs.
+        // strategy compares their exact costs, a merge step weighed as
+        // kDotStepWeight candidates.
         obs::DecisionTicket dot_ticket;
         // Work of the masked kernel that ran, in the auto strategy's
         // cost unit; counted only for a live audit record.
@@ -127,7 +137,7 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
             const uint64_t dot_cost =
                 masked_dot_cost(ctx, *av, *bv, bt_free, *m_snap);
             const uint64_t saxpy_cost = row_costs().total + m_snap->nvals();
-            use_dot = dot_cost < saxpy_cost;
+            use_dot = dot_cost * kDotStepWeight < saxpy_cost;
             // Decision audit: the one genuinely adaptive branch here is
             // the auto heuristic — pinned strategies never had a choice.
             dot_ticket = obs::decision_record(

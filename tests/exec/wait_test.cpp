@@ -123,6 +123,85 @@ TEST(ErrorModelTest, DeferredExecutionErrorPoisonsObject) {
   GrB_free(&v);
 }
 
+// setElement/removeElement check the stored error, the domain and the
+// index under one lock, in that order: a poisoned object reports its
+// execution error ahead of GrB_DOMAIN_MISMATCH and GrB_INVALID_INDEX,
+// and the later checks come back once MATERIALIZE clears it.
+TEST(ErrorModelTest, PoisonedElementCallsReportStoredErrorFirst) {
+  GrB_Type udt = nullptr;
+  ASSERT_EQ(GrB_Type_new(&udt, 24), GrB_SUCCESS);
+  const unsigned char blob[24] = {};
+  GrB_Index idx[] = {1, 1};
+  double vals[] = {1, 2};
+
+  GrB_Matrix a = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, GrB_FP64, 3, 3), GrB_SUCCESS);
+  GrB_Info info = GrB_Matrix_build(a, idx, idx, vals, 2, GrB_NULL);
+  if (info == GrB_SUCCESS) info = GrB_wait(a, GrB_COMPLETE);
+  ASSERT_EQ(info, GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Matrix_setElement(a, 1.0, 99, 0), GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Matrix_setElement_UDT(a, blob, udt, 99, 0),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Matrix_removeElement(a, 99, 0), GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Matrix_setElement(a, 1.0, 0, 0), GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_wait(a, GrB_MATERIALIZE), GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Matrix_setElement_UDT(a, blob, udt, 99, 0),
+            GrB_DOMAIN_MISMATCH);
+  EXPECT_EQ(GrB_Matrix_setElement(a, 1.0, 99, 0), GrB_INVALID_INDEX);
+  EXPECT_EQ(GrB_Matrix_removeElement(a, 0, 99), GrB_INVALID_INDEX);
+  EXPECT_EQ(GrB_Matrix_setElement(a, 1.0, 0, 0), GrB_SUCCESS);
+  GrB_free(&a);
+
+  GrB_Vector v = nullptr;
+  ASSERT_EQ(GrB_Vector_new(&v, GrB_FP64, 3), GrB_SUCCESS);
+  info = GrB_Vector_build(v, idx, vals, 2, GrB_NULL);
+  if (info == GrB_SUCCESS) info = GrB_wait(v, GrB_COMPLETE);
+  ASSERT_EQ(info, GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Vector_setElement(v, 1.0, 99), GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Vector_setElement_UDT(v, blob, udt, 99), GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Vector_removeElement(v, 99), GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_wait(v, GrB_MATERIALIZE), GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Vector_setElement_UDT(v, blob, udt, 99),
+            GrB_DOMAIN_MISMATCH);
+  EXPECT_EQ(GrB_Vector_setElement(v, 1.0, 99), GrB_INVALID_INDEX);
+  EXPECT_EQ(GrB_Vector_removeElement(v, 99), GrB_INVALID_INDEX);
+  EXPECT_EQ(GrB_Vector_setElement(v, 1.0, 0), GrB_SUCCESS);
+  GrB_free(&v);
+  GrB_free(&udt);
+}
+
+// In blocking mode setElement and removeElement fold before they return:
+// the published block already holds the change, with no completion
+// forced by a later read.  Nonblocking mode leaves it pending.
+TEST(ErrorModelTest, BlockingElementCallsFoldBeforeReturning) {
+  GrB_Matrix a = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, GrB_FP64, 4, 4, testutil::blocking_context()),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_setElement(a, 2.0, 1, 3), GrB_SUCCESS);
+  EXPECT_EQ(a->current_data()->nvals(), 1u);
+  ASSERT_EQ(GrB_Matrix_removeElement(a, 1, 3), GrB_SUCCESS);
+  EXPECT_EQ(a->current_data()->nvals(), 0u);
+  GrB_free(&a);
+
+  GrB_Vector v = nullptr;
+  ASSERT_EQ(GrB_Vector_new(&v, GrB_FP64, 4, testutil::blocking_context()),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_setElement(v, 2.0, 3), GrB_SUCCESS);
+  EXPECT_EQ(v->current_data()->nvals(), 1u);
+  ASSERT_EQ(GrB_Vector_removeElement(v, 3), GrB_SUCCESS);
+  EXPECT_EQ(v->current_data()->nvals(), 0u);
+  GrB_free(&v);
+
+  GrB_Matrix lazy = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&lazy, GrB_FP64, 4, 4), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_setElement(lazy, 2.0, 1, 3), GrB_SUCCESS);
+  EXPECT_EQ(lazy->current_data()->nvals(), 0u);
+  GrB_Index nv = 0;
+  ASSERT_EQ(GrB_Matrix_nvals(&nv, lazy), GrB_SUCCESS);
+  EXPECT_EQ(nv, 1u);
+  GrB_free(&lazy);
+}
+
 TEST(ErrorModelTest, PoisonedInputReportsInOtherOps) {
   GrB_Vector bad = nullptr, w = nullptr;
   ASSERT_EQ(GrB_Vector_new(&bad, GrB_FP64, 4), GrB_SUCCESS);

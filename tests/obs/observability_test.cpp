@@ -366,7 +366,9 @@ TEST(ObsMetricsEnvTest, GrbMetricsEnvWritesPrometheusAtFinalize) {
 }
 
 // GRB_FLIGHT_RECORDER=N resizes the ring before init; a tiny ring wraps
-// under load and reports the overwrites it suffered.
+// under load and reports the overwrites it suffered.  The load
+// alternates two entry points: repeats of one would share a single
+// slot and never wrap the ring.
 TEST(ObsMetricsEnvTest, GrbFlightRecorderEnvSizesRingAndCountsOverwrites) {
   ASSERT_EQ(setenv("GRB_FLIGHT_RECORDER", "32", 1), 0);
   ASSERT_EQ(GrB_init(GrB_NONBLOCKING), GrB_SUCCESS);
@@ -378,6 +380,7 @@ TEST(ObsMetricsEnvTest, GrbFlightRecorderEnvSizesRingAndCountsOverwrites) {
   for (int i = 0; i < 100; ++i) {
     GrB_Index n = 0;
     ASSERT_EQ(GrB_Vector_nvals(&n, v), GrB_SUCCESS);
+    ASSERT_EQ(GrB_Vector_size(&n, v), GrB_SUCCESS);
   }
   uint64_t overwrites = 0;
   ASSERT_EQ(GxB_Stats_get("flight.overwrites", &overwrites), GrB_SUCCESS);
